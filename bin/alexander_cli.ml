@@ -300,6 +300,8 @@ let print_plans report =
         i.Datalog_engine.Plan.i_steps)
     report.S.plans
 
+(* Answer lines end in a plain newline and the report flushes once at the
+   end: a flush per line would cost one write per answer. *)
 let print_report query report ~stats =
   let open S in
   (match report.answers with
@@ -307,7 +309,7 @@ let print_report query report ~stats =
   | answers ->
     List.iter
       (fun t ->
-        Format.printf "%a@." Atom.pp
+        Format.printf "%a@\n" Atom.pp
           (Datalog_storage.Tuple.to_atom (Atom.pred query) t))
       answers);
   List.iter
@@ -335,7 +337,8 @@ let print_report query report ~stats =
       Format.printf "%a@." Datalog_engine.Profile.pp report.profile
     end;
     Format.printf "%% wall time: %.6f s@." report.wall_time_s
-  end
+  end;
+  Format.printf "@?"
 
 let write_stats_json path file runs =
   let doc =
@@ -447,13 +450,14 @@ let run_cmd =
         | Error code -> code
         | Ok resume_from ->
           let json_runs = ref [] in
+          let prepared = S.prepare program in
           (* the first abnormal condition decides the exit code: 1 for
              errors, 3-7 for the exhaustion reasons (see Errors) *)
           let code =
             List.fold_left
               (fun code query ->
                 Format.printf "?- %a.@." Atom.pp query;
-                match S.run ~options ?resume_from program query with
+                match S.run_prepared ~options ?resume_from prepared query with
                 | Ok report ->
                   print_report query report ~stats;
                   if explain then print_plans report;

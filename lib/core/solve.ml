@@ -94,7 +94,7 @@ let check_safety program =
 
 (* Evaluate [program] (rules + facts) under the requested negation
    semantics; answers are read from [answer_pred]/[pattern]. *)
-let evaluate ?resume_from ?plan ?par ?(subsume = Subsume.none) options
+let evaluate ?resume_from ?plan ?par ?(subsume = Subsume.none) ~db options
     profile program answer_pred pattern =
   let limits = options.Options.limits in
   let checkpoint = options.Options.checkpoint in
@@ -111,8 +111,8 @@ let evaluate ?resume_from ?plan ?par ?(subsume = Subsume.none) options
     let* outcome =
       Result.map_error
         (fun msg -> Errors.Not_stratified msg)
-        (Stratified.run ~limits ~profile ~checkpoint ?resume_from ~use_naive
-           ?plan ?par ~subsume program)
+        (Stratified.run ~limits ~profile ~checkpoint ?resume_from ~db
+           ~use_naive ?plan ?par ~subsume program)
     in
     Ok
       ( outcome.Stratified.db,
@@ -123,7 +123,7 @@ let evaluate ?resume_from ?plan ?par ?(subsume = Subsume.none) options
   in
   let conditional_eval () =
     let* () = no_resume "conditional" in
-    let outcome = Conditional.run ~limits ~profile ?plan program in
+    let outcome = Conditional.run ~limits ~profile ?plan ~db program in
     Ok
       ( outcome.Conditional.true_db,
         outcome.Conditional.counters,
@@ -133,7 +133,7 @@ let evaluate ?resume_from ?plan ?par ?(subsume = Subsume.none) options
   in
   let wellfounded_eval () =
     let* () = no_resume "wellfounded" in
-    let outcome = Wellfounded.run ~limits ~profile ?plan program in
+    let outcome = Wellfounded.run ~limits ~profile ?plan ~db program in
     Ok
       ( outcome.Wellfounded.true_db,
         outcome.Wellfounded.counters,
@@ -181,9 +181,84 @@ let par_of_options options =
     Some (Par.create options.Options.domains)
   else None
 
-let run_uncaught ~options ?resume_from program query =
+let rewrite options adorned =
+  match options.Options.strategy with
+  | Options.Magic -> Magic.transform adorned
+  | Options.Supplementary -> Supplementary.transform adorned
+  | Options.Supplementary_idb -> Supplementary_idb.transform adorned
+  | Options.Alexander | Options.Naive | Options.Seminaive | Options.Tabled ->
+    Alexander_templates.transform adorned
+
+(* A program made ready for many goals.  What every goal would otherwise
+   redo over the whole EDB — encoding its facts into a [Database] and,
+   during evaluation, building hash and sorted indexes on it — happens
+   once, into a base database each goal reads through
+   [Database.overlay].  The base is never written: goals add only their
+   own facts (IDB facts, seeds), and no rule head is an EDB predicate. *)
+type prepared = {
+  program : Program.t;
+  own : Program.t Lazy.t;
+      (* the rules plus the facts over IDB predicates — everything a
+         non-rewriting goal loads on top of [base] *)
+  base : Database.t Lazy.t;  (* the facts over EDB predicates *)
+  split : split Lazy.t;
+}
+
+(* The magic-family view: IDB facts moved to fresh EDB predicates, so a
+   goal's rewritten program carries only its seeds. *)
+and split = {
+  s_program : Program.t;  (* [Preprocess.split_idb_facts program] *)
+  s_base : Database.t;
+      (* all of [s_program]'s facts: [base] itself when the split left the
+         program unchanged *)
+  s_card : Pred.t -> int;  (* the cost SIP's estimate, counted once *)
+}
+
+let prepare program =
+  let idb_facts, edb_facts =
+    List.partition
+      (fun a -> Program.is_idb program (Atom.pred a))
+      (Program.facts program)
+  in
+  let base = lazy (Database.of_facts edb_facts) in
+  { program;
+    own = lazy (Program.make ~facts:idb_facts (Program.rules program));
+    base;
+    split =
+      lazy
+        (let s_program = Preprocess.split_idb_facts program in
+         { s_program;
+           s_base =
+             (if s_program == program then Lazy.force base
+              else Database.of_facts (Program.facts s_program));
+           s_card = Adorn.fact_card s_program
+         })
+  }
+
+(* The database a goal evaluating [program] starts from: an overlay of
+   [base], unless [program] writes one of base's predicates (a rewritten
+   name clashing with a user's EDB predicate) — then a private copy, so
+   the base stays read-only whatever the program. *)
+let goal_db base program =
+  let writes p = Option.is_some (Database.find base p) in
+  if
+    Pred.Set.exists writes (Program.idb program)
+    || List.exists (fun a -> writes (Atom.pred a)) (Program.facts program)
+  then Database.copy base
+  else Database.overlay base
+
+(* The shared EDB plus the program's own IDB facts: the database of a
+   lookup, and the one a tabled goal exposes its tables in. *)
+let own_db prepared =
+  let own = Lazy.force prepared.own in
+  let db = goal_db (Lazy.force prepared.base) own in
+  List.iter (fun a -> ignore (Database.add_atom db a)) (Program.facts own);
+  db
+
+let run_uncaught ~options ?resume_from prepared query =
   let start = Unix.gettimeofday () in
   let minor0 = Gc.minor_words () in
+  let program = prepared.program in
   let profile = profile_of_options options in
   let infos = ref [] in
   let plan = plan_of_options options (fun i -> infos := i :: !infos) in
@@ -224,13 +299,17 @@ let run_uncaught ~options ?resume_from program query =
   let qpred = Atom.pred query in
   if not (Pred.Set.mem qpred (Program.preds program)) then
     (* unknown predicate: the query has no matching facts at all *)
-    let db = Database.of_facts (Program.facts program) in
     Ok
       (finish None
-         (db, Counters.create (), [], [], "lookup", Limits.Complete))
+         ( own_db prepared,
+           Counters.create (),
+           [],
+           [],
+           "lookup",
+           Limits.Complete ))
   else if not (Program.is_idb program qpred) then
     (* extensional query: a direct indexed lookup *)
-    let db = Database.of_facts (Program.facts program) in
+    let db = own_db prepared in
     let answers = matching_tuples db qpred query in
     Ok
       (finish None
@@ -238,20 +317,25 @@ let run_uncaught ~options ?resume_from program query =
   else
     match options.Options.strategy with
     | Options.Naive | Options.Seminaive ->
+      let own = Lazy.force prepared.own in
       let* result =
-        evaluate ?resume_from ?plan ?par options profile program qpred query
+        evaluate ?resume_from ?plan ?par
+          ~db:(goal_db (Lazy.force prepared.base) own)
+          options profile own qpred query
       in
       Ok (finish None result)
     | Options.Tabled ->
+      let own = Lazy.force prepared.own in
       let* outcome =
         Result.map_error
           (fun msg -> Errors.Evaluation msg)
           (Tabled.run ~limits:options.Options.limits ~profile
-             ~checkpoint:options.Options.checkpoint ?resume_from ?plan ?par
-             program query)
+             ~checkpoint:options.Options.checkpoint ?resume_from
+             ~db:(goal_db (Lazy.force prepared.base) own)
+             ?plan ?par own query)
       in
       (* expose the tables as a database, alongside the EDB *)
-      let db = Database.of_facts (Program.facts program) in
+      let db = own_db prepared in
       List.iter
         (fun (c, tuples) ->
           List.iter
@@ -268,8 +352,11 @@ let run_uncaught ~options ?resume_from program query =
              outcome.Tabled.status ))
     | Options.Magic | Options.Supplementary | Options.Supplementary_idb
     | Options.Alexander -> (
-      let program = Preprocess.split_idb_facts program in
-      match Adorn.adorn ~strategy:options.Options.sips program query with
+      let split = Lazy.force prepared.split in
+      match
+        Adorn.adorn ~strategy:options.Options.sips ~card:split.s_card
+          split.s_program query
+      with
       | exception Adorn.Unbound_negation a ->
         Error
           (Errors.Unbound_negation
@@ -279,35 +366,26 @@ let run_uncaught ~options ?resume_from program query =
                  rule"
                 Atom.pp a))
       | adorned ->
-        let rw =
-          match options.Options.strategy with
-          | Options.Magic -> Magic.transform adorned
-          | Options.Supplementary -> Supplementary.transform adorned
-          | Options.Supplementary_idb -> Supplementary_idb.transform adorned
-          | Options.Alexander | Options.Naive | Options.Seminaive
-          | Options.Tabled ->
-            Alexander_templates.transform adorned
-        in
-        let full =
-          Program.make
-            ~facts:(Program.facts program @ rw.Rewritten.seeds)
-            rw.Rewritten.rules
-        in
+        let rw = rewrite options adorned in
+        let goal = Program.make ~facts:rw.Rewritten.seeds rw.Rewritten.rules in
         let* result =
           evaluate ?resume_from ?plan ?par ~subsume:(subsume_of options rw)
-            options profile full (Rewritten.answer_pred rw)
-            rw.Rewritten.answer_atom
+            ~db:(goal_db split.s_base goal) options profile goal
+            (Rewritten.answer_pred rw) rw.Rewritten.answer_atom
         in
         Ok (finish (Some rw) result))
 
 (* A failed checkpoint save surfaces as a typed error; a simulated kill
    (Faults.Crashed) deliberately propagates — it stands for process
    death, and only the fault-injection harness catches it. *)
-let run ?(options = Options.default) ?resume_from program query =
-  match run_uncaught ~options ?resume_from program query with
+let run_prepared ?(options = Options.default) ?resume_from prepared query =
+  match run_uncaught ~options ?resume_from prepared query with
   | r -> r
   | exception Checkpoint.Save_error msg ->
     Error (Errors.Evaluation ("checkpoint save failed: " ^ msg))
+
+let run ?options ?resume_from program query =
+  run_prepared ?options ?resume_from (prepare program) query
 
 (* group queries by (predicate, binding pattern) so one rewriting serves
    the whole group through multiple seed facts *)
@@ -322,6 +400,7 @@ let binding_key query =
   (Pred.name (Atom.pred query), Pred.arity (Atom.pred query), pattern)
 
 let run_many_uncaught ~options program queries =
+  let prepared = prepare program in
   match options.Options.strategy with
   | Options.Naive | Options.Seminaive | Options.Tabled ->
     (* a single full evaluation answers everything *)
@@ -334,7 +413,7 @@ let run_many_uncaught ~options program queries =
     (match queries with
     | [] -> Ok []
     | first :: _ ->
-      let* report = run ~options program first in
+      let* report = run_prepared ~options prepared first in
       answer_all [] report.db queries)
   | Options.Magic | Options.Supplementary | Options.Supplementary_idb
   | Options.Alexander ->
@@ -345,7 +424,6 @@ let run_many_uncaught ~options program queries =
         let existing = Option.value ~default:[] (Hashtbl.find_opt groups key) in
         Hashtbl.replace groups key ((i, query) :: existing))
       queries;
-    let program' = Preprocess.split_idb_facts program in
     let results = Hashtbl.create 8 in
     (* shared across groups: the rows aggregate over the whole batch *)
     let profile = profile_of_options options in
@@ -358,19 +436,17 @@ let run_many_uncaught ~options program queries =
       match group with
       | [] -> Ok ()
       | (_, representative) :: _ -> (
-        match Adorn.adorn ~strategy:options.Options.sips program' representative with
+        let split = Lazy.force prepared.split in
+        match
+          Adorn.adorn ~strategy:options.Options.sips ~card:split.s_card
+            split.s_program representative
+        with
         | exception Adorn.Unbound_negation a ->
           Error
             (Errors.Unbound_negation
                (Format.asprintf "unbound negated call %a" Atom.pp a))
         | adorned ->
-          let rw =
-            match options.Options.strategy with
-            | Options.Magic -> Magic.transform adorned
-            | Options.Supplementary -> Supplementary.transform adorned
-            | Options.Supplementary_idb -> Supplementary_idb.transform adorned
-            | _ -> Alexander_templates.transform adorned
-          in
+          let rw = rewrite options adorned in
           (* one seed per query of the group: replace the representative's
              constants in the seed atom *)
           let seed_pred =
@@ -388,11 +464,7 @@ let run_many_uncaught ~options program queries =
                 Atom.make seed_pred (Array.of_list consts))
               group
           in
-          let full =
-            Program.make
-              ~facts:(Program.facts program' @ seeds)
-              rw.Rewritten.rules
-          in
+          let goal = Program.make ~facts:seeds rw.Rewritten.rules in
           Result.map
             (fun (db, _, _, _, _, _) ->
               List.iter
@@ -406,8 +478,9 @@ let run_many_uncaught ~options program queries =
                   in
                   Hashtbl.replace results i (query, answers))
                 group)
-            (evaluate ?plan ?par ~subsume:(subsume_of options rw) options
-               profile full (Rewritten.answer_pred rw)
+            (evaluate ?plan ?par ~subsume:(subsume_of options rw)
+               ~db:(goal_db split.s_base goal) options profile goal
+               (Rewritten.answer_pred rw)
                (Atom.make (Rewritten.answer_pred rw)
                   (Array.mapi
                      (fun i _ -> Term.var (Printf.sprintf "_Any%d" i))

@@ -19,7 +19,12 @@ type report = {
   options : Options.t;
   rewritten : Datalog_rewrite.Rewritten.t option;
       (** the rewriting, when a magic-family strategy ran *)
-  db : Database.t;  (** the fully evaluated database *)
+  db : Database.t;
+      (** the fully evaluated database.  It may share the EDB relations
+          of the {!prepared} program it ran from (see
+          {!Database.overlay}): read it, but do not mutate it — a write
+          to an EDB predicate would reach every later goal of the same
+          prepared program.  Copy it ({!Database.copy}) to modify. *)
   answers : Tuple.t list;
       (** tuples of the query predicate satisfying the goal, sorted *)
   undefined : Atom.t list;
@@ -77,6 +82,32 @@ val run :
     during evaluation ([options.checkpoint]) is reported as
     [Error (Evaluation _)]. *)
 
+type prepared
+(** A program made ready for many goals: its EDB facts are encoded into a
+    base database once — built lazily, on the first goal that needs it —
+    and every goal evaluates over a {!Database.overlay} of that base, so
+    the hash and sorted indexes one goal builds on EDB relations serve
+    the goals after it.  A goal adds only its own facts (the program's
+    IDB facts, a rewriting's seeds) to relations private to it; the base
+    is never written by an evaluation.  The magic-family strategies read
+    the {!Preprocess.split_idb_facts} form of the program, which shares
+    the same base when the program has no IDB facts. *)
+
+val prepare : Program.t -> prepared
+
+val run_prepared :
+  ?options:Options.t ->
+  ?resume_from:Datalog_engine.Checkpoint.resume ->
+  prepared ->
+  Atom.t ->
+  (report, Errors.t) result
+(** {!run} over a prepared program: [run ?options ?resume_from program q]
+    is [run_prepared ?options ?resume_from (prepare program) q], and a
+    batch of goals through one [prepared] reports exactly what one
+    {!run} per goal would (answers, status, counters, profile rows; only
+    timings differ).  A [resume_from] checkpoint taken over a different
+    program would merge its facts into the shared base. *)
+
 val run_exn : ?options:Options.t -> Program.t -> Atom.t -> report
 (** @raise Failure with {!Errors.message} on [Error].  The only
     raising entry point of the library. *)
@@ -90,7 +121,8 @@ val run_many :
     one evaluation: the rewritten program is built once, every query
     contributes its seed fact, and the answers are split per query
     afterwards.  Queries whose predicate or constant positions differ are
-    evaluated separately (still within this one call).  Under [Naive] /
+    evaluated separately (still within this one call), over one
+    {!prepared} program.  Under [Naive] /
     [Seminaive] / [Tabled] the program is simply evaluated once and each
     query filtered from the result. *)
 

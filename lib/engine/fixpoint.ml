@@ -22,6 +22,33 @@ let applier cnt ~guard ~profile ~neg ?plan ?par ~card ?delta_pos rule =
 
 let note_round par = match par with Some pool -> Par.note_round pool | None -> ()
 
+(* Insert a derived fact into [db] under [pred] (the companion when the
+   subsumption filter dropped it), count it as derived or subsumed, and
+   hand it to [on_new] if it was new.  [dropped] is an argument rather
+   than half of a returned pair, so the per-fact path allocates nothing. *)
+let store cnt ~guard ~profile ~db ~on_new ~dropped pred tuple =
+  if Database.add db pred tuple then begin
+    if dropped then begin
+      cnt.Counters.subsumed <- cnt.Counters.subsumed + 1;
+      Profile.subsumed profile pred
+    end
+    else begin
+      cnt.Counters.facts_derived <- cnt.Counters.facts_derived + 1;
+      Profile.derived profile pred
+    end;
+    if Limits.is_active guard then
+      Limits.check_relation guard (Database.rel db pred);
+    on_new pred tuple
+  end
+
+(* The one emit path of every fixpoint round: route a derived fact
+   through the subsumption filter, then [store] it. *)
+let emit cnt ~guard ~profile ~subsume ~db ~on_new pred tuple =
+  match Subsume.drop subsume db pred tuple with
+  | Some companion ->
+    store cnt ~guard ~profile ~db ~on_new ~dropped:true companion tuple
+  | None -> store cnt ~guard ~profile ~db ~on_new ~dropped:false pred tuple
+
 let naive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
     ?(ckpt = Checkpoint.none) ?plan ?par ?(subsume = Subsume.none) ~db ~neg
     rules =
@@ -34,6 +61,7 @@ let naive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
       rules
   in
   let changed = ref true in
+  let on_new _ _ = changed := true in
   while !changed do
     changed := false;
     match
@@ -43,26 +71,7 @@ let naive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
           List.iter
             (fun (rule, app) ->
               Profile.with_rule profile cnt rule (fun () ->
-                  app ~rel_of (fun pred tuple ->
-                      let pred, dropped =
-                        match Subsume.drop subsume db pred tuple with
-                        | Some companion -> (companion, true)
-                        | None -> (pred, false)
-                      in
-                      if Database.add db pred tuple then begin
-                        if dropped then begin
-                          cnt.Counters.subsumed <- cnt.Counters.subsumed + 1;
-                          Profile.subsumed profile pred
-                        end
-                        else begin
-                          cnt.Counters.facts_derived <-
-                            cnt.Counters.facts_derived + 1;
-                          Profile.derived profile pred
-                        end;
-                        if Limits.is_active guard then
-                          Limits.check_relation guard (Database.rel db pred);
-                        changed := true
-                      end)))
+                  app ~rel_of (emit cnt ~guard ~profile ~subsume ~db ~on_new)))
             apps)
     with
     | () ->
@@ -121,26 +130,10 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
           List.iter
             (fun (rule, app) ->
               Profile.with_rule profile cnt rule (fun () ->
-                  app ~rel_of (fun pred tuple ->
-                      let pred, dropped =
-                        match Subsume.drop subsume db pred tuple with
-                        | Some companion -> (companion, true)
-                        | None -> (pred, false)
-                      in
-                      if Database.add db pred tuple then begin
-                        if dropped then begin
-                          cnt.Counters.subsumed <- cnt.Counters.subsumed + 1;
-                          Profile.subsumed profile pred
-                        end
-                        else begin
-                          cnt.Counters.facts_derived <-
-                            cnt.Counters.facts_derived + 1;
-                          Profile.derived profile pred
-                        end;
-                        if Limits.is_active guard then
-                          Limits.check_relation guard (Database.rel db pred);
-                        ignore (Database.add !delta pred tuple)
-                      end)))
+                  app ~rel_of
+                    (emit cnt ~guard ~profile ~subsume ~db
+                       ~on_new:(fun pred tuple ->
+                         ignore (Database.add !delta pred tuple)))))
             apps)
     with
     | () ->
@@ -171,6 +164,10 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
   while Database.total_facts !delta > 0 do
     let current = !delta in
     let next = fresh_delta () in
+    let derive =
+      emit cnt ~guard ~profile ~subsume ~db ~on_new:(fun pred tuple ->
+          ignore (Database.add next pred tuple))
+    in
     (match
        cnt.Counters.iterations <- cnt.Counters.iterations + 1;
        Limits.check_round guard;
@@ -184,28 +181,7 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
                          if i = delta_pos then Database.find current pred
                          else Database.find db pred
                        in
-                       app ~rel_of (fun pred tuple ->
-                           let pred, dropped =
-                             match Subsume.drop subsume db pred tuple with
-                             | Some companion -> (companion, true)
-                             | None -> (pred, false)
-                           in
-                           if Database.add db pred tuple then begin
-                             if dropped then begin
-                               cnt.Counters.subsumed <-
-                                 cnt.Counters.subsumed + 1;
-                               Profile.subsumed profile pred
-                             end
-                             else begin
-                               cnt.Counters.facts_derived <-
-                                 cnt.Counters.facts_derived + 1;
-                               Profile.derived profile pred
-                             end;
-                             if Limits.is_active guard then
-                               Limits.check_relation guard
-                                 (Database.rel db pred);
-                             ignore (Database.add next pred tuple)
-                           end))
+                       app ~rel_of derive)
                      apps))
              delta_rules)
      with

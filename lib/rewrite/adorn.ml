@@ -94,21 +94,21 @@ let adorn_rule program strategy card source head_binding registry =
     },
     List.rev !calls )
 
+(* The cost-aware SIP needs cardinality estimates before any evaluation
+   has happened: count the program's explicit facts. *)
+let fact_card program =
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      let p = Atom.pred a in
+      Hashtbl.replace counts p
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts p)))
+    (Program.facts program);
+  fun p -> Option.value ~default:0 (Hashtbl.find_opt counts p)
+
 let adorn ?(strategy = Sips.Left_to_right) ?card program query =
-  (* The cost-aware SIP needs cardinality estimates before any evaluation
-     has happened; default to counting the program's explicit facts. *)
   let card =
-    match card with
-    | Some f -> f
-    | None ->
-      let counts = Hashtbl.create 16 in
-      List.iter
-        (fun a ->
-          let p = Atom.pred a in
-          Hashtbl.replace counts p
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts p)))
-        (Program.facts program);
-      fun p -> Option.value ~default:0 (Hashtbl.find_opt counts p)
+    match card with Some f -> f | None -> fact_card program
   in
   let registry = Registry.create () in
   let query_binding =

@@ -36,12 +36,17 @@ exception Unbound_negation of Atom.t
 val adorned_pred : Pred.t -> Binding.t -> Pred.t
 (** The (deterministic) adorned name, e.g. [anc__bf]. *)
 
+val fact_card : Program.t -> Pred.t -> int
+(** The program's explicit facts counted per predicate (duplicates
+    included) — the default cardinality estimate of {!adorn}.  Partially
+    applied, it counts once and answers from the table. *)
+
 val adorn :
   ?strategy:Sips.strategy -> ?card:(Pred.t -> int) -> Program.t -> Atom.t -> t
 (** [adorn program query] runs the transformation from the binding pattern
     the query's constants induce.  [card] supplies relation-cardinality
-    estimates to the {!Sips.Cost_aware} strategy (default: count the
-    program's explicit facts per predicate).  @raise Unbound_negation *)
+    estimates to the {!Sips.Cost_aware} strategy (default:
+    [fact_card program]).  @raise Unbound_negation *)
 
 val rules_as_program : t -> Program.t
 (** The adorned rules as a plain program (queries over it must use the

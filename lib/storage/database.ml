@@ -46,6 +46,11 @@ let cardinal db pred =
 let total_facts db =
   Pred.Tbl.fold (fun _ r acc -> acc + Relation.cardinal r) db 0
 
+(* [Hashtbl.copy] duplicates the bucket structure but not the values: the
+   overlay starts with exactly the base's predicate entries, each bound to
+   the base's own relation. *)
+let overlay base : t = Pred.Tbl.copy base
+
 let copy db =
   let fresh = create () in
   Pred.Tbl.iter (fun p r -> Pred.Tbl.add fresh p (Relation.copy r)) db;

@@ -35,6 +35,20 @@ val total_facts : t -> int
 
 val copy : t -> t
 
+val overlay : t -> t
+(** [overlay base] is a fresh predicate-to-relation table whose entries
+    {e alias} [base]'s relations: every predicate [base] has shares its
+    [Relation.t] (tuples and any hash or sorted indexes built on it),
+    while a predicate first reached through the overlay ({!rel}, {!add})
+    gets a relation private to the overlay.  Costs one table copy, not a
+    tuple copy.
+
+    Aliasing contract: writing a predicate the base already has writes
+    the base.  An overlay is meant for evaluations that only {e read} the
+    base's predicates — e.g. a rewritten program whose rule heads are all
+    new predicates — and everything the evaluation derives stays private
+    to it. *)
+
 val assign : t -> from:t -> unit
 (** [assign db ~from] replaces the contents of [db] with a copy of
     [from]'s, in place — the rollback half of a [copy]-backed

@@ -329,16 +329,15 @@ let probe_frozen (f : frozen) key =
 
 (* Raw code order ([Code.compare] is [Int.compare] on the interned ids):
    merge joins only need *some* total order shared by both sides, and
-   comparing ints beats decoding values. *)
-let key_compare scols a b =
-  let k = Array.length scols in
-  let rec go j =
-    if j >= k then 0
-    else
-      let c = Code.compare a.(scols.(j)) b.(scols.(j)) in
-      if c <> 0 then c else go (j + 1)
-  in
-  go 0
+   comparing ints beats decoding values.  Top-level recursion: a local
+   loop closure would be allocated on every comparison of every sort. *)
+let rec key_compare_from scols a b j =
+  if j >= Array.length scols then 0
+  else
+    let c = Code.compare a.(scols.(j)) b.(scols.(j)) in
+    if c <> 0 then c else key_compare_from scols a b (j + 1)
+
+let key_compare scols a b = key_compare_from scols a b 0
 
 (* Refill the column-major key arrays from [srows.(lo .. slen-1)];
    earlier slots are untouched rows whose keys are already in place.
