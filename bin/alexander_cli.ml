@@ -206,7 +206,7 @@ let limits_term =
 (* Graceful interrupt: with --checkpoint active, SIGINT/SIGTERM stop the
    evaluation through the governor's cancellation hook instead of
    killing the process — the engine exits its fixpoint cleanly, the last
-   round's checkpoint is already on disk (written atomically), and the
+   round's checkpoint is already on disk (fsynced), and the
    run reports the partial answers with the cancellation exit code, so
    `--resume` picks up exactly where the interrupt landed.  A second
    SIGINT aborts immediately. *)
@@ -223,10 +223,12 @@ let checkpoint_arg =
     & opt (some string) None
     & info [ "checkpoint" ] ~docv:"FILE"
         ~doc:
-          "Save a resumable checkpoint of the evaluation to FILE (written \
-           atomically: FILE always holds the last complete image).  A run \
-           that exhausts its budget leaves a checkpoint behind that \
-           --resume continues")
+          "Save a resumable checkpoint of the evaluation to FILE.  The \
+           first save installs a full image atomically; each later save \
+           appends and fsyncs one frame holding what the evaluation added \
+           since, so FILE always ends with the last complete save (a torn \
+           final frame is ignored on resume).  A run that exhausts its \
+           budget leaves a checkpoint behind that --resume continues")
 
 let checkpoint_every_arg =
   Arg.(

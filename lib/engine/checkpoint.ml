@@ -5,6 +5,18 @@ exception Save_error of string
 
 type table = Pred.t * (int * Value.t) list * Tuple.t list
 
+(* The log a session appends to once its base frame is installed: the
+   database the base imaged (frames only make sense against that object)
+   and, per relation, how far into its insertion order the log reaches. *)
+type log = {
+  l_db : Database.t;
+  l_context : string * string * string;  (* strategy, query, evaluator *)
+  marks : (Relation.t * int * int) Pred.Tbl.t;
+      (* relation, insertion mark, cardinality at the last frame *)
+  emitted : (int, unit) Hashtbl.t;  (* dictionary codes already logged *)
+  mutable bytes : int;  (* length of the log on disk *)
+}
+
 type t = {
   active : bool;
   cpath : string;
@@ -17,6 +29,7 @@ type t = {
   mutable rounds : int;
   mutable nsaves : int;
   mutable counters : Counters.t;
+  mutable log : log option;
 }
 
 let none =
@@ -30,23 +43,14 @@ let none =
     stratum = 0;
     rounds = 0;
     nsaves = 0;
-    counters = Counters.create ()
+    counters = Counters.create ();
+    log = None
   }
 
 let create ~path ?(every = 1) ?kill_after_save () =
   if every < 1 then invalid_arg "Checkpoint.create: every < 1";
-  { active = true;
-    cpath = path;
-    every;
-    kill_after_save;
-    strategy = "";
-    query = "";
-    evaluator = "";
-    stratum = 0;
-    rounds = 0;
-    nsaves = 0;
-    counters = Counters.create ()
-  }
+  { none with active = true; cpath = path; every; kill_after_save;
+    counters = Counters.create () }
 
 let is_active c = c.active
 let path c = c.cpath
@@ -61,8 +65,15 @@ let set_stratum c s = c.stratum <- s
 let set_counters c cnt = c.counters <- cnt
 
 (* ---------------------------------------------------------------- *)
-(* Serialization: a Snapshot with "db:", "delta:" and "tbl:<i>"
-   sections; the call pattern of table [i] lives in meta key "tbl:<i>" *)
+(* Frames: a {!Wal} log whose frame bodies are
+
+     ckpt <base|round> <nmeta> <ndict> <nfacts>
+     m <escaped key><TAB><escaped value>      (nmeta lines)
+     d ... / f ...                            ({!Wal.fact_lines})
+
+   with facts in sections "db:<pred>" (a base: the whole database; a
+   round: what was added since the previous frame), "delta:<pred>" and
+   "tbl:<i>", whose call pattern is meta key "tbl:<i>". *)
 
 let encode_call pred bound =
   String.concat " "
@@ -103,45 +114,145 @@ let decode_call s =
     Ok (Pred.make name arity, List.rev bound)
   | _ -> Error ("bad call encoding " ^ s)
 
-let db_sections prefix db =
-  List.map
-    (fun pred ->
-      (prefix ^ Pred.name pred, Pred.arity pred, Database.tuples db pred))
-    (Database.preds db)
+exception Reimage
+
+(* Per relation of [db], the tuples added since [marks] and the new
+   mark.  [Reimage] when the database is no longer one the log can
+   extend: a relation was replaced or shrank. *)
+let growth marks db =
+  let kept = ref 0 in
+  let runs =
+    List.map
+      (fun pred ->
+        let rel = Database.rel db pred in
+        let mark, card =
+          match Pred.Tbl.find_opt marks pred with
+          | None -> (0, 0)
+          | Some (r, mark, card) ->
+            if r != rel then raise Reimage;
+            incr kept;
+            (mark, card)
+        in
+        let added, mark' = Relation.added_since rel mark in
+        if card + List.length added <> Relation.cardinal rel then raise Reimage;
+        (pred, rel, added, mark'))
+      (Database.preds db)
+  in
+  if !kept <> Pred.Tbl.length marks then raise Reimage;
+  runs
+
+let delta_is_added delta runs =
+  let added = ref 0 in
+  List.for_all
+    (fun (pred, _, tuples, _) ->
+      added := !added + List.length tuples;
+      List.equal ( == ) (Database.tuples delta pred) tuples)
+    runs
+  && Database.total_facts delta = !added
 
 let save c ~db ~delta ~tables =
+  let context = (c.strategy, c.query, c.evaluator) in
+  (* a session's first save, or one over another database or context,
+     installs a base; later saves append a round frame *)
+  let continued =
+    match c.log with
+    | Some l when l.l_db == db && l.l_context = context -> (
+      match growth l.marks db with
+      | runs -> Some (l, runs)
+      | exception Reimage -> None)
+    | _ -> None
+  in
+  let base, log, runs =
+    match continued with
+    | Some (l, runs) -> (false, l, runs)
+    | None ->
+      let l =
+        { l_db = db;
+          l_context = context;
+          marks = Pred.Tbl.create 16;
+          emitted = Hashtbl.create 64;
+          bytes = 0
+        }
+      in
+      (true, l, growth l.marks db)
+  in
+  (* at a round boundary of an every-round semi-naive run the delta is
+     exactly what the round added to [db]: log those facts once *)
+  let delta_mode =
+    match delta with
+    | None -> "none"
+    | Some d when (not base) && delta_is_added d runs -> "added"
+    | Some _ -> "some"
+  in
+  let lines =
+    Wal.fact_lines ~emitted:log.emitted (fun emit ->
+        let section prefix pred tuples =
+          let name = prefix ^ Pred.name pred in
+          List.iter (emit name (Pred.arity pred)) tuples
+        in
+        List.iter (fun (pred, _, added, _) -> section "db:" pred added) runs;
+        (match delta with
+        | Some d when delta_mode = "some" ->
+          Database.iter
+            (fun pred rel -> section "delta:" pred (Relation.to_list rel))
+            d
+        | _ -> ());
+        List.iteri
+          (fun i (pred, _, tuples) ->
+            List.iter (emit (Printf.sprintf "tbl:%d" i) (Pred.arity pred)) tuples)
+          tables)
+  in
   let cnt = c.counters in
   let meta =
-    [ ("kind", "checkpoint");
-      ("strategy", c.strategy);
-      ("query", c.query);
-      ("evaluator", c.evaluator);
-      ("stratum", string_of_int c.stratum);
-      ("rounds", string_of_int c.rounds);
-      ("saves", string_of_int (c.nsaves + 1));
-      ("c_facts", string_of_int cnt.Counters.facts_derived);
-      ("c_firings", string_of_int cnt.Counters.firings);
-      ("c_probes", string_of_int cnt.Counters.probes);
-      ("c_scanned", string_of_int cnt.Counters.scanned);
-      ("c_iterations", string_of_int cnt.Counters.iterations);
-      ("delta", match delta with None -> "none" | Some _ -> "some")
-    ]
+    (if base then
+       [ ("strategy", c.strategy); ("query", c.query); ("evaluator", c.evaluator) ]
+     else [])
+    @ [ ("stratum", string_of_int c.stratum);
+        ("rounds", string_of_int c.rounds);
+        ("c_facts", string_of_int cnt.Counters.facts_derived);
+        ("c_firings", string_of_int cnt.Counters.firings);
+        ("c_probes", string_of_int cnt.Counters.probes);
+        ("c_scanned", string_of_int cnt.Counters.scanned);
+        ("c_iterations", string_of_int cnt.Counters.iterations);
+        ("delta", delta_mode)
+      ]
     @ List.mapi
         (fun i (pred, bound, _) ->
           (Printf.sprintf "tbl:%d" i, encode_call pred bound))
         tables
   in
-  let sections =
-    db_sections "db:" db
-    @ (match delta with None -> [] | Some d -> db_sections "delta:" d)
-    @ List.mapi
-        (fun i (pred, _, tuples) ->
-          (Printf.sprintf "tbl:%d" i, Pred.arity pred, tuples))
-        tables
+  let body =
+    String.concat ""
+      (Printf.sprintf "ckpt %s %d %d %d\n"
+         (if base then "base" else "round")
+         (List.length meta) lines.Wal.ndict lines.Wal.nfacts
+      :: List.map
+           (fun (k, v) ->
+             Printf.sprintf "m %s\t%s\n" (Snapshot.escape k) (Snapshot.escape v))
+           meta
+      @ [ lines.Wal.text ])
   in
-  match Snapshot.write ~meta ~sections c.cpath with
-  | Error msg -> raise (Save_error msg)
-  | Ok () -> (
+  let written =
+    if base then
+      let data = Wal.header ^ Wal.frame body in
+      Result.map
+        (fun () -> String.length data)
+        (Snapshot.atomic_write_string c.cpath data)
+    else Wal.append_frame c.cpath ~at:log.bytes body
+  in
+  match written with
+  | Error msg ->
+    (* the next save starts a fresh base rather than trust the tail *)
+    c.log <- None;
+    raise (Save_error msg)
+  | Ok bytes -> (
+    log.bytes <- bytes;
+    List.iter (fun code -> Hashtbl.replace log.emitted code ()) lines.Wal.fresh;
+    List.iter
+      (fun (pred, rel, _, mark) ->
+        Pred.Tbl.replace log.marks pred (rel, mark, Relation.cardinal rel))
+      runs;
+    c.log <- Some log;
     c.nsaves <- c.nsaves + 1;
     match c.kill_after_save with
     | Some n when c.nsaves >= n ->
@@ -189,105 +300,223 @@ let starts_with ~prefix s =
 
 let strip ~prefix s =
   let n = String.length prefix in
-  if starts_with ~prefix s then
-    Some (String.sub s n (String.length s - n))
+  if starts_with ~prefix s then Some (String.sub s n (String.length s - n))
   else None
 
-let meta_malformed reason =
-  Snapshot.Malformed { section = "meta"; line = 0; reason }
+(* One decoded, fully checked frame.  Decoding touches nothing but the
+   dictionary, so a frame that fails half-way leaves the replayed state
+   at the previous frame. *)
+type frame = {
+  f_context : (string * string * string) option;  (* base frames only *)
+  f_stratum : int;
+  f_rounds : int;
+  f_counters : int * int * int * int * int;
+  f_delta : string;
+  f_calls : (string * Pred.t * (int * Value.t) list) list;  (* "tbl:<i>" *)
+  f_facts : (string * int * Tuple.t) list;
+}
 
-exception Bad of Snapshot.corruption
+exception Bad of string
+
+let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
+
+let decode_frame ~dict ~first body =
+  let ok = function Ok v -> v | Error reason -> raise (Bad reason) in
+  match
+    let head, rest =
+      match ok (Wal.body_lines body) with
+      | [] -> bad "empty frame body"
+      | head :: rest -> (head, rest)
+    in
+    let base, nmeta, ndict, nfacts =
+      match String.split_on_char ' ' head with
+      | [ "ckpt"; kind; nm; nd; nf ] -> (
+        match
+          (kind, int_of_string_opt nm, int_of_string_opt nd, int_of_string_opt nf)
+        with
+        | ("base" | "round"), Some nm, Some nd, Some nf
+          when nm >= 0 && nd >= 0 && nf >= 0 ->
+          (kind = "base", nm, nd, nf)
+        | _ -> bad "malformed checkpoint frame head %S" head)
+      | _ -> bad "not a checkpoint frame: %S" head
+    in
+    if base <> first then
+      bad
+        (if first then "the log does not start with a base frame"
+         else "a second base frame");
+    let rec split n acc = function
+      | rest when n = 0 -> (List.rev acc, rest)
+      | [] -> bad "frame line count mismatch"
+      | l :: rest -> split (n - 1) (l :: acc) rest
+    in
+    let meta_lines, rest = split nmeta [] rest in
+    let meta =
+      List.map
+        (fun line ->
+          match String.split_on_char '\t' line with
+          | [ k; v ] when String.length k > 2 && String.sub k 0 2 = "m " ->
+            ( ok (Snapshot.unescape (String.sub k 2 (String.length k - 2))),
+              ok (Snapshot.unescape v) )
+          | _ -> bad "malformed meta line %S" line)
+        meta_lines
+    in
+    let need k =
+      match List.assoc_opt k meta with
+      | Some v -> v
+      | None -> bad "missing key %s" k
+    in
+    let need_int k =
+      match int_of_string_opt (need k) with
+      | Some i -> i
+      | None -> bad "%s is not a number" k
+    in
+    let calls =
+      List.filter_map
+        (fun (k, v) ->
+          if starts_with ~prefix:"tbl:" k then
+            let pred, bound = ok (decode_call v) in
+            Some (k, pred, bound)
+          else None)
+        meta
+    in
+    let facts = ok (Wal.decode_facts ~dict ~ndict ~nfacts rest) in
+    let arities = Hashtbl.create 8 in
+    List.iter (fun (k, pred, _) -> Hashtbl.replace arities k (Pred.arity pred)) calls;
+    List.iter
+      (fun (name, arity, _) ->
+        if starts_with ~prefix:"tbl:" name then
+          match Hashtbl.find_opt arities name with
+          | Some a when a = arity -> ()
+          | Some _ -> bad "table %s arity mismatch" name
+          | None -> bad "answers for unknown table %s" name)
+      facts;
+    { f_context =
+        (if base then Some (need "strategy", need "query", need "evaluator")
+         else None);
+      f_stratum = need_int "stratum";
+      f_rounds = need_int "rounds";
+      f_counters =
+        ( need_int "c_facts",
+          need_int "c_firings",
+          need_int "c_probes",
+          need_int "c_scanned",
+          need_int "c_iterations" );
+      f_delta =
+        (match need "delta" with
+        | ("none" | "some" | "added") as d -> d
+        | d -> bad "bad delta mode %S" d);
+      f_calls = calls;
+      f_facts = facts
+    }
+  with
+  | frame -> Ok frame
+  | exception Bad reason -> Error reason
+
+(* The resume state after the last valid frame [last]; [db] holds the
+   replayed database. *)
+let resume_of (strategy, query, evaluator) last db =
+  let delta = Database.create () in
+  let answers = Hashtbl.create 8 in
+  let delta_prefix = if last.f_delta = "added" then "db:" else "delta:" in
+  List.iter
+    (fun (name, arity, tuple) ->
+      match strip ~prefix:delta_prefix name with
+      | Some p -> ignore (Database.add delta (Pred.make p arity) tuple)
+      | None ->
+        if starts_with ~prefix:"tbl:" name then
+          Hashtbl.replace answers name
+            (tuple :: Option.value ~default:[] (Hashtbl.find_opt answers name)))
+    last.f_facts;
+  { r_strategy = strategy;
+    r_query = query;
+    r_evaluator = evaluator;
+    r_stratum = last.f_stratum;
+    r_rounds = last.f_rounds;
+    r_counters = last.f_counters;
+    r_db = db;
+    r_delta = (if last.f_delta = "none" then None else Some delta);
+    r_tables =
+      List.map
+        (fun (k, pred, bound) ->
+          ( pred,
+            bound,
+            List.rev (Option.value ~default:[] (Hashtbl.find_opt answers k)) ))
+        last.f_calls
+  }
 
 let load ?(mode = Snapshot.Strict) cpath =
-  match Snapshot.read ~mode cpath with
-  | Error _ as e -> e
-  | Ok contents -> (
-    match
-      (* a damaged database relation is fatal even in lenient mode: under
-         stratified negation an incomplete lower stratum would flip
-         resumed answers, not just delay them *)
-      (match
-         List.find_opt
-           (fun w -> starts_with ~prefix:"db:" w.Snapshot.w_section)
-           contents.Snapshot.warnings
-       with
-      | Some w -> raise (Bad w.Snapshot.w_corruption)
-      | None -> ());
-      let delta_damaged =
-        List.exists
-          (fun w -> starts_with ~prefix:"delta:" w.Snapshot.w_section)
-          contents.Snapshot.warnings
+  match Faults.read_file cpath with
+  | exception Sys_error msg -> Error (Snapshot.Not_a_snapshot msg)
+  | data -> (
+    match Wal.scan data with
+    | Error c ->
+      Error
+        (Snapshot.Malformed
+           { section = "checkpoint header";
+             line = 1;
+             reason = Wal.describe_corruption c
+           })
+    | Ok (frames, stop) -> (
+      let section at = Printf.sprintf "checkpoint frame at byte %d" at in
+      let malformed at reason =
+        (* the 1-based line of the frame's header *)
+        let line = ref 1 in
+        String.iteri (fun i ch -> if i < at && ch = '\n' then incr line) data;
+        Snapshot.Malformed { section = section at; line = !line; reason }
       in
-      let need k =
-        match List.assoc_opt k contents.Snapshot.meta with
-        | Some v -> v
-        | None -> raise (Bad (meta_malformed ("missing key " ^ k)))
-      in
-      let need_int k =
-        match int_of_string_opt (need k) with
-        | Some i -> i
-        | None -> raise (Bad (meta_malformed (k ^ " is not a number")))
-      in
-      (match need "kind" with
-      | "checkpoint" -> ()
-      | k ->
-        raise (Bad (meta_malformed (Printf.sprintf "kind %S is not a checkpoint" k))));
       let db = Database.create () in
-      let delta = Database.create () in
-      let tables = ref [] in
-      List.iter
-        (fun s ->
-          let name = s.Snapshot.s_name in
-          let install target =
-            let pred = Pred.make target s.Snapshot.s_arity in
-            List.iter
-              (fun t -> ignore (Database.add db pred t))
-              s.Snapshot.s_tuples
+      let dict = Hashtbl.create 64 in
+      let preds = Hashtbl.create 16 in
+      let install (name, arity, tuple) =
+        match strip ~prefix:"db:" name with
+        | None -> ()
+        | Some p ->
+          let pred =
+            match Hashtbl.find_opt preds (name, arity) with
+            | Some pred -> pred
+            | None ->
+              let pred = Pred.make p arity in
+              Hashtbl.add preds (name, arity) pred;
+              pred
           in
-          match strip ~prefix:"db:" name with
-          | Some p -> install p
-          | None -> (
-            match strip ~prefix:"delta:" name with
-            | Some p ->
-              let pred = Pred.make p s.Snapshot.s_arity in
-              List.iter
-                (fun t -> ignore (Database.add delta pred t))
-                s.Snapshot.s_tuples
-            | None -> (
-              match strip ~prefix:"tbl:" name with
-              | Some _ -> (
-                match decode_call (need name) with
-                | Error reason -> raise (Bad (meta_malformed reason))
-                | Ok (pred, bound) ->
-                  if Pred.arity pred <> s.Snapshot.s_arity then
-                    raise
-                      (Bad
-                         (meta_malformed
-                            (Printf.sprintf "table %s arity mismatch" name)));
-                  tables := (pred, bound, s.Snapshot.s_tuples) :: !tables)
-              | None -> ())))
-        contents.Snapshot.sections;
-      let r_delta =
-        if need "delta" = "none" || delta_damaged then None else Some delta
+          ignore (Database.add db pred tuple)
       in
-      { r_strategy = need "strategy";
-        r_query = need "query";
-        r_evaluator = need "evaluator";
-        r_stratum = need_int "stratum";
-        r_rounds = need_int "rounds";
-        r_counters =
-          ( need_int "c_facts",
-            need_int "c_firings",
-            need_int "c_probes",
-            need_int "c_scanned",
-            need_int "c_iterations" );
-        r_db = db;
-        r_delta;
-        r_tables = List.rev !tables
-      }
-    with
-    | resume -> Ok (resume, contents.Snapshot.warnings)
-    | exception Bad c -> Error c)
+      (* replay base + round frames up to the first damaged one *)
+      let rec replay state = function
+        | [] -> (
+          ( state,
+            match stop with
+            | Wal.End | Wal.Truncated _ -> None
+            | Wal.Bad_checksum { at; expected; actual } ->
+              Some
+                ( at,
+                  Snapshot.Checksum_mismatch
+                    { section = section at; expected; actual } )
+            | Wal.Bad_header { at; reason } -> Some (at, malformed at reason) ))
+        | (at, body) :: rest -> (
+          match decode_frame ~dict ~first:(Option.is_none state) body with
+          | Error reason -> (state, Some (at, malformed at reason))
+          | Ok frame ->
+            List.iter install frame.f_facts;
+            let context =
+              match (frame.f_context, state) with
+              | Some context, _ | None, Some (context, _) -> context
+              | None, None -> assert false (* [decode_frame ~first] *)
+            in
+            replay (Some (context, frame)) rest)
+      in
+      let resume (context, last) = resume_of context last db in
+      match replay None frames with
+      | None, Some (_, c) -> Error c
+      | None, None -> Error (Snapshot.Truncated "checkpoint base frame")
+      | Some state, None -> Ok (resume state, [])
+      | Some state, Some (at, c) -> (
+        match mode with
+        | Snapshot.Strict -> Error c
+        | Snapshot.Lenient ->
+          Ok
+            ( resume state,
+              [ { Snapshot.w_section = section at; w_corruption = c } ] ))))
 
 let restore_counters r (cnt : Counters.t) =
   let facts, firings, probes, scanned, iterations = r.r_counters in

@@ -1,10 +1,10 @@
 (** Checkpointed, resumable fixpoints.
 
-    A checkpoint is a {!Datalog_storage.Snapshot} holding everything an
-    engine needs to continue an interrupted evaluation: the database (or
-    the call tables, for the tabled engine), the current delta, the
-    stratum, the counters, and enough context (strategy, query) to refuse
-    a resume under a different evaluation.
+    A checkpoint holds everything an engine needs to continue an
+    interrupted evaluation: the database (or the call tables, for the
+    tabled engine), the current delta, the stratum, the counters, and
+    enough context (strategy, query) to refuse a resume under a
+    different evaluation.
 
     Like {!Limits} and {!Profile}, the module follows the inactive-
     sentinel pattern: {!none} is a preallocated inactive value, every
@@ -15,10 +15,48 @@
     {!on_step} at clean iteration boundaries (every [every]-th fires a
     save) and {!on_interrupt} / {!on_interrupt_tables} when a budget runs
     out mid-evaluation, so an [Exhausted _] run always leaves a resumable
-    image behind.  Saves are atomic (see {!Datalog_storage.Snapshot}): a
-    crash during a save leaves the previous checkpoint intact.
+    image behind.
 
-    Resume correctness, per engine:
+    {2 The log}
+
+    The file is a {!Datalog_storage.Wal} log (same header, CRC frames,
+    dictionary deltas and torn-tail scan) whose frame bodies are
+
+    {v
+    ckpt <base|round> <nmeta> <ndict> <nfacts>
+    m <escaped key><TAB><escaped value>      (nmeta lines)
+    d ... / f ...                            (Wal fact lines)
+    v}
+
+    with facts in sections ["db:<pred>"], ["delta:<pred>"] and
+    ["tbl:<i>"] (the call pattern of table [i] is meta key ["tbl:<i>"]).
+    A save costs what the evaluation added since the previous one, not
+    the whole database:
+    - The first save of a [t] installs a {e base} frame atomically
+      (write temp, fsync, rename, fsync the directory, as
+      {!Datalog_storage.Snapshot} does): the context, the full database,
+      the delta and the counters.  A crash during it leaves the previous
+      file intact.
+    - Every later save appends one {e round} frame and fsyncs it: the
+      facts added to the database since the previous frame (found by a
+      per-relation mark into {!Datalog_storage.Relation}'s insertion
+      order), the delta (or ["delta added"] when it is exactly those
+      facts, as at every round of a semi-naive run), the tables, the
+      stratum, round count and counters.  A failed append is cut back
+      off the file.
+    - A save over a different database object, under a changed context,
+      or after a relation was replaced or shrank writes a new base
+      instead: the engines only ever add facts between saves.
+
+    Every prefix of the log that ends at a frame boundary is exactly an
+    earlier save's state.  So {!load} replays base + round frames; a
+    final frame the file ends inside (a crash mid-append) is ignored in
+    both modes, and a complete frame that fails its CRC or does not
+    parse fails a {!Datalog_storage.Snapshot.Strict} load and ends a
+    [Lenient] one, which resumes from the frames before it.
+
+    {2 Resume correctness, per engine}
+
     - {e naive}: rounds re-evaluate everything, so restarting the loop on
       the saved database is trivially equivalent.
     - {e semi-naive}: at a round boundary the saved delta is exactly the
@@ -34,7 +72,8 @@
       warm-starts the saved stratum.
     - {e tabled}: tables are monotone, so resume reinstalls them and
       re-schedules every call; saturation then completes exactly the
-      answers of an uninterrupted run. *)
+      answers of an uninterrupted run.  Each tabled save logs every
+      table in full. *)
 
 open Datalog_ast
 open Datalog_storage
@@ -61,7 +100,7 @@ val is_active : t -> bool
 val path : t -> string
 
 val saves : t -> int
-(** Snapshots written since {!create}. *)
+(** Saves (base or round frames) completed since {!create}. *)
 
 (** {1 Context} — stamped into the checkpoint and verified on resume *)
 
@@ -113,13 +152,14 @@ val load :
   ?mode:Snapshot.mode ->
   string ->
   (resume * Snapshot.warning list, Snapshot.corruption) result
-(** Read a checkpoint back.  Under {!Snapshot.Lenient}, corruption
-    degrades only where resuming stays sound: a corrupt delta section
-    discards the whole delta (forcing a full-round restart) and a corrupt
-    table section drops that table (it is re-derived); a corrupt
-    database section still fails the load — under stratified negation a
-    silently incomplete relation would make resumed answers wrong, not
-    just late. *)
+(** Replay a checkpoint log: the state of the last complete frame.
+    Under {!Snapshot.Strict} a damaged complete frame fails the load
+    ([Checksum_mismatch] or [Malformed], naming the frame's byte
+    offset); under {!Snapshot.Lenient} it ends the replay with one
+    {!Snapshot.warning}, and the frames before it are resumed.  A
+    damaged or missing base frame fails in both modes.  A torn final
+    frame is not damage: the previous frame is resumed without a
+    warning. *)
 
 val restore_counters : resume -> Counters.t -> unit
 

@@ -197,6 +197,13 @@ let to_list r =
   done;
   !acc
 
+let added_since r mark =
+  let acc = ref [] in
+  for i = r.filled - 1 downto mark do
+    match r.order.(i) with None -> () | Some tuple -> acc := tuple :: !acc
+  done;
+  (!acc, r.filled)
+
 (* Column sets are validated here, once per index creation, rather than on
    every probe: callers ([select], [prepare]) always pass a sorted list. *)
 let check_cols cols_list =

@@ -45,6 +45,13 @@ val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> Tuple.t list
 (** Tuples in insertion order. *)
 
+val added_since : t -> int -> Tuple.t list * int
+(** [added_since r mark] is the live tuples inserted at or after the
+    insertion-order position [mark], oldest first, and the position that
+    follows the last of them — the mark to pass next time.  [0] is the
+    start.  Marks assume an insert-only relation: a {!remove} may compact
+    the order array and shift later tuples below an earlier mark. *)
+
 val select : t -> (int * Code.t) list -> Tuple.t list
 (** [select r bindings] returns the tuples agreeing with the given
     [(column, code)] constraints, using (and building if necessary) a hash

@@ -1,7 +1,7 @@
 open Datalog_ast
 
 let format_version = 2
-let oldest_readable_version = 1
+let oldest_readable_version = 2
 
 let magic = "ALEXSNAP"
 
@@ -268,15 +268,12 @@ let read ?(mode = Strict) path =
     in
     match
       (* header *)
-      let version =
-        match String.split_on_char ' ' (next "header") with
-        | [ m; v ] when m = magic ->
-          let v = parse_int ~section:"header" v in
-          if v < oldest_readable_version || v > format_version then
-            fail (Unsupported_version v);
-          v
-        | _ -> fail (Not_a_snapshot "bad magic line")
-      in
+      (match String.split_on_char ' ' (next "header") with
+      | [ m; v ] when m = magic ->
+        let v = parse_int ~section:"header" v in
+        if v < oldest_readable_version || v > format_version then
+          fail (Unsupported_version v)
+      | _ -> fail (Not_a_snapshot "bad magic line"));
       (* meta *)
       let meta =
         match String.split_on_char ' ' (next "meta header") with
@@ -289,59 +286,52 @@ let read ?(mode = Strict) path =
               | _ -> fail (malformed ~section:"meta" "expected key<TAB>value"))
         | _ -> fail (malformed ~section:"meta" "expected 'meta <n>'")
       in
-      (* dictionary (format 2+): stored code -> re-interned current code.
-         The dictionary is structural — without it no section can be
-         decoded — so damage here is fatal even in Lenient mode. *)
+      (* dictionary: stored code -> re-interned current code.  The
+         dictionary is structural — without it no section can be decoded
+         — so damage here is fatal even in Lenient mode. *)
       let dict : (int, Code.t) Hashtbl.t = Hashtbl.create 64 in
-      if version >= 2 then begin
-        match String.split_on_char ' ' (next "dict header") with
-        | [ "dict"; n; crc ] ->
-          let n = parse_int ~section:"dict" n in
-          let running = ref Crc32.empty in
-          let raw =
-            List.init n (fun _ ->
-                let l = next "dict entries" in
-                running :=
-                  Crc32.update !running (l ^ "\n") ~pos:0
-                    ~len:(String.length l + 1);
-                l)
-          in
-          let actual = Crc32.to_hex !running in
-          if actual <> crc then
-            fail (Checksum_mismatch { section = "dict"; expected = crc; actual });
-          List.iter
-            (fun l ->
-              match String.split_on_char '\t' l with
-              | [ code; v ] -> (
-                match int_of_string_opt code with
-                | None ->
-                  fail
-                    (malformed ~section:"dict"
-                       (Printf.sprintf "bad code %S" code))
-                | Some c -> (
-                  match decode_value v with
-                  | Ok v -> Hashtbl.replace dict c (Code.of_value v)
-                  | Error reason -> fail (malformed ~section:"dict" reason)))
-              | _ -> fail (malformed ~section:"dict" "expected code<TAB>value"))
-            raw
-        | _ -> fail (malformed ~section:"dict" "expected 'dict <n> <crc>'")
-      end;
+      (match String.split_on_char ' ' (next "dict header") with
+      | [ "dict"; n; crc ] ->
+        let n = parse_int ~section:"dict" n in
+        let running = ref Crc32.empty in
+        let raw =
+          List.init n (fun _ ->
+              let l = next "dict entries" in
+              running :=
+                Crc32.update !running (l ^ "\n") ~pos:0
+                  ~len:(String.length l + 1);
+              l)
+        in
+        let actual = Crc32.to_hex !running in
+        if actual <> crc then
+          fail (Checksum_mismatch { section = "dict"; expected = crc; actual });
+        List.iter
+          (fun l ->
+            match String.split_on_char '\t' l with
+            | [ code; v ] -> (
+              match int_of_string_opt code with
+              | None ->
+                fail
+                  (malformed ~section:"dict"
+                     (Printf.sprintf "bad code %S" code))
+              | Some c -> (
+                match decode_value v with
+                | Ok v -> Hashtbl.replace dict c (Code.of_value v)
+                | Error reason -> fail (malformed ~section:"dict" reason)))
+            | _ -> fail (malformed ~section:"dict" "expected code<TAB>value"))
+          raw
+      | _ -> fail (malformed ~section:"dict" "expected 'dict <n> <crc>'"));
       (* one stored tuple field -> one current-process code *)
       let decode_field ~name ~line f : Code.t =
         let bad reason = fail (Malformed { section = name; line; reason }) in
-        if version = 1 then
-          match decode_value f with
-          | Ok v -> Code.of_value v
-          | Error reason -> bad reason
-        else
-          match int_of_string_opt f with
-          | None -> bad (Printf.sprintf "bad code %S" f)
-          | Some c ->
-            if c land 1 = 1 then c
-            else (
-              match Hashtbl.find_opt dict c with
-              | Some c' -> c'
-              | None -> bad (Printf.sprintf "code %d not in dictionary" c))
+        match int_of_string_opt f with
+        | None -> bad (Printf.sprintf "bad code %S" f)
+        | Some c ->
+          if c land 1 = 1 then c
+          else (
+            match Hashtbl.find_opt dict c with
+            | Some c' -> c'
+            | None -> bad (Printf.sprintf "code %d not in dictionary" c))
       in
       (* sections, until the manifest line *)
       let headers = ref [] in

@@ -25,8 +25,9 @@
     is, however, skippable per-section like any other malformation).
 
     Format 1 ("ALEXSNAP 1", tagged-value tuple fields, no dict block) is
-    still read in both modes, so pre-existing snapshots and checkpoints
-    keep loading and resuming.  Writing always produces format 2.
+    no longer read: it fails as [Unsupported_version 1] in both modes.
+    Checkpoints are not snapshots either; they are
+    {!Datalog_storage.Wal}-framed logs (see {!Datalog_engine.Checkpoint}).
 
     Installation is atomic: the whole image is serialized, written to
     [path ^ ".tmp"], flushed with [fsync], [rename]d over [path], and the
@@ -53,7 +54,7 @@ val format_version : int
 (** The version written: 2. *)
 
 val oldest_readable_version : int
-(** The oldest version {!read} accepts: 1. *)
+(** The oldest version {!read} accepts: 2. *)
 
 type corruption =
   | Not_a_snapshot of string  (** unreadable, or the magic line is wrong *)
@@ -119,7 +120,8 @@ val load_database_meta :
 
 val atomic_write_string : string -> string -> (unit, string) result
 (** [atomic_write_string path data]: the write-temp / fsync / rename
-    primitive on its own, for writers with their own formats ({!Io}). *)
+    primitive on its own, for writers with their own formats ({!Io},
+    {!Wal}'s reset, a checkpoint's base frame). *)
 
 val describe_corruption : corruption -> string
 val pp_corruption : Format.formatter -> corruption -> unit

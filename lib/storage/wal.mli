@@ -1,4 +1,5 @@
-(** Write-ahead log of transactional fact batches.
+(** Write-ahead log of transactional fact batches, and the CRC-framed
+    log format it shares with {!Datalog_engine.Checkpoint}.
 
     The serve loop's durable acks used to rewrite a full snapshot per
     transaction — O(database) durability cost per mutation.  This module
@@ -18,13 +19,18 @@
     ...
     v}
 
-    Each frame body is:
+    A frame body is one head line, then lines the head's kind defines,
+    then dictionary and fact lines:
 
     {v
-    txn <id> <add|remove> <nfacts> <ndict> <k:escaped-key | ->
+    <head>
     d <code><TAB><tagged value>        (ndict lines)
-    f <escaped pred><TAB><arity>[<TAB><code>...]   (nfacts lines)
+    f <escaped name><TAB><arity>[<TAB><code>...]   (nfacts lines)
     v}
+
+    A transaction's head is [txn <id> <add|remove> <nfacts> <ndict>
+    <k:escaped-key | ->]; a checkpoint's frames are described in
+    {!Datalog_engine.Checkpoint}.
 
     Tuples are stored as raw {!Datalog_ast.Code} ints, exactly like
     ALEXSNAP 2: odd codes (small ints) are self-describing, and every
@@ -61,6 +67,9 @@ open Datalog_ast
 
 val format_version : int
 (** The version written and read: 1. *)
+
+val header : string
+(** The first line of every log, newline included: ["ALEXWAL 1\n"]. *)
 
 type fsync_policy = Always | Interval of float | Never
 
@@ -100,7 +109,66 @@ val load :
     is [Strict].  A nonexistent file is not an error: it loads as
     [([], 0, Clean)]. *)
 
-(** {1 Appending} *)
+(** {1 Frames}
+
+    The layer below transactions, shared with checkpoints: framing,
+    scanning, fact lines with dictionary deltas, and the one-frame
+    append. *)
+
+val frame : string -> string
+(** [frame body] is ["frame <nbytes> <crc32>\n" ^ body]. *)
+
+type stop =
+  | End  (** every byte after the header belongs to a valid frame *)
+  | Truncated of { at : int; reason : string }
+      (** the data ends inside the frame starting at byte [at] — the
+          mark a crash mid-append leaves *)
+  | Bad_checksum of { at : int; expected : string; actual : string }
+      (** the complete frame at [at] fails its CRC *)
+  | Bad_header of { at : int; reason : string }
+      (** the complete header line at [at] does not parse *)
+
+val scan : string -> ((int * string) list * stop, corruption) result
+(** [scan data] checks a log's header and splits off its CRC-verified
+    frame bodies, each with its byte offset, up to the first frame that
+    is truncated or damaged ([stop] says which).  [Error] is a missing,
+    torn or foreign header ([Not_a_log], [Unsupported_version]). *)
+
+type lines = {
+  ndict : int;
+  nfacts : int;
+  text : string;  (** the [d] lines, then the [f] lines *)
+  fresh : int list;  (** the codes the [d] lines introduce *)
+}
+
+val fact_lines :
+  emitted:(int, unit) Hashtbl.t ->
+  ((string -> int -> Tuple.t -> unit) -> unit) ->
+  lines
+(** [fact_lines ~emitted iter] encodes every [(name, arity, tuple)] that
+    [iter] emits (names grouped, so each is escaped once per run), with
+    a [d] line for each even code not in [emitted].  [emitted] is not
+    modified: add [fresh] to it once the frame is on disk. *)
+
+val body_lines : string -> (string list, string) result
+(** A body's lines, without the final newline's empty remainder. *)
+
+val decode_facts :
+  dict:(int, Code.t) Hashtbl.t ->
+  ndict:int ->
+  nfacts:int ->
+  string list ->
+  ((string * int * Tuple.t) list, string) result
+(** Decode exactly [ndict] [d] lines, folded into [dict] (stored code ->
+    current code) with replace semantics, then [nfacts] [f] lines. *)
+
+val append_frame : string -> at:int -> string -> (int, string) result
+(** [append_frame path ~at body] writes [frame body] at byte [at] of the
+    existing log [path], fsyncs it and returns the new length.  On an
+    I/O error the file is truncated back to [at].  Each call opens and
+    closes the file, so a caller holds no descriptor between frames. *)
+
+(** {1 Appending transactions} *)
 
 type t
 

@@ -162,6 +162,125 @@ let test_save_cadence () =
   rm path
 
 (* -------------------------------------------------------------------- *)
+(* The logged state.  What [Ck.load] returns after a kill right after the
+   n-th save is exactly the database and delta the engine held at that
+   save.  The database is the engine's own [db] object, captured in
+   memory (nothing touches it after the kill).  The delta of the round
+   that ended at session round j is what that round added: db_j minus
+   db_(j-1), both captured the same way from every-round kills. *)
+
+module St = Datalog_engine.Stratified
+
+let facts db = Gen.db_facts_of (Database.preds db) db
+
+(* one session: run to the kill after save [kill] (or to completion);
+   the engine's database as it then stood, and the saves made *)
+let session ?resume_from ?kill ~naive ~every ~path program =
+  let db = Database.create () in
+  let ck = Ck.create ~path ~every ?kill_after_save:kill () in
+  Ck.set_context ck ~strategy:"state" ~query:"q";
+  (match St.run ~checkpoint:ck ?resume_from ~db ~use_naive:naive program with
+  | exception F.Crashed _ -> ()
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  (db, Ck.saves ck)
+
+let logged_states_match ~naive ~resumed program =
+  let path = ckpt_path () in
+  let resume_from =
+    if not resumed then None
+    else begin
+      (* interrupt a first session after its second save, then resume
+         it with a checkpoint at a different path *)
+      let first = ckpt_path () in
+      ignore (session ~kill:2 ~naive ~every:1 ~path:first program);
+      let r = load_exn first in
+      rm first;
+      Some r
+    end
+  in
+  let rounds0 = match resume_from with Some r -> r.Ck.r_rounds | None -> 0 in
+  let before_first_round =
+    let db = Database.create () in
+    List.iter (fun a -> ignore (Database.add_atom db a)) (Datalog_ast.Program.facts program);
+    Option.iter (fun r -> ignore (Database.union_into ~src:r.Ck.r_db ~dst:db))
+      resume_from;
+    facts db
+  in
+  let rounds = snd (session ?resume_from ~naive ~every:1 ~path program) in
+  (* db_j for every session round j: index 0 is the state before round 1 *)
+  let db_at =
+    Array.init (rounds + 1) (fun j ->
+        if j = 0 then before_first_round
+        else facts (fst (session ?resume_from ~kill:j ~naive ~every:1 ~path program)))
+  in
+  let ok =
+    List.for_all
+      (fun every ->
+        (* save n of an every-[every] session ends session round j_n, the
+           n-th j with (rounds0 + j) mod every = 0 *)
+        let save_rounds =
+          List.filter
+            (fun j -> (rounds0 + j) mod every = 0)
+            (List.init rounds (fun j -> j + 1))
+        in
+        List.for_all
+          (fun (n, j) ->
+            let db, _ =
+              session ?resume_from ~kill:n ~naive ~every ~path program
+            in
+            let r = load_exn path in
+            let expected_delta =
+              if naive then None
+              else
+                Some
+                  (List.filter
+                     (fun a -> not (List.mem a db_at.(j - 1)))
+                     db_at.(j))
+            in
+            facts r.Ck.r_db = facts db
+            && facts db = db_at.(j)
+            && r.Ck.r_rounds = rounds0 + j
+            && Option.map facts r.Ck.r_delta = expected_delta)
+          (List.mapi (fun i j -> (i + 1, j)) save_rounds))
+      [ 1; 3 ]
+  in
+  rm path;
+  ok
+
+(* the generated programs finish in a few rounds; a chain gives every
+   cadence several round frames after the base *)
+let test_logged_state_chain () =
+  let program = W.ancestor_chain 12 in
+  List.iter
+    (fun (naive, resumed) ->
+      check tbool
+        (Printf.sprintf "chain, naive=%b resumed=%b" naive resumed)
+        true
+        (logged_states_match ~naive ~resumed program))
+    [ (false, false); (false, true); (true, false); (true, true) ]
+
+let prop_logged_state_naive =
+  QCheck.Test.make ~name:"logged state = in-memory state at the save (naive)"
+    ~count:10 Gen.arb_positive_program (fun program ->
+      logged_states_match ~naive:true ~resumed:false program
+      && logged_states_match ~naive:true ~resumed:true program)
+
+let prop_logged_state_seminaive =
+  QCheck.Test.make
+    ~name:"logged state = in-memory state at the save (semi-naive)" ~count:10
+    Gen.arb_positive_program (fun program ->
+      logged_states_match ~naive:false ~resumed:false program
+      && logged_states_match ~naive:false ~resumed:true program)
+
+let prop_logged_state_stratified =
+  QCheck.Test.make
+    ~name:"logged state = in-memory state at the save (stratified negation)"
+    ~count:10 Gen.arb_stratified_program (fun program ->
+      logged_states_match ~naive:false ~resumed:false program
+      && logged_states_match ~naive:false ~resumed:true program)
+
+(* -------------------------------------------------------------------- *)
 (* Context verification *)
 
 let exhausted_checkpoint () =
@@ -275,6 +394,8 @@ let suite =
       [ Alcotest.test_case "kill after nth save resumes" `Quick
           test_kill_after_save_resumes;
         Alcotest.test_case "sparse save cadence" `Quick test_save_cadence;
+        Alcotest.test_case "logged state on a chain" `Quick
+          test_logged_state_chain;
         Alcotest.test_case "refuses wrong strategy" `Quick
           test_refuses_wrong_strategy;
         Alcotest.test_case "refuses wrong query" `Quick
@@ -292,6 +413,9 @@ let suite =
       List.map QCheck_alcotest.to_alcotest
         [ prop_resume_round_boundary;
           prop_resume_midround;
-          prop_resume_stratified
+          prop_resume_stratified;
+          prop_logged_state_naive;
+          prop_logged_state_seminaive;
+          prop_logged_state_stratified
         ] )
   ]

@@ -377,6 +377,213 @@ let test_checkpoint_save_failure_is_typed () =
       (String.length msg >= 15 && String.sub msg 0 15 = "checkpoint save"));
   rm path
 
+(* -------------------------------------------------------------------- *)
+(* The checkpoint log: a base frame, then one appended frame per save.
+   Whatever happens to an append, the log loads strictly as the state of
+   one save, and resuming that state reaches the full answers. *)
+
+module Ck = Datalog_engine.Checkpoint
+module O = Alexander.Options
+module S = Alexander.Solve
+
+let ck_problem () =
+  ( Alexander.Workloads.ancestor_chain 10,
+    Datalog_parser.Parser.atom_of_string "anc(0, X)" )
+
+let seminaive checkpoint =
+  { O.default with O.strategy = O.Seminaive; checkpoint }
+
+let facts_of db = Gen.db_facts_of (Database.preds db) db
+
+(* what a resume sees: database, delta and round count *)
+let ck_state (r : Ck.resume) =
+  (facts_of r.Ck.r_db, Option.map facts_of r.Ck.r_delta, r.Ck.r_rounds)
+
+let ck_load_exn ?mode path =
+  match Ck.load ?mode path with
+  | Ok (r, _) -> r
+  | Error c -> Alcotest.fail ("checkpoint unreadable: " ^ Sn.describe_corruption c)
+
+(* The state after each save of an unfaulted run, from kills right after
+   it: [states.(n - 1)] is save n's.  Also the full answers. *)
+let ck_reference () =
+  let program, query = ck_problem () in
+  let full =
+    match S.run ~options:(seminaive Ck.none) program query with
+    | Ok r -> r.S.answers
+    | Error e -> Alcotest.fail (Alexander.Errors.message e)
+  in
+  let path = tmpfile () in
+  let rec collect n acc =
+    let ck = Ck.create ~path ~kill_after_save:n () in
+    match S.run ~options:(seminaive ck) program query with
+    | exception F.Crashed _ -> collect (n + 1) (ck_state (ck_load_exn path) :: acc)
+    | _ -> Array.of_list (List.rev acc)
+  in
+  let states = collect 1 [] in
+  rm path;
+  (full, states)
+
+let ck_resumes_fully ?mode ~full path =
+  let program, query = ck_problem () in
+  match
+    S.run ~options:(seminaive Ck.none)
+      ~resume_from:(ck_load_exn ?mode path)
+      program query
+  with
+  | Ok r -> r.S.answers = full
+  | Error e -> Alcotest.fail (Alexander.Errors.message e)
+
+(* faults only on the frame appends: the writes and fsyncs after the
+   base frame's install (its rename) *)
+let appends_only plan =
+  let installed = ref false in
+  { plan with
+    F.decide =
+      (fun ~index op ->
+        match op with
+        | F.Rename ->
+          installed := true;
+          F.Proceed
+        | (F.Write | F.Fsync) when !installed -> plan.F.decide ~index op
+        | _ -> F.Proceed)
+  }
+
+let test_checkpoint_append_seed_matrix () =
+  let program, query = ck_problem () in
+  let full, states = ck_reference () in
+  let fired = ref 0 in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (kind, p_error, p_short, p_crash) ->
+          let path = tmpfile () in
+          let ck = Ck.create ~path () in
+          let plan =
+            appends_only (F.seeded ~seed ~p_error ~p_short ~p_crash ())
+          in
+          let outcome =
+            F.with_plan plan (fun () ->
+                match S.run ~options:(seminaive ck) program query with
+                | r -> `Returned r
+                | exception F.Crashed _ -> `Crashed)
+          in
+          let label what = Printf.sprintf "seed %d, %s: %s" seed kind what in
+          let saves = Ck.saves ck in
+          (match outcome with
+          | `Returned (Ok r) ->
+            check tbool (label "an unfaulted run completes") true
+              (r.S.answers = full)
+          | `Returned (Error e) ->
+            incr fired;
+            let msg = Alexander.Errors.message e in
+            check tbool (label "a failed append is a typed save error") true
+              (contains ~sub:"checkpoint save failed" msg)
+          | `Crashed -> incr fired);
+          check tbool (label "the base frame was installed") true (saves > 0);
+          let loaded = ck_state (ck_load_exn ~mode:Sn.Strict path) in
+          (* an error is cut back off the log: the last completed save; a
+             crash may leave the in-flight frame whole on disk *)
+          let acceptable =
+            states.(saves - 1)
+            :: (if outcome = `Crashed && saves < Array.length states then
+                  [ states.(saves) ]
+                else [])
+          in
+          check tbool (label "the log holds one save's state") true
+            (List.mem loaded acceptable);
+          check tbool (label "resuming reaches the full answers") true
+            (ck_resumes_fully ~full path);
+          rm path)
+        [ ("error", 0.2, 0., 0.);
+          ("short write", 0., 0.2, 0.);
+          ("crash", 0., 0., 0.2)
+        ])
+    seeds;
+  check tbool "faults fired on the append path" true (!fired > 0)
+
+(* a log's bytes and the offset of each of its frames *)
+let frames_of path =
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  match Wal.scan data with
+  | Ok (frames, Wal.End) -> (data, List.map fst frames)
+  | _ -> Alcotest.fail "an unfaulted checkpoint scans clean"
+
+let write_bytes path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* a log of five saves, its bytes and frame offsets *)
+let five_saves () =
+  let program, query = ck_problem () in
+  let path = tmpfile () in
+  (match
+     S.run
+       ~options:(seminaive (Ck.create ~path ~kill_after_save:5 ()))
+       program query
+   with
+  | exception F.Crashed _ -> ()
+  | _ -> Alcotest.fail "the simulated kill must fire");
+  let data, offsets = frames_of path in
+  check tbool "one frame per save" true (List.length offsets = 5);
+  (path, data, offsets)
+
+let test_checkpoint_torn_tail () =
+  let full, states = ck_reference () in
+  let path, data, offsets = five_saves () in
+  let last = List.nth offsets 4 in
+  for cut = last to String.length data - 1 do
+    write_bytes path (String.sub data 0 cut);
+    List.iter
+      (fun mode ->
+        match Ck.load ~mode path with
+        | Error c ->
+          Alcotest.fail
+            (Printf.sprintf "cut at %d: %s" cut (Sn.describe_corruption c))
+        | Ok (r, warnings) ->
+          check tbool "a torn tail is not damage" true (warnings = []);
+          check tbool
+            (Printf.sprintf "cut at %d resumes the fourth save" cut)
+            true
+            (ck_state r = states.(3)))
+      [ Sn.Strict; Sn.Lenient ]
+  done;
+  check tbool "the cut log resumes to the full answers" true
+    (ck_resumes_fully ~full path);
+  rm path
+
+let test_checkpoint_flipped_byte () =
+  let full, states = ck_reference () in
+  let path, data, offsets = five_saves () in
+  let flip i =
+    let b = Bytes.of_string data in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+    write_bytes path (Bytes.to_string b)
+  in
+  (* a byte inside the body of the third frame, well past its header *)
+  let third = List.nth offsets 2 and fourth = List.nth offsets 3 in
+  flip ((third + fourth) / 2);
+  (match Ck.load ~mode:Sn.Strict path with
+  | Error (Sn.Checksum_mismatch _) -> ()
+  | Error c -> Alcotest.fail ("wrong class: " ^ Sn.describe_corruption c)
+  | Ok _ -> Alcotest.fail "a damaged complete frame fails a strict load");
+  (match Ck.load ~mode:Sn.Lenient path with
+  | Ok (r, [ _ ]) ->
+    check tbool "lenient resumes the frames before the damage" true
+      (ck_state r = states.(1));
+    check tbool "and completes from there" true
+      (ck_resumes_fully ~mode:Sn.Lenient ~full path)
+  | Ok _ -> Alcotest.fail "lenient names the damaged frame once"
+  | Error c -> Alcotest.fail (Sn.describe_corruption c));
+  (* damage to the base leaves nothing to resume in either mode *)
+  flip (List.nth offsets 1 / 2);
+  List.iter
+    (fun mode ->
+      match Ck.load ~mode path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a damaged base frame is unusable")
+    [ Sn.Strict; Sn.Lenient ];
+  rm path
+
 let suite =
   [ ( "faults",
       [ Alcotest.test_case "seed matrix" `Quick test_seed_matrix;
@@ -399,6 +606,12 @@ let suite =
         Alcotest.test_case "multi-file save atomicity" `Quick
           test_multi_file_save_is_per_file_atomic;
         Alcotest.test_case "checkpoint save failure" `Quick
-          test_checkpoint_save_failure_is_typed
+          test_checkpoint_save_failure_is_typed;
+        Alcotest.test_case "checkpoint append seed matrix" `Quick
+          test_checkpoint_append_seed_matrix;
+        Alcotest.test_case "checkpoint torn tail" `Quick
+          test_checkpoint_torn_tail;
+        Alcotest.test_case "checkpoint flipped byte" `Quick
+          test_checkpoint_flipped_byte
       ] )
   ]

@@ -362,8 +362,8 @@ let test_missing_section_vs_manifest () =
   Sys.remove path
 
 (* -------------------------------------------------------------------- *)
-(* Format 1 compatibility: snapshots and checkpoints written before the
-   dictionary encoding (tagged values inline, no dict block) still load *)
+(* Format 1 (tagged values inline, no dict block) is retired: its header
+   is refused as an unsupported version in both modes *)
 
 (* serialize value-level sections in the retired format 1 layout *)
 let write_v1 ?(meta = []) ~sections path =
@@ -404,93 +404,21 @@ let write_v1 ?(meta = []) ~sections path =
   Buffer.add_string buf "end ALEXSNAP\n";
   write_file path (Buffer.contents buf)
 
-let test_v1_snapshot_still_loads () =
+let test_v1_snapshot_is_unsupported () =
   let path = tmpfile () in
-  let meta = [ ("kind", "database") ] in
-  let sections =
-    [ ( "rel:e",
-        2,
-        [ [| Value.int 1; Value.sym "x" |]; [| Value.int 2; Value.sym "y z" |] ]
-      );
-      ("rel:label", 1, [ [| Value.sym "42" |] ])
-    ]
-  in
-  write_v1 ~meta ~sections path;
-  (* the raw reader re-encodes every tagged field *)
-  let c = read_exn path in
-  check tbool "no warnings" true (c.Sn.warnings = []);
-  check tbool "meta preserved" true (c.Sn.meta = meta);
-  List.iter2
-    (fun (name, arity, tuples) s ->
-      check tstr "v1 section name" name s.Sn.s_name;
-      check tint "v1 section arity" arity s.Sn.s_arity;
-      check tbool "v1 tuples re-encoded" true
-        (tuples_equal
-           (List.map (fun t -> enc (Array.to_list t)) tuples)
-           s.Sn.s_tuples))
-    sections c.Sn.sections;
-  (* and v1 lenient reads degrade per section like v2 *)
-  (match Sn.read ~mode:Sn.Lenient path with
-  | Ok c -> check tbool "lenient v1 read" true (c.Sn.warnings = [])
-  | Error c -> Alcotest.fail (Sn.describe_corruption c));
-  (* the database loader installs the coded tuples *)
+  write_v1 ~meta:[ ("kind", "database") ]
+    ~sections:[ ("rel:e", 2, [ [| Value.int 1; Value.sym "x" |] ]) ]
+    path;
+  List.iter
+    (fun mode ->
+      match Sn.read ~mode path with
+      | Error (Sn.Unsupported_version 1) -> ()
+      | Error c -> Alcotest.fail ("wrong class: " ^ Sn.describe_corruption c)
+      | Ok _ -> Alcotest.fail "a format 1 snapshot must be refused")
+    [ Sn.Strict; Sn.Lenient ];
   (match Sn.load_database path with
-  | Error c -> Alcotest.fail (Sn.describe_corruption c)
-  | Ok (db, warnings) ->
-    check tbool "no load warnings" true (warnings = []);
-    check tbool "v1 facts queryable" true
-      (Database.mem db (Pred.make "e" 2) (enc [ Value.int 2; Value.sym "y z" ]));
-    check tbool "v1 symbolic 42 stays a symbol" true
-      (Database.mem db (Pred.make "label" 1) (enc [ Value.sym "42" ])));
-  Sys.remove path
-
-(* downgrade a format-2 file on disk to format 1, byte-for-byte what the
-   previous release would have written for the same image *)
-let downgrade_to_v1 path =
-  let c = read_exn path in
-  let sections =
-    List.map
-      (fun s ->
-        ( s.Sn.s_name,
-          s.Sn.s_arity,
-          List.map (Array.map Code.to_value) s.Sn.s_tuples ))
-      c.Sn.sections
-  in
-  write_v1 ~meta:c.Sn.meta ~sections path
-
-let test_resume_from_v1_checkpoint () =
-  let module O = Alexander.Options in
-  let module S = Alexander.Solve in
-  let module Ck = Datalog_engine.Checkpoint in
-  let program = Alexander.Workloads.ancestor_chain 12 in
-  let query = Datalog_parser.Parser.atom_of_string "anc(0, X)" in
-  let seminaive = { O.default with O.strategy = O.Seminaive } in
-  let run_exn ~options ?resume_from () =
-    match S.run ~options ?resume_from program query with
-    | Ok r -> r
-    | Error e -> Alcotest.fail (Alexander.Errors.message e)
-  in
-  let full = run_exn ~options:seminaive () in
-  let path = tmpfile () in
-  let options =
-    { seminaive with
-      O.limits = Datalog_engine.Limits.make ~max_iterations:2 ();
-      checkpoint = Ck.create ~path ()
-    }
-  in
-  let r1 = run_exn ~options () in
-  check tbool "setup run exhausted" true (S.incomplete r1);
-  downgrade_to_v1 path;
-  let resume =
-    match Ck.load path with
-    | Ok (r, warnings) ->
-      check tbool "clean v1 checkpoint load" true (warnings = []);
-      r
-    | Error c -> Alcotest.fail (Sn.describe_corruption c)
-  in
-  let r2 = run_exn ~options:seminaive ~resume_from:resume () in
-  check tbool "v1 checkpoint resumes to the full answers" true
-    (r2.S.answers = full.S.answers);
+  | Error (Sn.Unsupported_version 1) -> ()
+  | _ -> Alcotest.fail "the database loader must refuse format 1 too");
   Sys.remove path
 
 (* -------------------------------------------------------------------- *)
@@ -574,10 +502,8 @@ let suite =
         Alcotest.test_case "manifest tamper" `Quick test_manifest_crc_tamper;
         Alcotest.test_case "manifest mismatch" `Quick
           test_missing_section_vs_manifest;
-        Alcotest.test_case "format 1 still loads" `Quick
-          test_v1_snapshot_still_loads;
-        Alcotest.test_case "format 1 checkpoint resumes" `Quick
-          test_resume_from_v1_checkpoint
+        Alcotest.test_case "format 1 is unsupported" `Quick
+          test_v1_snapshot_is_unsupported
       ] );
     ( "snapshot:properties",
       List.map QCheck_alcotest.to_alcotest
