@@ -42,20 +42,11 @@ let snapshot_arg =
     & opt (some string) None
     & info [ "snapshot" ] ~docv:"FILE"
         ~doc:
-          "Durability baseline: load FILE on startup (strict, then lenient \
-           with warnings), replay the write-ahead log on top, rotate into \
-           FILE when the log grows, and write a final snapshot on shutdown")
-
-let wal_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "wal" ] ~docv:"FILE"
-        ~doc:
-          "Write-ahead log path (default: the --snapshot path plus \
-           $(b,.wal)).  Every acked mutation is appended as one \
-           CRC-framed transaction; recovery replays the log over the \
-           snapshot")
+          "The one file of durable state, a CRC-framed log: an optional \
+           base image of the database, then one frame per acked \
+           mutation.  Loaded on startup (strict, then lenient: a torn \
+           last transaction is cut off), rotated into a fresh base when \
+           the log grows, and rotated on shutdown")
 
 let fsync_conv =
   let parse s =
@@ -84,8 +75,8 @@ let wal_max_bytes_arg =
     & opt int (4 * 1024 * 1024)
     & info [ "wal-max-bytes" ] ~docv:"N"
         ~doc:
-          "Rotation threshold: once the log exceeds N bytes, install a \
-           fresh snapshot and truncate the log")
+          "Rotation threshold: once the mutations logged since the base \
+           exceed N bytes, install a log holding only a fresh base")
 
 let idempotency_keys_arg =
   Arg.(
@@ -104,14 +95,15 @@ let no_durable_acks_arg =
     & info [ "no-durable-acks" ]
         ~doc:
           "Do not persist before acking each mutation; rely on the \
-           periodic snapshot instead (faster acks, bounded loss window)")
+           periodic base install instead (faster acks, bounded loss \
+           window)")
 
 let snapshot_every_arg =
   Arg.(
     value
     & opt float 30.0
     & info [ "snapshot-every" ] ~docv:"SECONDS"
-        ~doc:"Periodic snapshot cadence (with --no-durable-acks)")
+        ~doc:"Periodic base install cadence (with --no-durable-acks)")
 
 let queue_depth_arg =
   Arg.(
@@ -179,7 +171,7 @@ let quiet_arg =
   Arg.(value & flag & info [ "quiet" ] ~doc:"No log lines on stderr")
 
 let serve_cmd =
-  let action file socket port host snapshot wal fsync wal_max_bytes
+  let action file socket port host snapshot fsync wal_max_bytes
       idempotency_keys no_durable_acks snapshot_every queue_depth
       session_inflight cache_size timeout max_facts data strategy quiet =
     let listen =
@@ -220,7 +212,6 @@ let serve_cmd =
           cache_capacity = cache_size;
           snapshot_path = snapshot;
           durable_acks = not no_durable_acks;
-          wal_path = wal;
           wal_fsync = fsync;
           wal_max_bytes;
           idempotency_capacity = idempotency_keys;
@@ -236,26 +227,19 @@ let serve_cmd =
       in
       match Srv.Server.run { Srv.Server.listen; supervisor } program with
       | Ok code -> code
-      | Error msg ->
-        prerr_endline msg;
-        (* unreadable durable state (snapshot or log) is the startup
-           failure with its own exit code, so orchestrators can tell it
-           from a bad flag *)
-        let mentions sub =
-          let m = String.length msg and n = String.length sub in
-          let rec go i =
-            i + n <= m && (String.sub msg i n = sub || go (i + 1))
-          in
-          go 0
-        in
-        if mentions "snapshot" || mentions "wal" then
+      | Error e -> (
+        prerr_endline (Srv.Supervisor.startup_message e);
+        (* unusable durable state has its own exit code, so
+           orchestrators can tell it from a bad flag or path *)
+        match e with
+        | Srv.Supervisor.Corrupt_state _ ->
           Alexander.Errors.corrupt_snapshot_exit_code
-        else 1)
+        | Srv.Supervisor.Startup_failed _ -> 1))
   in
   let term =
     Term.(
       const action $ file_arg $ socket_arg $ port_arg $ host_arg
-      $ snapshot_arg $ wal_arg $ fsync_arg $ wal_max_bytes_arg
+      $ snapshot_arg $ fsync_arg $ wal_max_bytes_arg
       $ idempotency_keys_arg $ no_durable_acks_arg $ snapshot_every_arg
       $ queue_depth_arg
       $ session_inflight_arg $ cache_size_arg $ timeout_arg $ max_facts_arg

@@ -77,17 +77,17 @@ let set_counters c cnt = c.counters <- cnt
 
 let encode_call pred bound =
   String.concat " "
-    (Printf.sprintf "%s %d" (Snapshot.escape (Pred.name pred))
+    (Printf.sprintf "%s %d" (Wal.escape (Pred.name pred))
        (Pred.arity pred)
     :: List.map
-         (fun (i, v) -> Printf.sprintf "%d=%s" i (Snapshot.encode_value v))
+         (fun (i, v) -> Printf.sprintf "%d=%s" i (Wal.encode_value v))
          bound)
 
 let decode_call s =
   let ( let* ) = Result.bind in
   match String.split_on_char ' ' s with
   | name :: arity :: bound ->
-    let* name = Snapshot.unescape name in
+    let* name = Wal.unescape name in
     let* arity =
       Option.to_result ~none:("bad arity in call " ^ s)
         (int_of_string_opt arity)
@@ -105,7 +105,7 @@ let decode_call s =
                 (int_of_string_opt (String.sub field 0 i))
             in
             let* v =
-              Snapshot.decode_value
+              Wal.decode_value
                 (String.sub field (i + 1) (String.length field - i - 1))
             in
             Ok ((pos, v) :: acc))
@@ -222,22 +222,10 @@ let save c ~db ~delta ~tables =
         tables
   in
   let body =
-    String.concat ""
-      (Printf.sprintf "ckpt %s %d %d %d\n"
-         (if base then "base" else "round")
-         (List.length meta) lines.Wal.ndict lines.Wal.nfacts
-      :: List.map
-           (fun (k, v) ->
-             Printf.sprintf "m %s\t%s\n" (Snapshot.escape k) (Snapshot.escape v))
-           meta
-      @ [ lines.Wal.text ])
+    Wal.meta_body (if base then "ckpt base" else "ckpt round") meta lines
   in
   let written =
-    if base then
-      let data = Wal.header ^ Wal.frame body in
-      Result.map
-        (fun () -> String.length data)
-        (Snapshot.atomic_write_string c.cpath data)
+    if base then Wal.install c.cpath body
     else Wal.append_frame c.cpath ~at:log.bytes body
   in
   match written with
@@ -323,43 +311,16 @@ let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 let decode_frame ~dict ~first body =
   let ok = function Ok v -> v | Error reason -> raise (Bad reason) in
   match
-    let head, rest =
-      match ok (Wal.body_lines body) with
-      | [] -> bad "empty frame body"
-      | head :: rest -> (head, rest)
-    in
-    let base, nmeta, ndict, nfacts =
-      match String.split_on_char ' ' head with
-      | [ "ckpt"; kind; nm; nd; nf ] -> (
-        match
-          (kind, int_of_string_opt nm, int_of_string_opt nd, int_of_string_opt nf)
-        with
-        | ("base" | "round"), Some nm, Some nd, Some nf
-          when nm >= 0 && nd >= 0 && nf >= 0 ->
-          (kind = "base", nm, nd, nf)
-        | _ -> bad "malformed checkpoint frame head %S" head)
-      | _ -> bad "not a checkpoint frame: %S" head
+    let words, meta, facts = ok (Wal.decode_meta_body ~dict body) in
+    let base =
+      match words with
+      | [ "ckpt"; ("base" | "round") as kind ] -> kind = "base"
+      | _ -> bad "not a checkpoint frame: %S" (String.concat " " words)
     in
     if base <> first then
       bad
         (if first then "the log does not start with a base frame"
          else "a second base frame");
-    let rec split n acc = function
-      | rest when n = 0 -> (List.rev acc, rest)
-      | [] -> bad "frame line count mismatch"
-      | l :: rest -> split (n - 1) (l :: acc) rest
-    in
-    let meta_lines, rest = split nmeta [] rest in
-    let meta =
-      List.map
-        (fun line ->
-          match String.split_on_char '\t' line with
-          | [ k; v ] when String.length k > 2 && String.sub k 0 2 = "m " ->
-            ( ok (Snapshot.unescape (String.sub k 2 (String.length k - 2))),
-              ok (Snapshot.unescape v) )
-          | _ -> bad "malformed meta line %S" line)
-        meta_lines
-    in
     let need k =
       match List.assoc_opt k meta with
       | Some v -> v
@@ -379,7 +340,6 @@ let decode_frame ~dict ~first body =
           else None)
         meta
     in
-    let facts = ok (Wal.decode_facts ~dict ~ndict ~nfacts rest) in
     let arities = Hashtbl.create 8 in
     List.iter (fun (k, pred, _) -> Hashtbl.replace arities k (Pred.arity pred)) calls;
     List.iter
@@ -452,18 +412,10 @@ let load ?(mode = Snapshot.Strict) cpath =
     | Error c ->
       Error
         (Snapshot.Malformed
-           { section = "checkpoint header";
-             line = 1;
-             reason = Wal.describe_corruption c
-           })
+           { section = "checkpoint header"; reason = Wal.describe_corruption c })
     | Ok (frames, stop) -> (
       let section at = Printf.sprintf "checkpoint frame at byte %d" at in
-      let malformed at reason =
-        (* the 1-based line of the frame's header *)
-        let line = ref 1 in
-        String.iteri (fun i ch -> if i < at && ch = '\n' then incr line) data;
-        Snapshot.Malformed { section = section at; line = !line; reason }
-      in
+      let malformed at reason = Snapshot.Malformed { section = section at; reason } in
       let db = Database.create () in
       let dict = Hashtbl.create 64 in
       let preds = Hashtbl.create 16 in
@@ -486,13 +438,14 @@ let load ?(mode = Snapshot.Strict) cpath =
         | [] -> (
           ( state,
             match stop with
-            | Wal.End | Wal.Truncated _ -> None
-            | Wal.Bad_checksum { at; expected; actual } ->
+            | Wal.End | Wal.Stopped { damage = Wal.Cut_short _; _ } -> None
+            | Wal.Stopped { at; damage = Wal.Checksum { expected; actual } } ->
               Some
                 ( at,
                   Snapshot.Checksum_mismatch
                     { section = section at; expected; actual } )
-            | Wal.Bad_header { at; reason } -> Some (at, malformed at reason) ))
+            | Wal.Stopped { at; damage = Wal.Unparsable reason } ->
+              Some (at, malformed at reason) ))
         | (at, body) :: rest -> (
           match decode_frame ~dict ~first:(Option.is_none state) body with
           | Error reason -> (state, Some (at, malformed at reason))

@@ -33,8 +33,8 @@
     A save costs what the evaluation added since the previous one, not
     the whole database:
     - The first save of a [t] installs a {e base} frame atomically
-      (write temp, fsync, rename, fsync the directory, as
-      {!Datalog_storage.Snapshot} does): the context, the full database,
+      ({!Datalog_storage.Wal.install}: write temp, fsync, rename, fsync
+      the directory): the context, the full database,
       the delta and the counters.  A crash during it leaves the previous
       file intact.
     - Every later save appends one {e round} frame and fsyncs it: the

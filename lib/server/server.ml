@@ -224,14 +224,15 @@ let serve st =
 let run config program =
   stop_flag := false;
   sigint_count := 0;
-  match Supervisor.create config.supervisor program with
-  | Error msg -> Error msg
+  match Supervisor.start config.supervisor program with
+  | Error _ as e -> e
   | Ok sup -> (
     match bind_listener config.listen with
     | exception Unix.Unix_error (e, fn, arg) ->
       Error
-        (Printf.sprintf "cannot listen: %s(%s): %s" fn arg
-           (Unix.error_message e))
+        (Supervisor.Startup_failed
+           (Printf.sprintf "cannot listen: %s(%s): %s" fn arg
+              (Unix.error_message e)))
     | listen_fd ->
       install_signals ();
       Unix.set_nonblock listen_fd;

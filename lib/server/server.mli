@@ -8,10 +8,10 @@
     (the supervisor's queue), not by spawning.
 
     Shutdown: SIGTERM (or one SIGINT, or a ["shutdown"] request) stops
-    accepting input, drains the admitted queue, flushes replies, writes
-    a final snapshot, and exits 0.  A second SIGINT aborts immediately
-    — the snapshot taken at the last ack still satisfies the recovery
-    contract, which is the point of ack-after-persist. *)
+    accepting input, drains the admitted queue, flushes replies, installs
+    a final base, and exits 0.  A second SIGINT aborts immediately — the
+    log as of the last ack still satisfies the recovery contract, which
+    is the point of ack-after-persist. *)
 
 type listen =
   | Unix_path of string  (** a stale socket file is replaced *)
@@ -19,6 +19,8 @@ type listen =
 
 type config = { listen : listen; supervisor : Supervisor.config }
 
-val run : config -> Datalog_ast.Program.t -> (int, string) result
-(** Returns the process exit code (0 on clean shutdown) or an error
-    message for startup failures (bad snapshot, unbindable socket). *)
+val run :
+  config -> Datalog_ast.Program.t -> (int, Supervisor.startup_error) result
+(** Returns the process exit code (0 on clean shutdown) or the typed
+    startup failure (unusable durable state, unsafe program, unbindable
+    socket). *)

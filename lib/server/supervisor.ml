@@ -13,7 +13,6 @@ type config = {
   cache_capacity : int;
   snapshot_path : string option;
   durable_acks : bool;
-  wal_path : string option;
   wal_fsync : Wal.fsync_policy;
   wal_max_bytes : int;
   idempotency_capacity : int;
@@ -30,7 +29,6 @@ let default_config =
     cache_capacity = 128;
     snapshot_path = None;
     durable_acks = true;
-    wal_path = None;
     wal_fsync = Wal.Always;
     wal_max_bytes = 4 * 1024 * 1024;
     idempotency_capacity = 1024;
@@ -39,15 +37,9 @@ let default_config =
     log = ignore
   }
 
-(* The log that durable acks ride on: explicit, or derived from the
-   snapshot path.  [durable_acks = false] keeps the periodic-snapshot
-   mode with no log at all. *)
-let effective_wal_path config =
-  if not config.durable_acks then None
-  else
-    match config.wal_path with
-    | Some _ as p -> p
-    | None -> Option.map (fun s -> s ^ ".wal") config.snapshot_path
+type startup_error = Corrupt_state of string | Startup_failed of string
+
+let startup_message = function Corrupt_state msg | Startup_failed msg -> msg
 
 type queued = {
   q_session : int;
@@ -159,28 +151,6 @@ let program_is_positive program =
 
 let mode_name positive = if positive then "saturated" else "base"
 
-let load_snapshot config path =
-  match Snapshot.load_database_meta ~mode:Snapshot.Strict path with
-  | Ok (db, meta, _) -> Ok (db, meta)
-  | Error c -> (
-    config.log
-      (Printf.sprintf "snapshot %s: strict load failed (%s); retrying lenient"
-         path
-         (Snapshot.describe_corruption c));
-    match Snapshot.load_database_meta ~mode:Snapshot.Lenient path with
-    | Ok (db, meta, warnings) ->
-      List.iter
-        (fun w ->
-          config.log
-            (Printf.sprintf "snapshot %s: salvaged: %s" path
-               (Snapshot.describe_warning w)))
-        warnings;
-      Ok (db, meta)
-    | Error c ->
-      Error
-        (Printf.sprintf "snapshot %s unreadable even leniently: %s" path
-           (Snapshot.describe_corruption c)))
-
 let saturate program =
   match Datalog_engine.Stratified.run program with
   | Ok outcome -> Ok outcome.Datalog_engine.Stratified.db
@@ -189,59 +159,41 @@ let saturate program =
 (* ------------------------------------------------------------------ *)
 (* Durability *)
 
-let persist t ~txn =
+(* Install a log holding only a base frame with the whole state: the
+   rotation of durable acks (the writer then moves onto the new file,
+   whose base covers every transaction the old one logged) and the
+   periodic save without them, the [snapshot] op and shutdown. *)
+let snapshot_now t =
   match t.config.snapshot_path with
   | None -> Ok ()
   | Some path -> (
     let meta =
-      [ ("mode", mode_name t.positive); ("txn", string_of_int txn) ]
-      @ idem_meta t
+      ("mode", mode_name t.positive) :: ("txn", string_of_int t.txn)
+      :: idem_meta t
     in
-    match Snapshot.save_database ~meta t.db path with
-    | Ok () ->
+    let body, codes = Wal.base_body meta t.db in
+    let installed = Wal.install path body in
+    (* kill-point: the new log is in place, the writer not yet on it *)
+    if Result.is_ok installed then Faults.point "server.rotate-installed";
+    let moved =
+      match t.wal with None -> Ok () | Some wal -> Wal.reopen wal ~codes
+    in
+    match (installed, moved) with
+    | Error msg, _ | _, Error msg -> Error msg
+    | Ok _, Ok () ->
       t.metrics.snapshots <- t.metrics.snapshots + 1;
+      if t.wal <> None then t.metrics.rotations <- t.metrics.rotations + 1;
       t.dirty <- false;
       t.last_snapshot_at <- Unix.gettimeofday ();
-      Ok ()
-    | Error _ as e -> e)
-
-(* Rotation: install a snapshot covering every logged transaction, then
-   truncate the log to a fresh header.  A crash between the two leaves
-   snapshot + full log; replay skips what the snapshot covers. *)
-let rotate t =
-  match (t.wal, t.config.snapshot_path) with
-  | Some wal, Some _ -> (
-    match persist t ~txn:t.txn with
-    | Error _ as e -> e
-    | Ok () -> (
-      (* kill-point: snapshot installed, log not yet truncated *)
-      Faults.point "server.rotate-installed";
-      match Wal.reset wal with
-      | Ok () ->
-        t.metrics.rotations <- t.metrics.rotations + 1;
-        Ok ()
-      | Error _ as e ->
-        (* the old log is intact and still open: rotation simply did
-           not happen; a later mutation retries *)
-        e))
-  | _ -> Ok ()
+      Ok ())
 
 let maybe_rotate t =
   match t.wal with
-  | Some wal
-    when t.config.snapshot_path <> None
-         && Wal.size wal > t.config.wal_max_bytes -> (
-    match rotate t with
+  | Some wal when Wal.appended wal > t.config.wal_max_bytes -> (
+    match snapshot_now t with
     | Ok () -> ()
     | Error msg -> t.config.log ("wal rotation failed: " ^ msg))
   | _ -> ()
-
-let snapshot_now t =
-  match t.wal with
-  | Some wal ->
-    if t.config.snapshot_path <> None then rotate t
-    else Wal.sync wal (* log-only durability: make the tail durable *)
-  | None -> persist t ~txn:t.txn
 
 let maybe_snapshot t ~now =
   match t.wal with
@@ -258,7 +210,7 @@ let maybe_snapshot t ~now =
     then begin
       (* rate-limit retries on persistent I/O failure too *)
       t.last_snapshot_at <- now;
-      match persist t ~txn:t.txn with
+      match snapshot_now t with
       | Ok () -> ()
       | Error msg -> t.config.log ("periodic snapshot failed: " ^ msg)
     end
@@ -448,173 +400,183 @@ let apply_mutation t ~limits ~on_change op facts =
 (* ------------------------------------------------------------------ *)
 (* Startup: warm-load, replay, saturate *)
 
-let load_wal config path =
-  match Wal.load ~mode:Snapshot.Strict path with
-  | Ok r -> Ok r
-  | Error c -> (
-    config.log
-      (Printf.sprintf "wal %s: strict load failed (%s); retrying lenient"
-         path
-         (Wal.describe_corruption c));
-    match Wal.load ~mode:Snapshot.Lenient path with
-    | Ok ((_, _, tail) as r) ->
-      (match tail with
-      | Wal.Torn { at; reason } ->
-        config.log
-          (Printf.sprintf "wal %s: discarding torn tail at byte %d (%s)"
-             path at reason)
-      | Wal.Clean -> ());
-      Ok r
-    | Error c ->
-      Error
-        (Printf.sprintf "wal %s unreadable even leniently: %s" path
-           (Wal.describe_corruption c)))
-
-(* Re-apply every logged transaction the snapshot does not cover, in
-   order, under no budget (they all committed once already).  The log
-   and the snapshot must agree: a gap means one of them is not the
-   other's, and guessing would silently lose acked transactions. *)
-let replay_wal t entries =
-  let rec go = function
-    | [] -> Ok ()
-    | e :: rest ->
-      if e.Wal.e_txn <= t.txn then go rest
-      else if e.Wal.e_txn <> t.txn + 1 then
+let load_log config path =
+  if Sys.file_exists (path ^ ".wal") then
+    Error
+      (Corrupt_state
+         (Printf.sprintf
+            "%s.wal is a separate log from an older version; this version \
+             keeps the whole state in %s and does not read it"
+            path path))
+  else
+    match Wal.load ~mode:Wal.Strict path with
+    | Ok log -> Ok log
+    | Error c -> (
+      config.log
+        (Printf.sprintf "%s: strict load failed (%s); retrying lenient" path
+           (Wal.describe_corruption c));
+      match Wal.load ~mode:Wal.Lenient path with
+      | Ok log ->
+        (match log.Wal.tail with
+        | Wal.Torn { at; reason } ->
+          config.log
+            (Printf.sprintf "%s: discarding torn tail at byte %d (%s)" path at
+               reason)
+        | Wal.Clean -> ());
+        Ok log
+      | Error c ->
         Error
-          (Printf.sprintf
-             "wal replay: transaction %d follows %d (log and snapshot \
-              disagree; refusing to guess)"
-             e.Wal.e_txn t.txn)
-      else (
+          (Corrupt_state
+             (Printf.sprintf "%s unreadable even leniently: %s" path
+                (Wal.describe_corruption c))))
+
+(* The base image as this program's database: the right mode, or base
+   facts a positive program saturates.  An image without a mode stamp
+   is only taken as base facts. *)
+let database_of_base program positive path (meta, db) =
+  match List.assoc_opt "mode" meta with
+  | Some m when m = mode_name positive -> Ok db
+  | (Some "base" | None) when not positive -> Ok db
+  | Some "base" -> (
+    (* the image predates the rules (or a mode change): the base facts
+       are all there, so saturate them *)
+    let facts =
+      List.concat_map
+        (fun p -> List.map (Tuple.to_atom p) (Database.tuples db p))
+        (Database.preds db)
+    in
+    match saturate (Program.make ~facts (Program.rules program)) with
+    | Ok db -> Ok db
+    | Error msg -> Error (Startup_failed msg))
+  | m ->
+    Error
+      (Corrupt_state
+         (Printf.sprintf
+            "%s holds %s database but the program needs %S (base facts \
+             cannot be told apart from derived ones)"
+            path
+            (match m with
+            | Some m -> Printf.sprintf "a %S" m
+            | None -> "an unstamped")
+            (mode_name positive)))
+
+(* Re-apply every logged transaction after the base, in order, under no
+   budget (they all committed once already).  Ids must be consecutive:
+   a gap means the log is not one writer's, and guessing would silently
+   lose acked transactions. *)
+let replay t path entries =
+  List.fold_left
+    (fun acc e ->
+      match acc with
+      | Error _ -> acc
+      | Ok () when e.Wal.e_txn <> t.txn + 1 ->
+        Error
+          (Printf.sprintf "%s: transaction %d follows %d (refusing to guess)"
+             path e.Wal.e_txn t.txn)
+      | Ok () -> (
         match
           apply_mutation t ~limits:L.none ~on_change:ignore e.Wal.e_op
             e.Wal.e_facts
         with
         | Error msg ->
           Error
-            (Printf.sprintf "wal replay: transaction %d failed: %s"
+            (Printf.sprintf "%s: replaying transaction %d failed: %s" path
                e.Wal.e_txn msg)
         | Ok count ->
           t.txn <- e.Wal.e_txn;
           t.metrics.replayed <- t.metrics.replayed + 1;
-          (match e.Wal.e_key with
-          | Some key ->
-            idem_record t key
-              { c_txn = e.Wal.e_txn; c_op = op_string e.Wal.e_op;
-                c_count = count }
-          | None -> ());
-          go rest)
-  in
-  go entries
+          Option.iter
+            (fun key ->
+              idem_record t key
+                { c_txn = e.Wal.e_txn; c_op = op_string e.Wal.e_op;
+                  c_count = count })
+            e.Wal.e_key;
+          Ok ()))
+    (Ok ()) entries
 
-let recover_wal t path =
-  match load_wal t.config path with
-  | Error _ as e -> e
-  | Ok (entries, valid_bytes, _tail) -> (
-    match replay_wal t entries with
-    | Error _ as e -> e
-    | Ok () -> (
-      if t.metrics.replayed > 0 then
-        t.config.log
-          (Printf.sprintf "wal %s: replayed %d transaction(s), now at txn %d"
-             path t.metrics.replayed t.txn);
+let start config program =
+  let ( let* ) = Result.bind in
+  let* () =
+    Result.map_error
+      (fun msgs -> Startup_failed (String.concat "\n" msgs))
+      (Datalog_analysis.Safety.check_program program)
+  in
+  let positive = program_is_positive program in
+  let idb = Program.idb program in
+  let* log =
+    match config.snapshot_path with
+    | None -> Ok None
+    | Some path -> Result.map (fun log -> Some (path, log)) (load_log config path)
+  in
+  let* db, meta =
+    match log with
+    | Some (path, { Wal.base = Some ((meta, _) as base); _ }) ->
+      Result.map
+        (fun db -> (db, meta))
+        (database_of_base program positive path base)
+    | _ when positive -> (
+      match saturate program with
+      | Ok db -> Ok (db, [])
+      | Error msg -> Error (Startup_failed msg))
+    | _ -> Ok (Database.of_facts (Program.facts program), [])
+  in
+  let t =
+    { config;
+      rules = Program.make (Program.rules program);
+      idb;
+      seed_idb_facts =
+        (if positive then
+           List.filter (fun a -> Pred.Set.mem (Atom.pred a) idb)
+             (Program.facts program)
+         else []);
+      graph = Datalog_analysis.Depgraph.make program;
+      positive;
+      db;
+      cache = Cache.create ~capacity:config.cache_capacity;
+      cnt = Datalog_engine.Counters.create ();
+      deps_memo = Pred.Tbl.create 32;
+      queue = Queue.create ();
+      inflight = Hashtbl.create 16;
+      wal = None;
+      idem = Hashtbl.create 64;
+      idem_order = Queue.create ();
+      txn =
+        Option.value ~default:0
+          (Option.bind (List.assoc_opt "txn" meta) int_of_string_opt);
+      dirty = false;
+      last_snapshot_at = Unix.gettimeofday ();
+      metrics =
+        { queries = 0; mutations = 0; rejected = 0; expired = 0;
+          overloaded = 0; snapshots = 0; wal_appends = 0; rotations = 0;
+          idempotent_hits = 0; replayed = 0 }
+    }
+  in
+  List.iter (fun (k, c) -> idem_record t k c) (idem_of_meta meta);
+  match log with
+  | None -> Ok t
+  | Some (path, log) -> (
+    let* () =
+      Result.map_error (fun msg -> Corrupt_state msg)
+        (replay t path log.Wal.entries)
+    in
+    if t.metrics.replayed > 0 then
+      config.log
+        (Printf.sprintf "%s: replayed %d transaction(s), now at txn %d" path
+           t.metrics.replayed t.txn);
+    if not config.durable_acks then Ok t
+    else
       match
-        Wal.open_for_append ~fsync:t.config.wal_fsync ~valid_bytes path
+        Wal.open_for_append ~fsync:config.wal_fsync ~base_end:log.Wal.base_end
+          ~valid_bytes:log.Wal.valid_bytes path
       with
       | Ok wal ->
         t.wal <- Some wal;
-        Ok ()
+        Ok t
       | Error msg ->
-        Error (Printf.sprintf "wal %s: cannot open for append: %s" path msg)))
+        Error (Startup_failed ("cannot open the log for append: " ^ msg)))
 
 let create config program =
-  let positive = program_is_positive program in
-  let rules = Program.make (Program.rules program) in
-  let idb = Program.idb program in
-  let seed_idb_facts =
-    if positive then
-      List.filter (fun a -> Pred.Set.mem (Atom.pred a) idb)
-        (Program.facts program)
-    else []
-  in
-  let fresh () =
-    if positive then saturate program
-    else Ok (Database.of_facts (Program.facts program))
-  in
-  let loaded =
-    match config.snapshot_path with
-    | Some path when Sys.file_exists path -> (
-      match load_snapshot config path with
-      | Error _ as e -> e
-      | Ok (db, meta) -> (
-        let txn =
-          Option.value ~default:0
-            (Option.bind (List.assoc_opt "txn" meta) int_of_string_opt)
-        in
-        match List.assoc_opt "mode" meta with
-        | Some m when m = mode_name positive -> Ok (db, txn, meta)
-        | Some "base" when positive -> (
-          (* the snapshot predates the rules (or a mode change): the
-             base facts are all there, so saturate them *)
-          let facts =
-            List.concat_map
-              (fun p -> List.map (Tuple.to_atom p) (Database.tuples db p))
-              (Database.preds db)
-          in
-          match saturate (Program.make ~facts (Program.rules program)) with
-          | Ok db -> Ok (db, txn, meta)
-          | Error _ as e -> e)
-        | Some m ->
-          Error
-            (Printf.sprintf
-               "snapshot %s holds a %S database but the program needs %S \
-                (base facts cannot be told apart from derived ones)"
-               path m (mode_name positive))
-        | None ->
-          (* not a server snapshot (no mode stamp): treat as the right
-             mode only if that is safe, i.e. base mode *)
-          if positive then
-            Error
-              (Printf.sprintf
-                 "snapshot %s has no mode stamp; refusing to guess \
-                  whether it is saturated"
-                 path)
-          else Ok (db, txn, meta)))
-    | _ -> Result.map (fun db -> (db, 0, [])) (fresh ())
-  in
-  match loaded with
-  | Error _ as e -> e
-  | Ok (db, txn, meta) -> (
-    let t =
-      { config;
-        rules;
-        idb;
-        seed_idb_facts;
-        graph = Datalog_analysis.Depgraph.make program;
-        positive;
-        db;
-        cache = Cache.create ~capacity:config.cache_capacity;
-        cnt = Datalog_engine.Counters.create ();
-        deps_memo = Pred.Tbl.create 32;
-        queue = Queue.create ();
-        inflight = Hashtbl.create 16;
-        wal = None;
-        idem = Hashtbl.create 64;
-        idem_order = Queue.create ();
-        txn;
-        dirty = false;
-        last_snapshot_at = Unix.gettimeofday ();
-        metrics =
-          { queries = 0; mutations = 0; rejected = 0; expired = 0;
-            overloaded = 0; snapshots = 0; wal_appends = 0; rotations = 0;
-            idempotent_hits = 0; replayed = 0 }
-      }
-    in
-    List.iter (fun (k, c) -> idem_record t k c) (idem_of_meta meta);
-    match effective_wal_path config with
-    | None -> Ok t
-    | Some wpath -> (
-      match recover_wal t wpath with Ok () -> Ok t | Error _ as e -> e))
+  Result.map_error startup_message (start config program)
 
 (* ------------------------------------------------------------------ *)
 (* The mutation path.  With a log: append -> fsync -> apply -> ack, so

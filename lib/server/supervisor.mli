@@ -18,23 +18,27 @@
 
     {2 Durability contract}
 
-    With durable acks configured, mutations ride a write-ahead log
-    ({!Datalog_storage.Wal}): append the transaction's frame, fsync
-    (policy permitting), apply in memory, {e then} ack — so durability
-    costs O(batch), not O(database), per transaction.  Recovery is
-    snapshot load + log replay: on restart every {e acked} batch is
+    The durable state is one {!Datalog_storage.Wal} log at
+    [snapshot_path]: an optional base frame (the whole database, the
+    acked-transaction counter and the idempotency table), then one frame
+    per committed transaction.  With durable acks, a mutation appends
+    its frame, fsyncs (policy permitting), applies in memory, {e then}
+    acks — so durability costs O(batch), not O(database), per
+    transaction.  Recovery is one load: the base, then every later
+    transaction replayed in order.  On restart every {e acked} batch is
     present, every {e unacked} batch is absent or fully applied, and
     under the [always] fsync policy the recovered state is exactly the
     acked prefix plus at most the one in-flight transaction.  An append
     {e failure} (as opposed to a crash) refuses the transaction before
     anything applies; an apply failure truncates the already-appended
-    frame back out of the log.  When the log outgrows
-    [wal_max_bytes] (and on {!snapshot_now}), a fresh snapshot is
-    installed and the log truncated — rotation.
+    frame back out of the log.  When the transactions appended since the
+    base outgrow [wal_max_bytes] (and on {!snapshot_now}), a log holding
+    only a new base is installed atomically over the file and the writer
+    moves onto it — rotation.
 
     Mutations may carry a client idempotency key ([key] field): the key
     is recorded in the log with the committed transaction and held in a
-    bounded table (rebuilt on recovery from snapshot meta + replay), so
+    bounded table (rebuilt on recovery from the base's meta + replay), so
     a client that times out and retries an applied-but-unacked request
     gets the original ack back ([idempotent:true]) instead of a double
     apply — exactly-once end to end.
@@ -42,8 +46,8 @@
     Kill-points ["wal.appended"] (frame written, not yet fsynced),
     ["server.wal-synced"] (durable, not yet applied),
     ["server.pre-ack"] (applied, client never saw the ack) and
-    ["server.rotate-installed"] (snapshot installed, log not yet
-    truncated) let the drill cut at the interesting instants. *)
+    ["server.rotate-installed"] (new base installed, writer not yet
+    moved onto it) let the drill cut at the interesting instants. *)
 
 open Datalog_ast
 module Json = Datalog_engine.Json
@@ -55,22 +59,19 @@ type config = {
   retry_after_s : float;  (** hint attached to overload replies *)
   cache_capacity : int;
   snapshot_path : string option;
-      (** recovery baseline and rotation target; durability is off when
-          both this and [wal_path] are [None] *)
+      (** the one log file holding the durable state; durability is off
+          when [None] *)
   durable_acks : bool;
-      (** [true] (default): every mutation is appended to the
-          write-ahead log before its ack — the ack is a durability
-          receipt (exact under the [always] fsync policy).  [false]:
-          acks are memory-only, no log is kept, and the periodic
-          snapshot bounds the loss window to [snapshot_every_s]. *)
-  wal_path : string option;
-      (** where the log lives; defaults to [snapshot_path ^ ".wal"]
-          when durable acks are on and a snapshot path is set *)
+      (** [true] (default): every mutation is appended to the log before
+          its ack — the ack is a durability receipt (exact under the
+          [always] fsync policy).  [false]: acks are memory-only, and a
+          periodic base install bounds the loss window to
+          [snapshot_every_s]. *)
   wal_fsync : Datalog_storage.Wal.fsync_policy;
       (** [Always] (default), [Interval s] (group commit), or [Never] *)
   wal_max_bytes : int;
-      (** rotation threshold: once the log exceeds this, a snapshot is
-          installed and the log truncated (needs [snapshot_path]) *)
+      (** rotation threshold on the transaction bytes appended since the
+          base *)
   idempotency_capacity : int;
       (** how many committed idempotency keys are remembered (FIFO
           eviction); [0] disables the table *)
@@ -88,17 +89,31 @@ val default_config : config
 
 type t
 
+type startup_error =
+  | Corrupt_state of string
+      (** the durable state cannot be used: unreadable even leniently, a
+          damaged base, a replay failure, an image of the other mode, or
+          a separate log from an older version *)
+  | Startup_failed of string
+      (** anything else: an unsafe program, a log that cannot be opened
+          for append, an unbindable socket *)
+
+val startup_message : startup_error -> string
+
+val start : config -> Program.t -> (t, startup_error) result
+(** Check the program's safety, then warm start: the log at the snapshot
+    path is loaded Strict, then Lenient (a torn transaction tail is cut
+    off with a logged line; a damaged base refuses in both modes).  The
+    base, if any, is the database (a base-mode image is saturated for a
+    positive program); the transactions after it are replayed in order,
+    and a gap or replay failure refuses to start.  With no base, a
+    positive program is saturated from its facts and a program with
+    negation starts from its base facts.  With durable acks the writer
+    then opens at the end of the valid prefix (a fresh log gets just a
+    header). *)
+
 val create : config -> Program.t -> (t, string) result
-(** Warm start: when the snapshot path exists it is loaded Strict, then
-    Lenient (logging each salvage warning) — the acked-transaction
-    counter and the idempotency table ride in the snapshot meta.  With
-    durable acks, the write-ahead log is then loaded the same way (a
-    torn tail is truncated with a logged warning) and every transaction
-    beyond the snapshot is replayed in order; a gap between snapshot
-    and log, or a replay failure, refuses to start.  A snapshot or log
-    unreadable even leniently refuses to start.  With no snapshot, a
-    positive program is saturated from its facts; a program with
-    negation starts from its base facts. *)
+(** {!start}, with the error as its message. *)
 
 val positive : t -> bool
 val txn : t -> int
@@ -134,14 +149,13 @@ val handle :
     exposed for control requests that bypass the queue). *)
 
 val snapshot_now : t -> (unit, string) result
-(** In WAL mode: force a rotation (snapshot install + log truncation),
-    or just fsync the log tail when there is no snapshot path.
-    Otherwise: persist a snapshot; no-op without a snapshot path. *)
+(** Install a log holding only a base of the current state (in WAL mode,
+    a rotation); no-op without a snapshot path. *)
 
 val maybe_snapshot : t -> now:float -> unit
 (** The serve loop's periodic tick.  In WAL mode this drives the
-    [Interval] group-commit fsync; otherwise it persists a periodic
-    snapshot when the cadence elapsed and a transaction landed since
-    the last write. *)
+    [Interval] group-commit fsync; otherwise it installs a periodic base
+    when the cadence elapsed and a transaction landed since the last
+    install. *)
 
 val stats_fields : t -> (string * Json.t) list

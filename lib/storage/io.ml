@@ -121,7 +121,7 @@ let save_relation ?(delimiter = ',') db pred path =
        mid-save leaves any previous file at [path] untouched, and the
        parent-directory fsync makes the install durable across power
        loss *)
-    Snapshot.atomic_write_string path data
+    Wal.atomic_write_string path data
 
 let rec mkdir_p dir =
   if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()

@@ -4,6 +4,8 @@ let magic = "ALEXWAL"
 let format_version = 1
 let header = Printf.sprintf "%s %d\n" magic format_version
 
+type mode = Strict | Lenient
+
 type fsync_policy = Always | Interval of float | Never
 
 let fsync_policy_of_string s =
@@ -34,18 +36,29 @@ type entry = {
   e_facts : Atom.t list;
 }
 
+type damage =
+  | Cut_short of string
+  | Checksum of { expected : string; actual : string }
+  | Unparsable of string
+
+let describe_damage = function
+  | Cut_short reason | Unparsable reason -> reason
+  | Checksum { expected; actual } ->
+    Printf.sprintf "frame checksum mismatch (expected %s, got %s)" expected
+      actual
+
 type corruption =
   | Not_a_log of string
   | Unsupported_version of int
-  | Damaged of { offset : int; reason : string }
+  | Damaged of { offset : int; damage : damage }
 
 let describe_corruption = function
   | Not_a_log msg -> Printf.sprintf "not a write-ahead log: %s" msg
   | Unsupported_version v ->
     Printf.sprintf "unsupported log format version %d (this build reads %d)" v
       format_version
-  | Damaged { offset; reason } ->
-    Printf.sprintf "log damaged at byte %d: %s" offset reason
+  | Damaged { offset; damage } ->
+    Printf.sprintf "log damaged at byte %d: %s" offset (describe_damage damage)
 
 type tail = Clean | Torn of { at : int; reason : string }
 
@@ -59,6 +72,90 @@ let op_of_name = function
   | _ -> None
 
 (* ---------------------------------------------------------------- *)
+(* Escaping: backslash, tab, newline, CR and space are structural *)
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | ' ' -> Buffer.add_string buf "\\s"
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let unescape s =
+  let len = String.length s in
+  let buf = Buffer.create len in
+  let rec go i =
+    if i >= len then Ok (Buffer.contents buf)
+    else if s.[i] = '\\' then
+      if i + 1 >= len then Error "dangling escape"
+      else begin
+        match s.[i + 1] with
+        | '\\' -> Buffer.add_char buf '\\'; go (i + 2)
+        | 't' -> Buffer.add_char buf '\t'; go (i + 2)
+        | 'n' -> Buffer.add_char buf '\n'; go (i + 2)
+        | 'r' -> Buffer.add_char buf '\r'; go (i + 2)
+        | 's' -> Buffer.add_char buf ' '; go (i + 2)
+        | c -> Error (Printf.sprintf "bad escape '\\%c'" c)
+      end
+    else begin
+      Buffer.add_char buf s.[i];
+      go (i + 1)
+    end
+  in
+  go 0
+
+let encode_value = function
+  | Value.Int i -> "i:" ^ string_of_int i
+  | Value.Sym s -> "s:" ^ escape (Symbol.name s)
+
+let decode_value s =
+  if String.length s < 2 || s.[1] <> ':' then
+    Error (Printf.sprintf "value %S lacks a type tag" s)
+  else
+    let payload = String.sub s 2 (String.length s - 2) in
+    match s.[0] with
+    | 'i' -> (
+      match int_of_string_opt payload with
+      | Some i -> Ok (Value.int i)
+      | None -> Error (Printf.sprintf "bad integer %S" payload))
+    | 's' -> Result.map Value.sym (unescape payload)
+    | c -> Error (Printf.sprintf "unknown value tag '%c'" c)
+
+(* ---------------------------------------------------------------- *)
+(* Atomic install *)
+
+let atomic_write_string path data =
+  let tmp = path ^ ".tmp" in
+  match
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> Out_channel.close_noerr oc)
+      (fun () ->
+        Faults.write_string oc data;
+        Faults.fsync oc);
+    Faults.rename tmp path;
+    (* the rename only becomes durable once the parent directory's own
+       metadata reaches stable storage: without this, a power loss after
+       the rename can resurrect the old file (or nothing) on replay of
+       the directory — the classic missing-dirsync bug *)
+    Faults.dirsync (Filename.dirname path)
+  with
+  | () -> Ok ()
+  | exception Sys_error msg ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Error msg
+  | exception Unix.Unix_error (e, fn, _) ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Error (unix_msg fn e)
+
+(* ---------------------------------------------------------------- *)
 (* Frames *)
 
 let frame body =
@@ -66,43 +163,37 @@ let frame body =
     (Crc32.to_hex (Crc32.string body))
   ^ body
 
-type stop =
-  | End
-  | Truncated of { at : int; reason : string }
-  | Bad_checksum of { at : int; expected : string; actual : string }
-  | Bad_header of { at : int; reason : string }
+let install path body =
+  let data = header ^ frame body in
+  Result.map (fun () -> String.length data) (atomic_write_string path data)
+
+type stop = End | Stopped of { at : int; damage : damage }
 
 let scan data =
   let len = String.length data in
   let hlen = String.length header in
   if len >= hlen && String.sub data 0 hlen = header then begin
     let rec frames pos acc =
-      let stop s = (List.rev acc, s) in
-      if pos >= len then stop End
+      let stopped damage = (List.rev acc, Stopped { at = pos; damage }) in
+      if pos >= len then (List.rev acc, End)
       else
         match String.index_from_opt data pos '\n' with
-        | None -> stop (Truncated { at = pos; reason = "truncated frame header" })
+        | None -> stopped (Cut_short "truncated frame header")
         | Some nl -> (
-          let malformed () =
-            stop (Bad_header { at = pos; reason = "malformed frame header" })
-          in
+          let malformed () = stopped (Unparsable "malformed frame header") in
           match String.split_on_char ' ' (String.sub data pos (nl - pos)) with
           | [ "frame"; n_s; crc_s ] -> (
             match (int_of_string_opt n_s, Crc32.of_hex crc_s) with
             | Some n, Some crc when n >= 0 ->
               let bstart = nl + 1 in
-              if n > len - bstart then
-                stop (Truncated { at = pos; reason = "truncated frame body" })
+              if n > len - bstart then stopped (Cut_short "truncated frame body")
               else
                 let body = String.sub data bstart n in
                 let actual = Crc32.string body in
                 if actual <> crc then
-                  stop
-                    (Bad_checksum
-                       { at = pos;
-                         expected = Crc32.to_hex crc;
-                         actual = Crc32.to_hex actual
-                       })
+                  stopped
+                    (Checksum
+                       { expected = Crc32.to_hex crc; actual = Crc32.to_hex actual })
                 else frames (bstart + n) ((pos, body) :: acc)
             | _ -> malformed ())
           | _ -> malformed ())
@@ -110,8 +201,8 @@ let scan data =
     Ok (frames hlen [])
   end
   else
-    (* a short or damaged magic line is a torn creation, unless it names
-       another version of this format *)
+    (* a missing, torn or foreign magic line, unless it names another
+       version of this format *)
     let version =
       match String.index_opt data '\n' with
       | None -> None
@@ -122,7 +213,7 @@ let scan data =
     in
     match version with
     | Some v when v <> format_version -> Error (Unsupported_version v)
-    | _ -> Error (Not_a_log "missing or torn header")
+    | _ -> Error (Not_a_log "missing, torn or foreign header")
 
 (* ---------------------------------------------------------------- *)
 (* Fact lines *)
@@ -163,7 +254,7 @@ let fact_lines ~emitted iter =
       (let last_name, last_arity = !last in
        if name != last_name || arity <> last_arity then begin
          last := (name, arity);
-         prefix := Printf.sprintf "f %s\t%d" (Snapshot.escape name) arity
+         prefix := Printf.sprintf "f %s\t%d" (escape name) arity
        end);
       Buffer.add_string facts !prefix;
       Array.iter
@@ -177,7 +268,7 @@ let fact_lines ~emitted iter =
             fresh := c :: !fresh;
             Buffer.add_string dict
               (Printf.sprintf "d %d\t%s\n" c
-                 (Snapshot.encode_value (Code.to_value c)))
+                 (encode_value (Code.to_value c)))
           end;
           Buffer.add_char facts '\t';
           add_int facts scratch c)
@@ -212,16 +303,20 @@ let decode_code ~dict s : Code.t =
       | Some c' -> c'
       | None -> bad "code %d not in dictionary" c)
 
+(* the first [n] lines, and the rest *)
+let split_at n lines =
+  let rec go n acc = function
+    | rest when n = 0 -> (List.rev acc, rest)
+    | [] -> bad "frame line count mismatch"
+    | l :: rest -> go (n - 1) (l :: acc) rest
+  in
+  go n [] lines
+
 let decode_facts_exn ~dict ~ndict ~nfacts lines =
   if List.length lines <> ndict + nfacts then
     bad "frame line count mismatch (expected %d+%d, got %d)" ndict nfacts
       (List.length lines);
-  let rec split n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> bad "frame line count mismatch"
-    | l :: rest -> split (n - 1) (l :: acc) rest
-  in
-  let dict_lines, fact_lines = split ndict [] lines in
+  let dict_lines, fact_lines = split_at ndict lines in
   List.iter
     (fun line ->
       match String.split_on_char '\t' line with
@@ -230,7 +325,7 @@ let decode_facts_exn ~dict ~ndict ~nfacts lines =
         match int_of_string_opt code_s with
         | None -> bad "bad dictionary code %S" code_s
         | Some stored -> (
-          match Snapshot.decode_value tagged with
+          match decode_value tagged with
           | Ok v -> Hashtbl.replace dict stored (Code.of_value v)
           | Error reason -> bad "bad dictionary value: %s" reason))
       | _ -> bad "malformed dictionary line %S" line)
@@ -244,7 +339,7 @@ let decode_facts_exn ~dict ~ndict ~nfacts lines =
         let name =
           if fst !last = name_esc then snd !last
           else
-            match Snapshot.unescape name_esc with
+            match unescape name_esc with
             | Ok n ->
               last := (name_esc, n);
               n
@@ -259,16 +354,82 @@ let decode_facts_exn ~dict ~ndict ~nfacts lines =
       | _ -> bad "malformed fact line %S" line)
     fact_lines
 
-let decode_facts ~dict ~ndict ~nfacts lines =
-  match decode_facts_exn ~dict ~ndict ~nfacts lines with
-  | facts -> Ok facts
-  | exception Bad reason -> Error reason
-
 let body_lines body =
   match List.rev (String.split_on_char '\n' body) with
   (* the body ends with a newline, so the split has a trailing "" *)
-  | "" :: rest -> Ok (List.rev rest)
-  | _ -> Error "frame body does not end with a newline"
+  | "" :: rest -> List.rev rest
+  | _ -> bad "frame body does not end with a newline"
+
+(* ---------------------------------------------------------------- *)
+(* Meta frames: a head line, key/value lines, then fact lines *)
+
+let meta_body head meta lines =
+  String.concat ""
+    (Printf.sprintf "%s %d %d %d\n" head (List.length meta) lines.ndict
+       lines.nfacts
+    :: List.map
+         (fun (k, v) -> Printf.sprintf "m %s\t%s\n" (escape k) (escape v))
+         meta
+    @ [ lines.text ])
+
+let unescape_exn s =
+  match unescape s with Ok v -> v | Error reason -> bad "%s" reason
+
+let decode_meta_body_exn ~dict body =
+  let head, rest =
+    match body_lines body with
+    | [] -> bad "empty frame body"
+    | head :: rest -> (head, rest)
+  in
+  let words, nmeta, ndict, nfacts =
+    match List.rev (String.split_on_char ' ' head) with
+    | nf :: nd :: nm :: words -> (
+      match (int_of_string_opt nm, int_of_string_opt nd, int_of_string_opt nf) with
+      | Some nm, Some nd, Some nf when nm >= 0 && nd >= 0 && nf >= 0 ->
+        (List.rev words, nm, nd, nf)
+      | _ -> bad "malformed frame head %S" head)
+    | _ -> bad "malformed frame head %S" head
+  in
+  let meta_lines, rest = split_at nmeta rest in
+  let meta =
+    List.map
+      (fun line ->
+        match String.split_on_char '\t' line with
+        | [ k; v ] -> (unescape_exn (strip_prefix ~tag:"m " k), unescape_exn v)
+        | _ -> bad "malformed meta line %S" line)
+      meta_lines
+  in
+  (words, meta, decode_facts_exn ~dict ~ndict ~nfacts rest)
+
+let decode_meta_body ~dict body =
+  match decode_meta_body_exn ~dict body with
+  | frame -> Ok frame
+  | exception Bad reason -> Error reason
+
+(* ---------------------------------------------------------------- *)
+(* Base frames *)
+
+let base_body meta db =
+  let lines =
+    fact_lines ~emitted:(Hashtbl.create 1) (fun emit ->
+        Database.iter
+          (fun pred rel ->
+            Relation.iter (emit (Pred.name pred) (Pred.arity pred)) rel)
+          db)
+  in
+  (meta_body "base" meta lines, lines.fresh)
+
+let is_base body = String.starts_with ~prefix:"base " body
+
+let decode_base ~dict body =
+  let words, meta, facts = decode_meta_body_exn ~dict body in
+  if words <> [ "base" ] then bad "malformed base frame head";
+  let db = Database.create () in
+  List.iter
+    (fun (name, arity, tuple) ->
+      ignore (Database.add db (Pred.make name arity) tuple))
+    facts;
+  (meta, db)
 
 (* the frame may be partially on disk: cut it back off, so the log still
    ends at the last complete frame *)
@@ -311,7 +472,7 @@ let frame_body ~written ~txn ~op ~key facts =
   in
   ( Printf.sprintf "txn %d %s %d %d %s\n" txn (op_name op) lines.nfacts
       lines.ndict
-      (match key with None -> "-" | Some k -> "k:" ^ Snapshot.escape k)
+      (match key with None -> "-" | Some k -> "k:" ^ escape k)
     ^ lines.text,
     lines.fresh )
 
@@ -320,11 +481,8 @@ let frame_body ~written ~txn ~op ~key facts =
    already defined, overriding them for every later frame). *)
 let decode_frame ~dict body =
   match
-    let lines =
-      match body_lines body with Ok l -> l | Error reason -> bad "%s" reason
-    in
     let head, rest =
-      match lines with [] -> bad "empty frame body" | h :: r -> (h, r)
+      match body_lines body with [] -> bad "empty frame body" | h :: r -> (h, r)
     in
     let txn, op, nfacts, ndict, key =
       match String.split_on_char ' ' head with
@@ -341,7 +499,7 @@ let decode_frame ~dict body =
             match key with
             | "-" -> None
             | k when String.length k >= 2 && String.sub k 0 2 = "k:" -> (
-              match Snapshot.unescape (String.sub k 2 (String.length k - 2)) with
+              match unescape (String.sub k 2 (String.length k - 2)) with
               | Ok k -> Some k
               | Error reason -> bad "bad idempotency key: %s" reason)
             | _ -> bad "bad idempotency key field"
@@ -360,39 +518,81 @@ let decode_frame ~dict body =
   | entry -> Ok entry
   | exception Bad reason -> Error reason
 
-let load ?(mode = Snapshot.Strict) path =
-  let lenient = mode = Snapshot.Lenient in
-  if not (Sys.file_exists path) then Ok ([], 0, Clean)
+type log = {
+  base : ((string * string) list * Database.t) option;
+  entries : entry list;
+  base_end : int;
+  valid_bytes : int;
+  tail : tail;
+}
+
+let load ?(mode = Strict) path =
+  let empty =
+    { base = None; entries = []; base_end = 0; valid_bytes = 0; tail = Clean }
+  in
+  if not (Sys.file_exists path) then Ok empty
   else
     match Faults.read_file path with
     | exception Sys_error msg -> Error (Not_a_log msg)
     | data -> (
+      let len = String.length data and hlen = String.length header in
       match scan data with
-      | Error (Not_a_log reason) when lenient ->
+      | Error (Not_a_log reason)
+        when mode = Lenient && len < hlen && data = String.sub header 0 len ->
         (* torn creation: recover to an empty log *)
-        Ok ([], 0, Torn { at = 0; reason })
+        Ok { empty with tail = Torn { at = 0; reason } }
       | Error c -> Error c
       | Ok (frames, stop) -> (
         let dict : (int, Code.t) Hashtbl.t = Hashtbl.create 64 in
-        let rec decode acc = function
-          | [] -> (
-            match stop with
-            | End -> Ok (List.rev acc, String.length data, Clean)
-            | Truncated { at; reason } | Bad_header { at; reason } ->
-              stopped acc ~at reason
-            | Bad_checksum { at; expected; actual } ->
-              stopped acc ~at
-                (Printf.sprintf "frame checksum mismatch (expected %s, got %s)"
-                   expected actual))
-          | (at, body) :: rest -> (
-            match decode_frame ~dict body with
-            | Ok entry -> decode (entry :: acc) rest
-            | Error reason -> stopped acc ~at reason)
-        and stopped acc ~at reason =
-          if lenient then Ok (List.rev acc, at, Torn { at; reason })
-          else Error (Damaged { offset = at; reason })
+        (* damage is a torn tail only where a crash can have cut a
+           transaction short: never in a base (installed atomically), so
+           a first frame is salvaged only if its body, as far as it is on
+           disk, starts like a transaction or is still zero-filled (a
+           power loss before its block was written) *)
+        let torn at =
+          at > hlen
+          ||
+          match String.index_from_opt data at '\n' with
+          | None -> true
+          | Some nl ->
+            let n = min 4 (len - nl - 1) in
+            let visible = String.sub data (nl + 1) n in
+            visible = String.sub "txn " 0 n || visible = String.make n '\000'
         in
-        decode [] frames))
+        let based =
+          match frames with
+          | (at, body) :: rest when is_base body -> (
+            match decode_base ~dict body with
+            | base ->
+              (* the frame header line, then the body *)
+              let base_end = String.index_from data at '\n' + 1 + String.length body in
+              Ok (Some base, base_end, rest)
+            | exception Bad reason ->
+              Error (Damaged { offset = at; damage = Unparsable reason }))
+          | _ -> Ok (None, hlen, frames)
+        in
+        match based with
+        | Error _ as e -> e
+        | Ok (base, base_end, frames) ->
+          let finish acc valid_bytes tail =
+            Ok { base; entries = List.rev acc; base_end; valid_bytes; tail }
+          in
+          let stopped acc ~at damage =
+            if mode = Lenient && torn at then
+              finish acc at (Torn { at; reason = describe_damage damage })
+            else Error (Damaged { offset = at; damage })
+          in
+          let rec decode acc = function
+            | [] -> (
+              match stop with
+              | End -> finish acc len Clean
+              | Stopped { at; damage } -> stopped acc ~at damage)
+            | (at, body) :: rest -> (
+              match decode_frame ~dict body with
+              | Ok entry -> decode (entry :: acc) rest
+              | Error reason -> stopped acc ~at (Unparsable reason))
+          in
+          decode [] frames))
 
 (* ---------------------------------------------------------------- *)
 (* Appending *)
@@ -402,8 +602,10 @@ type t = {
   policy : fsync_policy;
   mutable oc : out_channel;
   mutable pos : int;
+  mutable base_end : int;  (* where the transaction frames start *)
   written : (int, unit) Hashtbl.t;
-      (* even codes already emitted since this writer opened *)
+      (* even codes already emitted since this writer opened (or, after
+         a rotation, that the new base defines) *)
   mutable dirty : bool;
   mutable last_sync : float;
   mutable wedged : string option;
@@ -411,6 +613,7 @@ type t = {
 }
 
 let size t = t.pos
+let appended t = t.pos - t.base_end
 let path t = t.w_path
 let fsync_policy t = t.policy
 
@@ -433,7 +636,7 @@ let do_sync t ~now =
   | exception Sys_error msg -> Error msg
   | exception Unix.Unix_error (e, fn, _) -> Error (unix_msg fn e)
 
-let open_for_append ?(fsync = Always) ~valid_bytes path =
+let open_for_append ?(fsync = Always) ?(base_end = 0) ~valid_bytes path =
   let hlen = String.length header in
   (* a valid prefix shorter than the header means "start over" *)
   let valid = if valid_bytes < hlen then 0 else valid_bytes in
@@ -459,6 +662,7 @@ let open_for_append ?(fsync = Always) ~valid_bytes path =
       policy = fsync;
       oc;
       pos;
+      base_end = (if valid = 0 then hlen else max base_end hlen);
       written = Hashtbl.create 64;
       dirty = (valid = 0);
       last_sync = 0.;
@@ -549,40 +753,34 @@ let maybe_sync t ~now =
     do_sync t ~now
   | _ -> Ok ()
 
-let reset t =
+(* whether [path] still names the file [oc] writes to *)
+let same_file oc path =
+  match (Unix.fstat (Unix.descr_of_out_channel oc), Unix.stat path) with
+  | a, b -> a.Unix.st_dev = b.Unix.st_dev && a.Unix.st_ino = b.Unix.st_ino
+  | exception Unix.Unix_error _ -> false
+
+let reopen t ~codes =
   match check_wedged t with
   | Error _ as e -> e
+  | Ok () when same_file t.oc t.w_path -> Ok ()
   | Ok () -> (
     Out_channel.close_noerr t.oc;
-    let reopen ~at =
-      match
-        let oc =
-          open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 t.w_path
-        in
-        seek_out oc at;
-        oc
-      with
-      | oc ->
-        t.oc <- oc;
-        t.pos <- at;
-        Ok ()
-      | exception Sys_error msg -> Error msg
-      | exception Unix.Unix_error (e, fn, _) -> Error (unix_msg fn e)
-    in
-    match Snapshot.atomic_write_string t.w_path header with
-    | Ok () -> (
-      match reopen ~at:(String.length header) with
-      | Ok () ->
-        Hashtbl.reset t.written;
-        t.dirty <- false;
-        t.last_append <- None;
-        Ok ()
-      | Error msg -> wedge t msg)
-    | Error msg -> (
-      (* the old log is still in place; keep appending to it (the
-         caller's rotation just didn't happen) *)
-      match reopen ~at:t.pos with
-      | Ok () -> Error msg
-      | Error m2 -> wedge t (Printf.sprintf "%s; reopen failed: %s" msg m2)))
+    match
+      let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 t.w_path in
+      let len = out_channel_length oc in
+      seek_out oc len;
+      (oc, len)
+    with
+    | oc, len ->
+      t.oc <- oc;
+      t.pos <- len;
+      t.base_end <- len;
+      Hashtbl.reset t.written;
+      List.iter (fun c -> Hashtbl.replace t.written c ()) codes;
+      t.dirty <- false;
+      t.last_append <- None;
+      Ok ()
+    | exception Sys_error msg -> wedge t msg
+    | exception Unix.Unix_error (e, fn, _) -> wedge t (unix_msg fn e))
 
 let close t = Out_channel.close_noerr t.oc

@@ -1,15 +1,8 @@
-(** Write-ahead log of transactional fact batches, and the CRC-framed
-    log format it shares with {!Datalog_engine.Checkpoint}.
-
-    The serve loop's durable acks used to rewrite a full snapshot per
-    transaction — O(database) durability cost per mutation.  This module
-    makes durability O(batch): each committed transaction is one
-    CRC32-framed record appended to a single log file, and recovery is
-    snapshot load + log replay.
+(** The one on-disk format: a CRC-framed log.  The server's durable
+    state, a {!Snapshot} database image and a
+    {!Datalog_engine.Checkpoint} are all logs of this shape.
 
     {2 Format}
-
-    A log is a text file:
 
     {v
     ALEXWAL 1
@@ -28,20 +21,28 @@
     f <escaped name><TAB><arity>[<TAB><code>...]   (nfacts lines)
     v}
 
-    A transaction's head is [txn <id> <add|remove> <nfacts> <ndict>
-    <k:escaped-key | ->]; a checkpoint's frames are described in
-    {!Datalog_engine.Checkpoint}.
+    The server's log holds an optional {e base} frame, then one frame per
+    committed transaction:
+    - a base's head is [base <nmeta> <ndict> <nfacts>], followed by
+      [m <escaped key><TAB><escaped value>] meta lines (the {!meta_body}
+      layout checkpoint frames share) and every fact of the image;
+    - a transaction's head is [txn <id> <add|remove> <nfacts> <ndict>
+      <k:escaped-key | ->].
 
-    Tuples are stored as raw {!Datalog_ast.Code} ints, exactly like
-    ALEXSNAP 2: odd codes (small ints) are self-describing, and every
-    even code (symbols, side-dictionary ints — process-local) first
-    appears with a [d] line mapping it to a tagged value ("i:<int>" /
-    "s:<escaped sym>").  Dictionary lines are {e deltas}: a code is
-    emitted once per writer session, and the reader folds them in
-    sequentially with replace semantics — so after a restart the new
-    process re-emits its own mappings, which override the dead process's
-    codes for all subsequent frames.  Replay must therefore decode each
-    frame eagerly, in order.
+    A fresh log has no base.  Rotation {!install}s a new log holding only
+    a base (write temp, fsync, rename, fsync the directory), so at every
+    instant the path holds either the old complete log or the new one.
+
+    Tuples are stored as raw {!Datalog_ast.Code} ints: odd codes (small
+    ints) are self-describing, and every even code (symbols,
+    side-dictionary ints — process-local) first appears with a [d] line
+    mapping it to a tagged value ("i:<int>" / "s:<escaped sym>").
+    Dictionary lines are {e deltas}: a code is emitted once per writer
+    session (a base defines the codes its image uses), and the reader
+    folds them in sequentially with replace semantics — so after a
+    restart the new process re-emits its own mappings, which override the
+    dead process's codes for all subsequent frames.  Replay must
+    therefore decode each frame eagerly, in order.
 
     {2 Torn tails}
 
@@ -49,9 +50,12 @@
     only leave a torn {e suffix}.  {!load} verifies frames in order and
     stops at the first invalid one: in [Lenient] mode it returns the
     valid prefix plus the byte offset to truncate at ({!tail}); in
-    [Strict] mode any damage fails the load.  A fresh, empty or
-    headerless file is "torn at byte 0" — Lenient recovers it to an
-    empty log.
+    [Strict] mode any damage fails the load.  Damage to a base (or to a
+    first frame whose body neither starts like a transaction nor is
+    still zero-filled) fails in both modes: a base is installed
+    atomically, so no crash tears it.  A
+    fresh, empty or header-prefix file is "torn at byte 0" — Lenient
+    recovers it to an empty log; any other foreign file is refused.
 
     {2 Fsync policies}
 
@@ -71,6 +75,10 @@ val format_version : int
 val header : string
 (** The first line of every log, newline included: ["ALEXWAL 1\n"]. *)
 
+type mode =
+  | Strict  (** any damage fails the load *)
+  | Lenient  (** a torn or damaged transaction tail is cut off *)
+
 type fsync_policy = Always | Interval of float | Never
 
 val fsync_policy_of_string : string -> (fsync_policy, string) result
@@ -86,10 +94,17 @@ type entry = {
   e_facts : Atom.t list;  (** decoded, in request order *)
 }
 
+type damage =
+  | Cut_short of string  (** the data ends inside the frame *)
+  | Checksum of { expected : string; actual : string }
+      (** the complete frame fails its CRC *)
+  | Unparsable of string
+      (** its complete header line, or its body, does not parse *)
+
 type corruption =
   | Not_a_log of string  (** unreadable, or the magic line is wrong *)
   | Unsupported_version of int
-  | Damaged of { offset : int; reason : string }
+  | Damaged of { offset : int; damage : damage }
       (** [offset] is the byte position of the bad frame *)
 
 val describe_corruption : corruption -> string
@@ -99,34 +114,45 @@ type tail =
   | Torn of { at : int; reason : string }
       (** bytes from [at] on were discarded (Lenient only) *)
 
-val load :
-  ?mode:Snapshot.mode ->
-  string ->
-  (entry list * int * tail, corruption) result
-(** [load path] parses and decodes the log.  Returns the entries in
-    append order, the byte length of the valid prefix (pass it to
-    {!open_for_append}), and whether a tail was discarded.  Default mode
-    is [Strict].  A nonexistent file is not an error: it loads as
-    [([], 0, Clean)]. *)
+type log = {
+  base : ((string * string) list * Database.t) option;
+      (** the base frame's meta entries and image *)
+  entries : entry list;  (** the transactions after it, in append order *)
+  base_end : int;  (** byte offset where the transaction frames start *)
+  valid_bytes : int;  (** length of the valid prefix *)
+  tail : tail;
+}
+
+val load : ?mode:mode -> string -> (log, corruption) result
+(** [load path] parses and decodes the log.  Pass [valid_bytes] and
+    [base_end] to {!open_for_append}.  Default mode is [Strict].  A
+    nonexistent file is not an error: it loads as an empty log with
+    [valid_bytes = 0]. *)
+
+(** {1 Encoding helpers} (shared with {!Datalog_engine.Checkpoint}) *)
+
+val escape : string -> string
+(** Escapes backslash, tab, newline, CR and space — the format's
+    structural characters. *)
+
+val unescape : string -> (string, string) result
+val encode_value : Value.t -> string
+val decode_value : string -> (Value.t, string) result
 
 (** {1 Frames}
 
     The layer below transactions, shared with checkpoints: framing,
-    scanning, fact lines with dictionary deltas, and the one-frame
-    append. *)
+    scanning, fact lines with dictionary deltas, meta frames, the atomic
+    install and the one-frame append. *)
 
 val frame : string -> string
 (** [frame body] is ["frame <nbytes> <crc32>\n" ^ body]. *)
 
 type stop =
   | End  (** every byte after the header belongs to a valid frame *)
-  | Truncated of { at : int; reason : string }
-      (** the data ends inside the frame starting at byte [at] — the
+  | Stopped of { at : int; damage : damage }
+      (** the frame starting at byte [at] is damaged; [Cut_short] is the
           mark a crash mid-append leaves *)
-  | Bad_checksum of { at : int; expected : string; actual : string }
-      (** the complete frame at [at] fails its CRC *)
-  | Bad_header of { at : int; reason : string }
-      (** the complete header line at [at] does not parse *)
 
 val scan : string -> ((int * string) list * stop, corruption) result
 (** [scan data] checks a log's header and splits off its CRC-verified
@@ -150,17 +176,32 @@ val fact_lines :
     a [d] line for each even code not in [emitted].  [emitted] is not
     modified: add [fresh] to it once the frame is on disk. *)
 
-val body_lines : string -> (string list, string) result
-(** A body's lines, without the final newline's empty remainder. *)
+val meta_body : string -> (string * string) list -> lines -> string
+(** [meta_body head meta lines] is the body [<head> <nmeta> <ndict>
+    <nfacts>], one [m] line per meta entry, then [lines.text]. *)
 
-val decode_facts :
+val decode_meta_body :
   dict:(int, Code.t) Hashtbl.t ->
-  ndict:int ->
-  nfacts:int ->
-  string list ->
-  ((string * int * Tuple.t) list, string) result
-(** Decode exactly [ndict] [d] lines, folded into [dict] (stored code ->
-    current code) with replace semantics, then [nfacts] [f] lines. *)
+  string ->
+  (string list * (string * string) list * (string * int * Tuple.t) list, string)
+  result
+(** Inverse of {!meta_body}: the head's words before the counts, the
+    meta entries and the facts.  The [d] lines are folded into [dict]
+    (stored code -> current code) with replace semantics. *)
+
+val base_body : (string * string) list -> Database.t -> string * int list
+(** A base frame body holding [meta] and every fact of the database,
+    and the dictionary codes it defines. *)
+
+val install : string -> string -> (int, string) result
+(** [install path body] atomically replaces [path] with a log holding
+    the one frame [body], and returns its length.  [Error] on I/O
+    failure; [path] then holds the previous file, unless only the final
+    directory sync failed. *)
+
+val atomic_write_string : string -> string -> (unit, string) result
+(** The write-temp / fsync / rename / dirsync primitive under
+    {!install}, for writers with their own formats ({!Io}). *)
 
 val append_frame : string -> at:int -> string -> (int, string) result
 (** [append_frame path ~at body] writes [frame body] at byte [at] of the
@@ -173,10 +214,16 @@ val append_frame : string -> at:int -> string -> (int, string) result
 type t
 
 val open_for_append :
-  ?fsync:fsync_policy -> valid_bytes:int -> string -> (t, string) result
+  ?fsync:fsync_policy ->
+  ?base_end:int ->
+  valid_bytes:int ->
+  string ->
+  (t, string) result
 (** Open [path] for appending at offset [valid_bytes] (from {!load}),
     truncating any torn tail beyond it.  If [valid_bytes] is 0 the file
-    is (re)created with a fresh header.  Default policy is [Always]. *)
+    is (re)created with a fresh header.  [base_end] (from {!load};
+    default: no base) is where {!appended} starts counting.  Default
+    policy is [Always]. *)
 
 val append :
   t -> txn:int -> op:[ `Add | `Remove ] -> ?key:string -> Atom.t list ->
@@ -195,22 +242,27 @@ val truncate_last : t -> (unit, string) result
     later append re-emits them.  Wedges the log if truncation fails. *)
 
 val sync : t -> (unit, string) result
-(** Force an fsync now (rotation, shutdown), whatever the policy. *)
+(** Force an fsync now (shutdown), whatever the policy. *)
 
 val maybe_sync : t -> now:float -> (unit, string) result
 (** Under [Interval s]: fsync if dirty and [s] elapsed since the last
     sync.  No-op under [Always] / [Never]. *)
 
-val reset : t -> (unit, string) result
-(** Truncate the log to a fresh header (rotation: the caller just
-    installed a snapshot covering every logged transaction).  The empty
-    log is installed atomically (write-temp/fsync/rename), so a crash
-    mid-reset leaves either the old log or the new empty one.  On
-    [Error] the old log is kept and stays usable. *)
+val reopen : t -> codes:int list -> (unit, string) result
+(** The second half of a rotation: after an {!install} replaced the
+    writer's path with a new base, move the writer to the new file's
+    end; [codes] are the dictionary codes the base defines.  A no-op
+    when the path still names the writer's file (the install failed
+    before its rename).  Wedges the writer if the new file cannot be
+    opened. *)
 
 val size : t -> int
-(** Current byte length (the rotation trigger compares this against the
-    configured threshold). *)
+(** Current byte length. *)
+
+val appended : t -> int
+(** Bytes of transaction frames after the base (or the header): the
+    rotation trigger, so a base larger than the threshold does not make
+    every append rotate. *)
 
 val path : t -> string
 val fsync_policy : t -> fsync_policy

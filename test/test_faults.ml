@@ -1,11 +1,12 @@
 (* Deterministic fault injection over the persistence layer.
 
-   The claim under test: however a save fails — injected I/O error, short
-   write, torn rename, simulated kill — no torn snapshot is ever
-   observable.  The target path always holds either the previous complete
-   image or the new complete image, and every load after the fault either
-   succeeds with correct data or fails with a typed corruption; never
-   wrong data.
+   The claim under test: however a database image install
+   ([Snapshot.save_database], the path the server's rotation takes)
+   fails — injected I/O error, short write, torn rename, simulated kill —
+   no torn image is ever observable.  The target path always holds
+   either the previous complete image or the new complete image, and
+   every load after the fault either succeeds with correct data or fails
+   with a typed corruption; never wrong data.
 
    The seed matrix comes from the FAULT_SEEDS environment variable
    (comma- or space-separated integers); the default exercises eight
@@ -46,27 +47,29 @@ let seeds =
     | [] -> Alcotest.fail ("FAULT_SEEDS holds no integers: " ^ s)
     | seeds -> seeds)
 
-(* int-only tuples so plain structural equality applies *)
-let sections_of ints =
-  [ ("data", 1, List.map (fun i -> [| Code.of_int i |]) ints) ]
+(* single-relation images of small ints, saved and loaded through the
+   database image path: a Wal log installed as one base frame *)
+let db_of ints =
+  let db = Database.create () in
+  List.iter
+    (fun i -> ignore (Database.add db (Pred.make "data" 1) [| Code.of_int i |]))
+    ints;
+  db
 
 let read_ints path =
-  match Sn.read path with
+  match Sn.load_database path with
   | Error c ->
-    Alcotest.fail ("post-fault snapshot unreadable: " ^ Sn.describe_corruption c)
-  | Ok c -> (
-    match c.Sn.sections with
-    | [ { Sn.s_name = "data"; s_tuples; _ } ] ->
-      List.map
-        (fun t ->
-          match Code.to_value t.(0) with
-          | Value.Int i -> i
-          | _ -> Alcotest.fail "sym")
-        s_tuples
-    | _ -> Alcotest.fail "unexpected section layout")
+    Alcotest.fail ("post-fault image unreadable: " ^ Sn.describe_corruption c)
+  | Ok (db, _) ->
+    List.map
+      (fun t ->
+        match Code.to_value t.(0) with
+        | Value.Int i -> i
+        | _ -> Alcotest.fail "sym")
+      (Database.tuples db (Pred.make "data" 1))
 
 let write_exn path ints =
-  match Sn.write ~sections:(sections_of ints) path with
+  match Sn.save_database (db_of ints) path with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -81,7 +84,7 @@ type outcome = Committed | Failed | Crashed
 let attempt_overwrite plan path ~old_ints ~new_ints =
   F.arm plan;
   let outcome =
-    match Sn.write ~sections:(sections_of new_ints) path with
+    match Sn.save_database (db_of new_ints) path with
     | Ok () -> Committed
     | Error _ -> Failed
     | exception F.Crashed _ -> Crashed
@@ -158,8 +161,8 @@ let test_short_write_then_kill () =
      the target *)
   check tbool "the torn image is only in the temp file" true
     (Sys.file_exists (path ^ ".tmp"));
-  (match Sn.read (path ^ ".tmp") with
-  | Ok _ -> Alcotest.fail "a short write must not read back as a snapshot"
+  (match Sn.load_database (path ^ ".tmp") with
+  | Ok _ -> Alcotest.fail "a short write must not read back as an image"
   | Error _ -> ());
   rm (path ^ ".tmp");
   rm path
@@ -174,7 +177,7 @@ let test_torn_rename () =
   (* the rename never took effect: the new image sits complete in the
      temp file, the old one still at the path (checked by [targeted]) *)
   check tbool "complete new image in the temp file" true
-    (match Sn.read (path ^ ".tmp") with Ok _ -> true | Error _ -> false);
+    (match Sn.load_database (path ^ ".tmp") with Ok _ -> true | Error _ -> false);
   rm (path ^ ".tmp");
   rm path
 
@@ -185,7 +188,7 @@ let test_dirsync_kill () =
   let path = tmpfile () in
   write_exn path [ 1; 2; 3 ];
   F.arm (F.crash_nth F.Dirsync 0);
-  (match Sn.write ~sections:(sections_of [ 9; 8 ]) path with
+  (match Sn.save_database (db_of [ 9; 8 ]) path with
   | exception F.Crashed _ -> ()
   | Ok () -> Alcotest.fail "the dirsync kill must fire"
   | Error msg -> Alcotest.fail msg);
@@ -204,7 +207,7 @@ let test_dirsync_io_error () =
   let path = tmpfile () in
   write_exn path [ 1; 2; 3 ];
   F.arm (F.fail_nth F.Dirsync 0);
-  let r = Sn.write ~sections:(sections_of [ 7 ]) path in
+  let r = Sn.save_database (db_of [ 7 ]) path in
   F.disarm ();
   check tbool "dirsync failure surfaces as Error" true (Result.is_error r);
   check tbool "the installed image is complete" true (read_ints path = [ 7 ]);
@@ -212,7 +215,7 @@ let test_dirsync_io_error () =
 
 (* -------------------------------------------------------------------- *)
 (* Concurrent-ish access: a reader that loads while a writer is
-   mid-install must see either the old or the new complete snapshot,
+   mid-install must see either the old or the new complete image,
    never a torn one.  The fault hooks fire before each instrumented
    operation, so reading from inside the plan's [decide] observes the
    path at every interleaving point the writer passes through: before
@@ -261,7 +264,7 @@ let test_reader_after_torn_install () =
   let path = tmpfile () in
   write_exn path [ 1; 2; 3 ];
   F.arm (F.crash_nth F.Write 0);
-  (match Sn.write ~sections:(sections_of [ 9 ]) path with
+  (match Sn.save_database (db_of [ 9 ]) path with
   | exception F.Crashed _ -> ()
   | Ok () | Error _ -> Alcotest.fail "the mid-write kill must fire");
   F.disarm ();

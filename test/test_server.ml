@@ -393,9 +393,11 @@ let test_recovery_roundtrip () =
   check tstr "txn 2" "ok"
     (status (handle t (env (P.Remove [ atom "parent(bob, dan)" ]))));
   let facts_before = Database.total_facts (Sup.db t) in
-  (* no snapshot was ever written: recovery is pure log replay over the
+  (* no base was ever installed: recovery is pure log replay over the
      program's own facts *)
-  check tbool "snapshot not yet installed" false (Sys.file_exists path);
+  (match Wal.load path with
+  | Ok { Wal.base = None; entries = [ _; _ ]; _ } -> ()
+  | _ -> Alcotest.fail "expected a log of two transactions and no base");
   let t2 = sup_exn ~config (ancestor_program ()) in
   check tint "acked transactions recovered" 2 (Sup.txn t2);
   check tint "state recovered exactly" facts_before
@@ -405,25 +407,39 @@ let test_recovery_roundtrip () =
     (List.mem "anc(ann, fay)" (answers r));
   check tbool "dan stayed removed" false (List.mem "anc(ann, dan)" (answers r))
 
+let rotations t =
+  match Json.member "wal" (Json.Obj (Sup.stats_fields t)) with
+  | Some wal -> int_field "rotations" wal
+  | None -> Alcotest.fail "stats lack the wal block"
+
 let test_wal_rotation_and_recovery () =
   let path = tmpfile () in
   Fun.protect ~finally:(fun () -> rm_state path) @@ fun () ->
   rm_state path;
-  (* a tiny rotation threshold: every committed batch pushes the log
-     over it, so each mutation installs a snapshot and truncates *)
-  let config = { (with_snapshot_config path) with Sup.wal_max_bytes = 1 } in
+  (* a threshold between one small transaction and the database: the
+     first, large batch rotates; the base it installs is itself larger
+     than the threshold, yet the next small mutation must not rotate,
+     since only bytes appended after the base count *)
+  let config = { (with_snapshot_config path) with Sup.wal_max_bytes = 300 } in
   let t = sup_exn ~config (ancestor_program ()) in
-  check tstr "txn 1" "ok" (status (handle t (env (P.Add [ atom "parent(eve, fay)" ]))));
-  check tbool "rotation installed a snapshot" true (Sys.file_exists path);
-  let wal_after_rotation =
-    In_channel.with_open_bin (path ^ ".wal") In_channel.input_all
+  let batch =
+    List.init 12 (fun i -> atom (Printf.sprintf "parent(eve, kid%d)" i))
   in
-  check tbool "log truncated to its header" true
-    (String.length wal_after_rotation < 32);
+  check tstr "txn 1" "ok" (status (handle t (env (P.Add batch))));
+  check tint "the large batch rotated" 1 (rotations t);
+  (match Wal.load path with
+  | Ok { Wal.base = Some _; entries = []; _ } -> ()
+  | _ -> Alcotest.fail "a rotated log holds only its base");
+  check tbool "the base outgrew the threshold" true
+    ((Unix.stat path).Unix.st_size > config.Sup.wal_max_bytes);
   check tstr "txn 2" "ok"
     (status (handle t (env (P.Remove [ atom "parent(bob, dan)" ]))));
+  check tint "a small mutation after a large base does not rotate" 1
+    (rotations t);
+  check tbool "one file: no log beside it" false
+    (Sys.file_exists (path ^ ".wal") || Sys.file_exists (path ^ ".tmp"));
   let facts_before = Database.total_facts (Sup.db t) in
-  (* recovery = snapshot (txn 2, after the second rotation) + empty log *)
+  (* recovery = base (txn 1) + one replayed transaction *)
   let t2 = sup_exn ~config (ancestor_program ()) in
   check tint "acked transactions recovered" 2 (Sup.txn t2);
   check tint "state recovered exactly" facts_before
@@ -487,53 +503,73 @@ let test_wal_failed_apply_truncated () =
   check tint "state agrees" (Database.total_facts (Sup.db t))
     (Database.total_facts (Sup.db t2))
 
-let test_recovery_lenient_fallback () =
+let logging_config path log =
+  { (with_snapshot_config path) with Sup.log = (fun l -> log := l :: !log) }
+
+let test_recovery_damaged_base_refused () =
   let path = tmpfile () in
   Fun.protect ~finally:(fun () -> rm_state path) @@ fun () ->
   rm_state path;
   let log = ref [] in
-  let config =
-    { (with_snapshot_config path) with Sup.log = (fun l -> log := l :: !log) }
-  in
+  let config = logging_config path log in
   let t = sup_exn ~config (ancestor_program ()) in
   check tstr "acked" "ok" (status (handle t (env (P.Add [ atom "parent(eve, fay)" ]))));
-  (* force a rotation so the snapshot exists and the log is empty *)
+  (* force a rotation so the file holds only a base *)
   (match Sup.snapshot_now t with
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("rotation failed: " ^ msg));
-  (* corrupt one byte inside a relation section's tuple lines (the dict
-     block also holds ':'-tagged values, so aim past "rel:"): the
-     section CRC no longer matches, Strict refuses, Lenient salvages the
-     rest and says so *)
+  (* flip one byte inside the base: its CRC no longer matches, and a
+     lenient load must not serve the rest under the old counter, which
+     would silently drop acked facts *)
   let data = In_channel.with_open_bin path In_channel.input_all in
-  let find_sub s sub =
-    let n = String.length sub and m = String.length s in
-    let rec go i =
-      if i + n > m then None
-      else if String.sub s i n = sub then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let target =
-    match find_sub data "rel:" with
-    | Some i -> (
-      match String.index_from_opt data i '\n' with
-      | Some j -> j + 2  (* inside the section's first tuple line *)
-      | None -> Alcotest.fail "unexpected snapshot layout")
-    | None -> Alcotest.fail "unexpected snapshot layout"
-  in
   let corrupted = Bytes.of_string data in
+  let target = String.length data - 3 in
   Bytes.set corrupted target
-    (if Bytes.get corrupted target = '0' then '1' else '0');
+    (Char.chr (Char.code (Bytes.get corrupted target) lxor 0x01));
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_bytes oc corrupted);
-  let t2 = sup_exn ~config (ancestor_program ()) in
-  check tint "txn counter survived the salvage" 1 (Sup.txn t2);
-  let joined = String.concat "\n" !log in
+  (match Sup.start config (ancestor_program ()) with
+  | Error (Sup.Corrupt_state _) -> ()
+  | Error (Sup.Startup_failed msg) ->
+    Alcotest.fail ("a damaged base is corrupt state, not: " ^ msg)
+  | Ok _ -> Alcotest.fail "a damaged base must refuse to start");
   check tbool "strict failure was logged" true
-    (contains ~sub:"strict load failed" joined);
-  check tbool "salvage was logged" true (contains ~sub:"salvaged" joined)
+    (contains ~sub:"strict load failed" (String.concat "\n" !log))
+
+let test_recovery_torn_tail_salvaged () =
+  let path = tmpfile () in
+  Fun.protect ~finally:(fun () -> rm_state path) @@ fun () ->
+  rm_state path;
+  let log = ref [] in
+  let config = logging_config path log in
+  let t = sup_exn ~config (ancestor_program ()) in
+  check tstr "txn 1" "ok" (status (handle t (env (P.Add [ atom "parent(eve, fay)" ]))));
+  let one_txn = Database.total_facts (Sup.db t) in
+  check tstr "txn 2" "ok" (status (handle t (env (P.Add [ atom "parent(fay, gus)" ]))));
+  (* a crash mid-append: the file ends inside the second frame *)
+  let size = (Unix.stat path).Unix.st_size in
+  Unix.truncate path (size - 5);
+  let t2 = sup_exn ~config (ancestor_program ()) in
+  check tint "the torn transaction is dropped" 1 (Sup.txn t2);
+  check tint "state is the first transaction's" one_txn
+    (Database.total_facts (Sup.db t2));
+  check tbool "the salvage was logged" true
+    (contains ~sub:"discarding torn tail" (String.concat "\n" !log));
+  (* the writer appends after the cut: a later restart reads clean *)
+  check tstr "txn 2 again" "ok"
+    (status (handle t2 (env (P.Add [ atom "parent(fay, hal)" ]))));
+  check tint "clean reload" 2 (Sup.txn (sup_exn ~config (ancestor_program ())))
+
+let test_unsafe_program_refused () =
+  let program =
+    Program.make ~facts:[ atom "q(1)" ] [ rule "wal(X) :- q(Y)." ]
+  in
+  match Sup.start Sup.default_config program with
+  | Error (Sup.Startup_failed msg) ->
+    check tbool "names the unlimited variable" true
+      (contains ~sub:"not limited" msg)
+  | Error (Sup.Corrupt_state msg) -> Alcotest.fail ("not corrupt state: " ^ msg)
+  | Ok _ -> Alcotest.fail "an unsafe program must refuse to start"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the real binary over a Unix socket *)
@@ -660,6 +696,8 @@ let test_e2e_session_and_restart () =
       ]
   in
   check tint "clean exit again" 0 (wait_exit pid2);
+  check tbool "the state is one file" false
+    (Sys.file_exists (snapshot ^ ".wal"));
   match replies2 with
   | [ stats; q; _bye ] ->
     (match Json.member "txn" stats with
@@ -670,6 +708,59 @@ let test_e2e_session_and_restart () =
       (List.mem "anc(ann, fin)" (answers q)
       && not (List.mem "anc(ann, eve)" (answers q)))
   | _ -> Alcotest.fail "wrong number of replies after restart"
+
+(* Startup failures exit typed: unusable durable state is exit 8, any
+   other refusal (a bad path, an unsafe program) exit 1. *)
+let test_e2e_startup_exit_codes () =
+  let dir = Filename.temp_file "alexserve" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let program = Filename.concat dir "prog.dl" in
+  let unsafe = Filename.concat dir "unsafe.dl" in
+  let socket = Filename.concat dir "sock" in
+  let state = Filename.concat dir "state.log" in
+  write_program program;
+  Out_channel.with_open_text unsafe (fun oc ->
+      output_string oc "wal(X) :- q(Y).\nq(1).\n");
+  Fun.protect ~finally:(fun () ->
+      List.iter rm [ program; unsafe; socket; state ];
+      (try Sys.rmdir dir with Sys_error _ -> ()))
+  @@ fun () ->
+  (* a server that wrongly starts is killed, not waited on forever *)
+  let exit_of prog snapshot =
+    let pid =
+      spawn_server [ prog; "--socket"; socket; "--snapshot"; snapshot; "--quiet" ]
+    in
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    let rec poll () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () < deadline ->
+        ignore (Unix.select [] [] [] 0.05);
+        poll ()
+      | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail "the server started instead of refusing"
+      | _, Unix.WEXITED code -> code
+      | _ -> Alcotest.fail "the server died of a signal"
+    in
+    poll ()
+  in
+  check tint "a missing directory exits 1" 1
+    (exit_of program (Filename.concat dir "nodir/state.log"));
+  check tint "an unsafe program exits 1" 1 (exit_of unsafe state);
+  (* a base, then one flipped byte inside it *)
+  let t =
+    sup_exn
+      ~config:(with_snapshot_config state)
+      (Datalog_parser.Parser.(parse_file program |> Result.get_ok).program)
+  in
+  (match Sup.snapshot_now t with Ok () -> () | Error msg -> Alcotest.fail msg);
+  let data = Bytes.of_string (In_channel.with_open_bin state In_channel.input_all) in
+  let i = Bytes.length data - 3 in
+  Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor 0x01));
+  Out_channel.with_open_bin state (fun oc -> Out_channel.output_bytes oc data);
+  check tint "a flipped base byte exits 8" 8 (exit_of program state)
 
 let test_e2e_overload_pipelined () =
   let dir = Filename.temp_file "alexserve" "" in
@@ -752,10 +843,16 @@ let suite =
         Alcotest.test_case "idempotent retry" `Quick test_idempotent_retry;
         Alcotest.test_case "wal: failed apply truncated" `Quick
           test_wal_failed_apply_truncated;
-        Alcotest.test_case "recovery: lenient fallback" `Quick
-          test_recovery_lenient_fallback;
+        Alcotest.test_case "recovery: damaged base refused" `Quick
+          test_recovery_damaged_base_refused;
+        Alcotest.test_case "recovery: torn tail salvaged" `Quick
+          test_recovery_torn_tail_salvaged;
+        Alcotest.test_case "unsafe program refused" `Quick
+          test_unsafe_program_refused;
         Alcotest.test_case "e2e session + restart" `Quick
           test_e2e_session_and_restart;
+        Alcotest.test_case "e2e startup exit codes" `Quick
+          test_e2e_startup_exit_codes;
         Alcotest.test_case "e2e overload" `Quick test_e2e_overload_pipelined
       ] )
   ]

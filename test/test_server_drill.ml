@@ -7,9 +7,10 @@
    seed deterministically picks a scripted run of keyed mutation batches
    and a kill point (the n-th Write, Fsync, Rename or Dirsync, or one of
    the named points between the transaction steps: post-append
-   pre-fsync, post-fsync pre-apply, post-apply pre-ack, mid-rotation),
-   runs the batches against a supervisor until the simulated process
-   death, restarts from snapshot + log, and checks
+   pre-fsync, post-fsync pre-apply, post-apply pre-ack, mid-rotation:
+   the new base installed, the writer not yet moved onto it), runs the
+   batches against a supervisor until the simulated process death,
+   restarts from the one log (base + transactions), and checks
 
      recovered.txn ∈ {acked, acked + 1}
 
@@ -26,8 +27,11 @@
    exactly-once end to end.
 
    Some seeds force a rotation on every batch (a 1-byte rotation
-   threshold), so the snapshot-install path and the mid-rotation kill
-   window are part of the matrix.
+   threshold) and some on every few (150 bytes, so acked batches also
+   sit in the log after a base), so the base-install path, the writer's
+   move onto the new log and the mid-rotation kill window are part of
+   the matrix.  A seed whose kill point lives on the install path always
+   rotates on every batch, and fails if its kill never fired.
 
    The seed count comes from SERVER_DRILL_SEEDS (an integer; CI runs at
    least 50); the default exercises 25 seeds. *)
@@ -74,11 +78,14 @@ let batches_of rng =
       in
       (Printf.sprintf "k%d" i, request))
 
-(* One kill point per seed: an op of the log/snapshot path, or a named
-   point between the transaction steps.  Returns the plan and whether
-   the seed needs per-batch rotation for its kill point to be reachable
-   (Rename/Dirsync and the mid-rotation window only happen when a
-   snapshot is installed). *)
+(* One kill point per seed: an op of the log/install path, or a named
+   point between the transaction steps.  Returns the plan, whether the
+   kill point only exists when a base is installed (Rename/Dirsync and
+   the mid-rotation window), and the rotation threshold.  Those kill
+   points get a 1-byte threshold, so every batch installs a base and
+   the n-th install (n < batch_count) is always reached; other seeds
+   rotate on every batch, every few batches (150 bytes, so acked
+   batches also sit in the log after a base) or never. *)
 let kill_plan_of rng =
   let n = Random.State.int rng batch_count in
   let choice = Random.State.int rng 8 in
@@ -93,10 +100,15 @@ let kill_plan_of rng =
     | 6 -> F.crash_nth (F.Point "server.pre-ack") n
     | _ -> F.crash_nth (F.Point "server.rotate-installed") n
   in
-  let rotate =
-    choice = 2 || choice = 3 || choice = 7 || Random.State.bool rng
+  let needs_rotation = choice = 2 || choice = 3 || choice = 7 in
+  let wal_max_bytes =
+    if needs_rotation then 1
+    else if not (Random.State.bool rng) then
+      Sup.default_config.Sup.wal_max_bytes
+    else if Random.State.bool rng then 1
+    else 150
   in
-  (plan, rotate)
+  (plan, needs_rotation, wal_max_bytes)
 
 let tmpdir () =
   let dir = Filename.temp_file "alexdrill" "" in
@@ -166,14 +178,14 @@ let reference_replay ~seed batches prefix =
 let run_one_seed seed =
   let rng = Random.State.make [| 0x5eed; seed |] in
   let batches = batches_of rng in
-  let plan, rotate = kill_plan_of rng in
+  let plan, needs_rotation, wal_max_bytes = kill_plan_of rng in
   let dir = tmpdir () in
   Fun.protect ~finally:(fun () -> rmdir_r dir) @@ fun () ->
   let path = Filename.concat dir "state.alexsnap" in
   let config =
     { Sup.default_config with
       Sup.snapshot_path = Some path;
-      wal_max_bytes = (if rotate then 1 else Sup.default_config.Sup.wal_max_bytes)
+      wal_max_bytes
     }
   in
   (* the victim: created fault-free, killed mid-run *)
@@ -197,7 +209,11 @@ let run_one_seed seed =
       false
     with F.Crashed _ -> true
   in
-  (* restart: memory is gone, only snapshot + log survive *)
+  if needs_rotation && not crashed then
+    Alcotest.fail
+      (Printf.sprintf "seed %d (%s): a rotation kill point never fired" seed
+         plan.F.label);
+  (* restart: memory is gone, only the log survives *)
   let recovered = sup_exn "recovery" config (ancestor_program ()) in
   let rtxn = Sup.txn recovered in
   if not (rtxn = !acked || rtxn = !acked + 1) then
@@ -262,7 +278,7 @@ let prop_recovery_invariant =
 
 let test_kill_points_actually_fire () =
   (* sanity on the drill itself: both named kill-points and the
-     log/snapshot path are reachable — a drill whose kills never fire
+     log/install path are reachable — a drill whose kills never fire
      proves nothing *)
   let hit ~rotate plan =
     let dir = tmpdir () in
