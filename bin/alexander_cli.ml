@@ -302,17 +302,21 @@ let print_plans report =
         i.Datalog_engine.Plan.i_steps)
     report.S.plans
 
-(* Answer lines end in a plain newline and the report flushes once at the
-   end: a flush per line would cost one write per answer. *)
+(* Answer lines are rendered from the codes into one buffer and written to
+   the buffered stdout channel; the report flushes once at the end: a flush
+   per line would cost one write per answer. *)
 let print_report query report ~stats =
   let open S in
   (match report.answers with
   | [] -> print_endline "no."
   | answers ->
+    let buf = Buffer.create 256 in
     List.iter
       (fun t ->
-        Format.printf "%a@\n" Atom.pp
-          (Datalog_storage.Tuple.to_atom (Atom.pred query) t))
+        Buffer.clear buf;
+        Datalog_storage.Tuple.add_atom buf (Atom.pred query) t;
+        Buffer.add_char buf '\n';
+        Buffer.output_buffer stdout buf)
       answers);
   List.iter
     (fun a -> Format.printf "undefined: %a@." Atom.pp a)

@@ -26,4 +26,6 @@ let pp ppf = function
   | Sym s -> Symbol.pp ppf s
   | Int i -> Format.pp_print_int ppf i
 
-let to_string v = Format.asprintf "%a" pp v
+let to_string = function
+  | Sym s -> Symbol.name s
+  | Int i -> string_of_int i

@@ -61,21 +61,17 @@ let incomplete report =
 
 let ( let* ) r f = Result.bind r f
 
-(* Tuples of [pred] in [db] matching the (possibly non-ground) [pattern]. *)
+(* Tuples of [pred] in [db] matching the (possibly non-ground) [pattern],
+   sorted. *)
 let matching_tuples db pred pattern =
   match Database.find db pred with
   | None -> []
   | Some rel ->
-    let bindings = ref [] in
-    Array.iteri
-      (fun i t ->
-        match t with
-        | Term.Const v -> bindings := (i, Code.of_value v) :: !bindings
-        | Term.Var _ -> ())
-      (Atom.args pattern);
-    Relation.select rel !bindings
-    |> List.filter (Tuple.matches pattern)
-    |> List.sort Tuple.compare
+    let p = Tuple.pattern pattern in
+    let selected = Tuple.filter p (Relation.select rel p.Tuple.consts) in
+    let sorted = Array.of_list selected in
+    Array.stable_sort Tuple.compare sorted;
+    Array.to_list sorted
 
 let matching_atoms atoms pattern =
   List.filter

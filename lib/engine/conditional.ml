@@ -75,11 +75,14 @@ end
    insertion (the store's insert count right after it), which tells the
    semi-naive evaluation old entries from new. *)
 module Store = struct
-  (* [latest] is the newest stamp of the predicate's entries; [listing]
-     is the last [candidates] answer, dropped when the entries change:
-     probes far outnumber inserts *)
+  (* [order] holds the predicate's entries newest first, the order
+     [candidates] and [fold] enumerate them in, so that no counter and no
+     residual order depends on {!Tuple.hash}; [latest] is the newest stamp
+     of the entries; [listing] is the last [candidates] answer, dropped
+     when the entries change: probes far outnumber inserts *)
   type entries = {
     tbl : (Cond.t * int) list ref Tuple.Tbl.t;
+    mutable order : (Tuple.t * (Cond.t * int) list ref) list;
     mutable latest : int;
     mutable listing : (Tuple.t * (Cond.t * int) list) list option;
   }
@@ -95,7 +98,9 @@ module Store = struct
     match Pred.Tbl.find_opt store.by_pred pred with
     | Some e -> e
     | None ->
-      let e = { tbl = Tuple.Tbl.create 64; latest = 0; listing = None } in
+      let e =
+        { tbl = Tuple.Tbl.create 64; order = []; latest = 0; listing = None }
+      in
       Pred.Tbl.add store.by_pred pred e;
       e
 
@@ -115,7 +120,9 @@ module Store = struct
     in
     match Tuple.Tbl.find_opt e.tbl tuple with
     | None ->
-      Tuple.Tbl.add e.tbl tuple (ref [ stamped () ]);
+      let conds = ref [ stamped () ] in
+      Tuple.Tbl.add e.tbl tuple conds;
+      e.order <- (tuple, conds) :: e.order;
       true
     | Some conds ->
       if subsumed cond !conds then false
@@ -154,18 +161,16 @@ module Store = struct
     | None -> []
     | Some { listing = Some l; _ } -> l
     | Some e ->
-      let l =
-        Tuple.Tbl.fold (fun tuple conds acc -> (tuple, !conds) :: acc) e.tbl []
-      in
+      let l = List.map (fun (tuple, conds) -> (tuple, !conds)) e.order in
       e.listing <- Some l;
       l
 
   let fold store f init =
     Pred.Tbl.fold
       (fun pred e acc ->
-        Tuple.Tbl.fold
-          (fun tuple conds acc -> f pred tuple (List.map fst !conds) acc)
-          e.tbl acc)
+        List.fold_left
+          (fun acc (tuple, conds) -> f pred tuple (List.map fst !conds) acc)
+          acc e.order)
       store.by_pred init
 end
 

@@ -224,7 +224,7 @@ let find t goal =
       | Some e ->
         touch t e;
         t.subsumed_hits <- t.subsumed_hits + 1;
-        Some (List.filter (Tuple.matches goal) e.e_answers, `Subsumed)
+        Some (Tuple.filter (Tuple.pattern goal) e.e_answers, `Subsumed)
       | None ->
         t.misses <- t.misses + 1;
         None)

@@ -114,12 +114,15 @@ let parse line =
 (* ------------------------------------------------------------------ *)
 (* Replies *)
 
-let atom_string atom = Format.asprintf "%a" Atom.pp atom
-
 let answers_reply ~id ~goal ~answers ~cached ~complete ~reason ~txn ~wall_s =
   let pred = Atom.pred goal in
+  let buf = Buffer.create 64 in
   let rendered =
-    List.map (fun t -> Json.String (atom_string (Tuple.to_atom pred t)))
+    List.map
+      (fun t ->
+        Buffer.clear buf;
+        Tuple.add_atom buf pred t;
+        Json.String (Buffer.contents buf))
       answers
   in
   Json.Obj

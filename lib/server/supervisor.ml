@@ -318,7 +318,7 @@ let run_query t ~now ~deadline env goal engine =
       (* the saturated database already holds every answer *)
       let pred = Atom.pred goal in
       let answers =
-        List.filter (Tuple.matches goal) (Database.tuples t.db pred)
+        Tuple.filter (Tuple.pattern goal) (Database.tuples t.db pred)
       in
       Cache.insert t.cache goal ~deps:(deps_closure t pred) answers;
       Protocol.answers_reply ~id ~goal ~answers ~cached:false ~complete:true

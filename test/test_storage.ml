@@ -16,6 +16,49 @@ let test_tuple_equal_hash () =
   check tbool "different" false (Tuple.equal a c);
   check tbool "width matters" false (Tuple.equal a (tup [ 1; 2; 3 ]))
 
+(* Minor words [f] allocates, less the cost of the reading itself. *)
+let minor_words_of f =
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = measure ignore in
+  measure f -. overhead
+
+let test_tuple_primitives_allocation_free () =
+  let a = tup [ 7; -3; 1000 ] and b = tup [ 7; -3; 1001 ] in
+  let acc = ref 0 in
+  let calls name f =
+    let words =
+      minor_words_of (fun () ->
+          for _ = 1 to 10_000 do
+            acc := !acc + f (Sys.opaque_identity a) (Sys.opaque_identity b)
+          done)
+    in
+    check (Alcotest.float 0.) (name ^ ": minor words over 10k calls") 0. words
+  in
+  calls "equal" (fun a b -> Bool.to_int (Tuple.equal a b));
+  calls "compare" Tuple.compare;
+  calls "hash" (fun a _ -> Tuple.hash a);
+  ignore (Sys.opaque_identity !acc)
+
+(* One round of a chain closure derives the pairs (i, i + d): under a
+   plain [h*31 + code] combine they all share one bucket of a 64-slot
+   table, and every insert walks that bucket. *)
+let test_closure_round_insert_cost () =
+  let d = 7 and n = 200 in
+  let tuples = List.init n (fun i -> tup [ i; i + d ]) in
+  let r = Relation.create 2 in
+  let words =
+    minor_words_of (fun () ->
+        List.iter (fun t -> ignore (Relation.insert r t)) tuples)
+  in
+  check tint "all inserted" n (Relation.cardinal r);
+  let per_insert = words /. float_of_int n in
+  if per_insert >= 64. then
+    Alcotest.failf "%.1f minor words per insert (limit 64)" per_insert
+
 let test_tuple_project () =
   let t = tup [ 10; 20; 30 ] in
   check tbool "projection" true (Tuple.equal (Tuple.project [| 2; 0 |] t) (tup [ 30; 10 ]))
@@ -397,9 +440,41 @@ let test_relation_compaction_preserves_order () =
   check tbool "mem after compaction" true (Relation.mem r (tup [ 1000 ]));
   check tbool "removed stay removed" false (Relation.mem r (tup [ 0 ]))
 
+(* Property: the coded renderer writes exactly what [Atom.pp] prints for
+   the decoded atom, over symbols, negative ints, ints outside the
+   arithmetic code range (dictionary codes) and arity 0. *)
+let prop_add_atom_matches_atom_pp =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [ map Value.int small_signed_int;
+          map Value.int int;
+          map Value.int
+            (oneofl
+               [ max_int; min_int; (max_int asr 1) + 1; (min_int asr 1) - 1 ]);
+          map Value.sym
+            (oneofl [ "render_a"; "render_b"; "Render_c"; "render d" ])
+        ])
+  in
+  let gen = QCheck.Gen.(int_range 0 4 >>= fun n -> array_repeat n value) in
+  let print vs =
+    String.concat ", " (Array.to_list (Array.map Value.to_string vs))
+  in
+  QCheck.Test.make ~name:"Tuple.add_atom agrees with Atom.pp" ~count:500
+    (QCheck.make ~print gen) (fun values ->
+      let pred = Pred.make "render_p" (Array.length values) in
+      let t = Tuple.encode values in
+      let buf = Buffer.create 16 in
+      Tuple.add_atom buf pred t;
+      Buffer.contents buf = Format.asprintf "%a" Atom.pp (Tuple.to_atom pred t))
+
 let suite =
   [ ( "storage",
       [ Alcotest.test_case "tuple equal/hash" `Quick test_tuple_equal_hash;
+        Alcotest.test_case "tuple primitives allocation-free" `Quick
+          test_tuple_primitives_allocation_free;
+        Alcotest.test_case "closure round insert cost" `Quick
+          test_closure_round_insert_cost;
         Alcotest.test_case "tuple project" `Quick test_tuple_project;
         Alcotest.test_case "relation dedup" `Quick test_relation_insert_dedup;
         Alcotest.test_case "relation arity" `Quick test_relation_arity_check;
@@ -426,6 +501,7 @@ let suite =
         [ prop_select_agrees_with_scan;
           prop_index_creation_point_irrelevant;
           prop_select_under_churn;
-          prop_sorted_and_probe_under_churn
+          prop_sorted_and_probe_under_churn;
+          prop_add_atom_matches_atom_pp
         ] )
   ]
