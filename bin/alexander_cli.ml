@@ -342,6 +342,11 @@ let print_report query report ~stats =
       Format.printf "%% per-rule profile:@.";
       Format.printf "%a@." Datalog_engine.Profile.pp report.profile
     end;
+    (* heap figures are the process's, at exit of this goal *)
+    let gc = Gc.quick_stat () in
+    Format.printf
+      "%% gc: minor_words=%.0f major_collections=%d top_heap_words=%d@."
+      report.minor_words gc.Gc.major_collections gc.Gc.top_heap_words;
     Format.printf "%% wall time: %.6f s@." report.wall_time_s
   end;
   Format.printf "@?"

@@ -97,6 +97,8 @@ let delta_positions recursive rule =
          | Literal.Pos a when Pred.Set.mem (Atom.pred a) recursive -> Some i
          | Literal.Pos _ | Literal.Neg _ | Literal.Cmp _ -> None)
 
+let no_new _ _ = ()
+
 let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
     ?(ckpt = Checkpoint.none) ?plan ?par ?(subsume = Subsume.none)
     ?initial_delta ~db ~neg ?recursive rules =
@@ -107,43 +109,48 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
      the bridge rules join against them — drive those joins with deltas *)
   let recursive = Pred.Set.union recursive (Subsume.companions subsume) in
   let card pred = Database.cardinal db pred in
-  let fresh_delta () : Database.t = Database.create () in
-  let delta = ref (fresh_delta ()) in
-  (match initial_delta with
-  | Some d ->
-    (* warm start (resume): [db] is the state after some completed round
-       and [d] the facts that round produced — skip the full first round *)
-    delta := d
-  | None -> (
-    (* First round: full evaluation, recording the new tuples as the delta. *)
-    let rel_of = Eval.db_rel_of db in
-    let apps =
-      List.map
-        (fun rule ->
-          (rule, applier cnt ~guard ~profile ~neg ?plan ?par ~card rule))
-        rules
-    in
-    match
-      cnt.Counters.iterations <- cnt.Counters.iterations + 1;
-      Limits.check_round guard;
-      Profile.with_round profile cnt (fun () ->
-          List.iter
-            (fun (rule, app) ->
-              Profile.with_rule profile cnt rule (fun () ->
-                  app ~rel_of
-                    (emit cnt ~guard ~profile ~subsume ~db
-                       ~on_new:(fun pred tuple ->
-                         ignore (Database.add !delta pred tuple)))))
-            apps)
-    with
-    | () ->
-      note_round par;
-      Checkpoint.on_round ckpt ~db ~delta:(Some !delta)
-    | exception (Limits.Out_of_budget _ as e) ->
-      (* not every rule has run against the full database yet, so no
-         delta is trustworthy: force the resume to redo this round *)
-      Checkpoint.on_interrupt ckpt ~db ~delta:None;
-      raise e));
+  let derive = emit cnt ~guard ~profile ~subsume ~db ~on_new:no_new in
+  (* A round's delta is the slice of [db] the round inserted: [db] is
+     insert-only while the loop runs, so a slice since the marks taken
+     when the round started lists exactly the round's new facts, in the
+     order they were derived. *)
+  let delta =
+    match initial_delta with
+    | Some d ->
+      (* warm start (resume): [db] is the state after some completed round
+         and [d] the facts that round produced — skip the full first round *)
+      ref d
+    | None -> (
+      (* First round: full evaluation; its delta is everything it added. *)
+      let marks = Database.marks db in
+      let rel_of = Eval.db_rel_of db in
+      let apps =
+        List.map
+          (fun rule ->
+            (rule, applier cnt ~guard ~profile ~neg ?plan ?par ~card rule))
+          rules
+      in
+      match
+        cnt.Counters.iterations <- cnt.Counters.iterations + 1;
+        Limits.check_round guard;
+        Profile.with_round profile cnt (fun () ->
+            List.iter
+              (fun (rule, app) ->
+                Profile.with_rule profile cnt rule (fun () ->
+                    app ~rel_of derive))
+              apps)
+      with
+      | () ->
+        note_round par;
+        let d = Database.since db marks in
+        Checkpoint.on_round ckpt ~db ~delta:(Some d);
+        ref d
+      | exception (Limits.Out_of_budget _ as e) ->
+        (* not every rule has run against the full database yet, so no
+           delta is trustworthy: force the resume to redo this round *)
+        Checkpoint.on_interrupt ckpt ~db ~delta:None;
+        raise e)
+  in
   let delta_rules =
     List.filter_map
       (fun rule ->
@@ -163,11 +170,7 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
   in
   while Database.total_facts !delta > 0 do
     let current = !delta in
-    let next = fresh_delta () in
-    let derive =
-      emit cnt ~guard ~profile ~subsume ~db ~on_new:(fun pred tuple ->
-          ignore (Database.add next pred tuple))
-    in
+    let marks = Database.marks db in
     (match
        cnt.Counters.iterations <- cnt.Counters.iterations + 1;
        Limits.check_round guard;
@@ -193,11 +196,11 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
          the partial output, so nothing is derived twice) *)
       if Checkpoint.is_active ckpt then begin
         let merged = Database.copy current in
-        ignore (Database.union_into ~src:next ~dst:merged);
+        ignore (Database.union_into ~src:(Database.since db marks) ~dst:merged);
         Checkpoint.on_interrupt ckpt ~db ~delta:(Some merged)
       end;
       raise e);
     note_round par;
-    delta := next;
-    Checkpoint.on_round ckpt ~db ~delta:(Some next)
+    delta := Database.since db marks;
+    Checkpoint.on_round ckpt ~db ~delta:(Some !delta)
   done

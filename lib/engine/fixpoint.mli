@@ -55,7 +55,9 @@ val seminaive :
   Rule.t list ->
   unit
 (** Delta-driven evaluation: after a first full round, each subsequent round
-    only joins through tuples produced in the previous round.  [recursive]
+    only joins through tuples produced in the previous round — the
+    read-only slice of [db] that round inserted ({!Database.since}), so
+    nothing may remove from [db] while the loop runs.  [recursive]
     names the predicates to drive with deltas; it defaults to the head
     predicates of the given rules.
 

@@ -42,7 +42,8 @@ let delta_apps cnt ~guard ~profile ~neg ?plan ~card rules =
 
 (* Delta-driven propagation: fire every rule with one body position
    reading the delta and the rest reading the full database, inserting
-   consequences into both the database and the next delta. *)
+   consequences into the database; the next delta is the slice of the
+   database the round inserted. *)
 let propagate cnt guard profile ?plan program db delta =
   let inserted = ref 0 in
   let current = ref delta in
@@ -51,10 +52,19 @@ let propagate cnt guard profile ?plan program db delta =
   let rule_apps =
     delta_apps cnt ~guard ~profile ~neg ?plan ~card (Program.rules program)
   in
+  let derive pred tuple =
+    if Database.add db pred tuple then begin
+      incr inserted;
+      cnt.Counters.facts_derived <- cnt.Counters.facts_derived + 1;
+      Profile.derived profile pred;
+      if Limits.is_active guard then
+        Limits.check_relation guard (Database.rel db pred)
+    end
+  in
   while Database.total_facts !current > 0 do
     cnt.Counters.iterations <- cnt.Counters.iterations + 1;
     Limits.check_round guard;
-    let next = Database.create () in
+    let marks = Database.marks db in
     Profile.with_round profile cnt (fun () ->
         List.iter
           (fun (rule, apps) ->
@@ -67,20 +77,11 @@ let propagate cnt guard profile ?plan program db delta =
                     if j = i then Database.find cur pred
                     else Database.find db pred
                   in
-                  app ~rel_of (fun pred tuple ->
-                      if Database.add db pred tuple then begin
-                        incr inserted;
-                        cnt.Counters.facts_derived <-
-                          cnt.Counters.facts_derived + 1;
-                        Profile.derived profile pred;
-                        if Limits.is_active guard then
-                          Limits.check_relation guard (Database.rel db pred);
-                        ignore (Database.add next pred tuple)
-                      end)
+                  app ~rel_of derive
                 end)
               apps)
           rule_apps);
-    current := next
+    current := Database.since db marks
   done;
   !inserted
 
@@ -140,16 +141,12 @@ let add_facts cnt ?(limits = Limits.none) ?(profile = Profile.none) ?plan
     with_change_report on_change db @@ fun () ->
     with_rollback limits db @@ fun () ->
     let guard = Limits.guard limits cnt in
-    let delta = Database.create () in
+    let marks = Database.marks db in
     let base_added = ref 0 in
-    List.iter
-      (fun a ->
-        if Database.add_atom db a then begin
-          incr base_added;
-          ignore (Database.add_atom delta a)
-        end)
-      facts;
-    let derived = propagate cnt guard profile ?plan program db delta in
+    List.iter (fun a -> if Database.add_atom db a then incr base_added) facts;
+    let derived =
+      propagate cnt guard profile ?plan program db (Database.since db marks)
+    in
     Ok (!base_added + derived)
 
 let remove_facts cnt ?(limits = Limits.none) ?(profile = Profile.none) ?plan
@@ -172,21 +169,27 @@ let remove_facts cnt ?(limits = Limits.none) ?(profile = Profile.none) ?plan
     (* Phase 1: over-delete.  Any head tuple one of whose derivations (in
        the PRE-deletion database) consumed a deleted tuple is marked. *)
     let deleted = Database.create () in
+    let marks = Database.marks deleted in
     List.iter
       (fun a ->
         if Database.mem_atom db a then ignore (Database.add_atom deleted a))
       facts;
-    let frontier = ref (Database.copy deleted) in
+    (* the frontier is the slice of [deleted] the last round added *)
+    let frontier = ref (Database.since deleted marks) in
     let over_delete_apps =
       delta_apps cnt ~guard ~profile:Profile.none
         ~neg:(Eval.closed_world_neg db) ?plan
         ~card:(fun pred -> Database.cardinal db pred)
         (Program.rules program)
     in
+    let mark_deleted pred tuple =
+      if Database.mem db pred tuple && not (Database.mem protected pred tuple)
+      then ignore (Database.add deleted pred tuple)
+    in
     while Database.total_facts !frontier > 0 do
       cnt.Counters.iterations <- cnt.Counters.iterations + 1;
       Limits.check_round guard;
-      let next = Database.create () in
+      let marks = Database.marks deleted in
       List.iter
         (fun (_rule, apps) ->
           List.iter
@@ -197,16 +200,11 @@ let remove_facts cnt ?(limits = Limits.none) ?(profile = Profile.none) ?plan
                   if j = i then Database.find front pred
                   else Database.find db pred
                 in
-                app ~rel_of (fun pred tuple ->
-                    if
-                      Database.mem db pred tuple
-                      && (not (Database.mem protected pred tuple))
-                      && Database.add deleted pred tuple
-                    then ignore (Database.add next pred tuple))
+                app ~rel_of mark_deleted
               end)
             apps)
         over_delete_apps;
-      frontier := next
+      frontier := Database.since deleted marks
     done;
     (* Phase 2: physically remove the over-deleted tuples. *)
     Database.iter

@@ -38,7 +38,7 @@ let drop t db pred (tuple : Tuple.t) =
     | None -> None
     | Some e ->
       let subsumed_by (general, proj) =
-        let projected = Array.map (fun i -> tuple.(i)) proj in
+        let projected = Tuple.project proj tuple in
         Database.mem db general projected
       in
       if List.exists subsumed_by e.generals then Some e.companion else None)

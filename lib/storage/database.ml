@@ -60,6 +60,25 @@ let assign db ~from =
   Pred.Tbl.reset db;
   Pred.Tbl.iter (fun p r -> Pred.Tbl.add db p (Relation.copy r)) from
 
+type marks = int Pred.Tbl.t
+
+let marks db =
+  let m = Pred.Tbl.create (Pred.Tbl.length db) in
+  Pred.Tbl.iter (fun p r -> Pred.Tbl.add m p (Relation.mark r)) db;
+  m
+
+let since db m =
+  let delta = create () in
+  Pred.Tbl.iter
+    (fun p r ->
+      let mark = Option.value (Pred.Tbl.find_opt m p) ~default:0 in
+      if Relation.mark r > mark then begin
+        let slice = Relation.since r mark in
+        if not (Relation.is_empty slice) then Pred.Tbl.add delta p slice
+      end)
+    db;
+  delta
+
 let union_into ~src ~dst =
   let added = ref 0 in
   Pred.Tbl.iter

@@ -55,6 +55,21 @@ val assign : t -> from:t -> unit
     transaction.  Aliased references to [db]'s relations must be
     re-fetched afterwards. *)
 
+type marks
+(** Per predicate, an insertion-order position ({!Relation.mark}). *)
+
+val marks : t -> marks
+(** [marks db] marks where every relation of [db] currently ends. *)
+
+val since : t -> marks -> t
+(** [since db m] is, for every predicate that gained a tuple after [m]
+    (a predicate [m] does not know counts from position 0), the
+    read-only {!Relation.since} slice of its relation.  Predicates with
+    nothing new are absent, as from a database the new tuples had been
+    inserted into.  This is a semi-naive delta without a second copy of
+    its tuples: valid while [db] stays insert-only after [m]; writing
+    through the result raises [Invalid_argument]. *)
+
 val union_into : src:t -> dst:t -> int
 (** Insert every tuple of [src] into [dst]; returns how many were new. *)
 

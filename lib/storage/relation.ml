@@ -6,10 +6,18 @@ type bucket = {
   mutable dead : int;  (* removed tuples not yet filtered out of [tuples] *)
 }
 
+(* A hash index covers the insertion-order positions below its watermark
+   [upto] (from the relation's first position on); inserts never touch
+   it, and every read catches it up first.  An entry of a bucket is live
+   iff it is a member whose slot lies below [upto]: a tuple removed and
+   then inserted again lands at or above the watermark, so the dead
+   entry is told apart from the live one before catching up adds the
+   new entry to the same bucket. *)
 type index = {
   cols : int array;  (* strictly increasing column numbers *)
   map : bucket Tuple.Tbl.t;  (* projected key -> matching tuples *)
   mutable idead : int;  (* dead entries across all buckets, for {!freeze} *)
+  mutable upto : int;  (* first insertion-order position not indexed *)
 }
 
 (* A sorted columnar projection for one column set.  [srows] holds the
@@ -19,9 +27,10 @@ type index = {
    join group identically.  [skeys] is the column-major copy of the key
    columns ([skeys.(j).(i) = srows.(i).(scols.(j))]), which is what the
    galloping search touches, keeping its memory traffic to the key bytes
-   instead of whole tuples.  Inserts go to [pending] (a newest-first run,
-   sorted and merged into [srows] on the next read); a removal marks the
-   projection [stale], rebuilding it wholesale on the next read.
+   instead of whole tuples.  Like a hash index it covers the positions
+   below its watermark [supto]; a read merges the rows since then in as
+   a sorted run.  A removal below the watermark marks the projection
+   [stale], rebuilding it wholesale on the next read.
 
    [srows] and [skeys] are capacity-managed: only the first [slen] slots
    are live, and the arrays grow geometrically, so the per-round merge of
@@ -32,52 +41,171 @@ type sorted = {
   mutable srows : Tuple.t array;  (* live in [0, slen); capacity beyond *)
   mutable skeys : Code.t array array;  (* same capacity as [srows] *)
   mutable slen : int;
-  mutable pending : Tuple.t list;
-  mutable npending : int;
+  mutable supto : int;  (* first insertion-order position not merged *)
   mutable stale : bool;
 }
 
-(* Tuples live in a growable array in insertion order; [slots] maps each
-   live tuple to its array slot.  A removal tombstones the slot ([None])
-   instead of rebuilding a list, and the array is compacted once
-   tombstones dominate.  Index buckets are tombstoned too: [remove] only
-   decrements a per-bucket live count, and dead entries are filtered out
-   the next time the bucket is read — the reader walks the whole bucket
-   anyway, so the filter costs nothing asymptotically and [remove] is
-   O(#indexes) outright. *)
+(* The row store, shared by a relation and every slice of it.  Tuples
+   live in a growable array in insertion order; a removal overwrites the
+   slot with [gone], and the array is compacted once such slots dominate.
+   Membership is an open-addressing table of slot numbers (linear
+   probing, power-of-two capacity, load at most 1/2 counting tombstones):
+   an entry is compared through [order], so it holds no tuple and an
+   insert allocates nothing but the occasional growth. *)
+type rows = {
+  mutable order : Tuple.t array;
+  mutable filled : int;  (* slots in use, live or [gone] *)
+  mutable size : int;  (* live tuples *)
+  mutable table : int array;  (* slot numbers, [empty] or [tomb] *)
+  mutable used : int;  (* table entries that are not [empty] *)
+}
+
+(* A relation is the positions [lo, hi) of a row store: the whole store
+   ([lo = 0], [hi = -1]: up to [filled], growing with it), or a read-only
+   slice ([hi >= 0]) with its own indexes over its positions. *)
 type t = {
   name : string;
   arity : int;
-  slots : int Tuple.Tbl.t;
-  mutable order : Tuple.t option array;
-  mutable filled : int;  (* slots in use, live or tombstoned *)
-  mutable size : int;  (* live tuples *)
+  rows : rows;
+  lo : int;
+  hi : int;
+  count : int;  (* a slice's live tuples *)
   indexes : (int list, index) Hashtbl.t;
   sorted_idx : (int list, sorted) Hashtbl.t;
   mutable generation : int;  (* bumped whenever indexes are invalidated *)
 }
 
+(* A physically unique row no tuple can be (tuples of arity 0 are the
+   shared atom [[||]]). *)
+let gone : Tuple.t = Array.make 1 (Code.of_int 0)
+let empty = -1
+let tomb = -2
+let min_table = 16
+
 let create ?(name = "?") arity =
   { name;
     arity;
-    slots = Tuple.Tbl.create 64;
-    order = [||];
-    filled = 0;
-    size = 0;
+    rows =
+      { order = [||];
+        filled = 0;
+        size = 0;
+        table = Array.make min_table empty;
+        used = 0
+      };
+    lo = 0;
+    hi = -1;
+    count = 0;
     indexes = Hashtbl.create 4;
     sorted_idx = Hashtbl.create 4;
     generation = 0
   }
 
 let arity r = r.arity
+let is_slice r = r.hi >= 0
+let limit r = if r.hi >= 0 then r.hi else r.rows.filled
+let mark = limit
 
-(* Drop dead tuples from a bucket.  Liveness is membership in [slots],
-   which is why [insert] must register index entries *before* slots: a
-   remove-then-reinsert of the same tuple would otherwise see its own
-   fresh copy as live while the dead one still sits in the bucket. *)
+let read_only r op =
+  if is_slice r then
+    invalid_arg
+      (Printf.sprintf "Relation.%s(%s): a slice is read-only" op r.name)
+
+(* ------------------------------------------------------------------ *)
+(* Membership                                                          *)
+
+(* The table position holding [t]'s slot, or [-1 - p] where [p] is the
+   position an insert of [t] takes: the first tombstone on its probe
+   path, or the empty entry that ends the path.  Top-level recursion, so
+   a lookup allocates nothing. *)
+let rec locate order table mask t i free =
+  let s = table.(i) in
+  if s = empty then -1 - (if free >= 0 then free else i)
+  else if s = tomb then
+    let free = if free >= 0 then free else i in
+    locate order table mask t ((i + 1) land mask) free
+  else if Tuple.equal order.(s) t then i
+  else locate order table mask t ((i + 1) land mask) free
+
+let position rows t =
+  let mask = Array.length rows.table - 1 in
+  locate rows.order rows.table mask t (Tuple.hash t land mask) (-1)
+
+(* The slot of [t], or [-1]. *)
+let find_slot rows t =
+  let p = position rows t in
+  if p >= 0 then rows.table.(p) else -1
+
+(* Rebuild the table from [order] at a capacity that leaves room for as
+   many inserts as there are live tuples before the next rebuild. *)
+let rehash rows =
+  let cap = ref min_table in
+  while !cap < 4 * rows.size do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let table = Array.make !cap empty in
+  for s = 0 to rows.filled - 1 do
+    let t = rows.order.(s) in
+    if t != gone then begin
+      let i = ref (Tuple.hash t land mask) in
+      while table.(!i) <> empty do
+        i := (!i + 1) land mask
+      done;
+      table.(!i) <- s
+    end
+  done;
+  rows.table <- table;
+  rows.used <- rows.size
+
+(* Slots from [filled] on are never read.  They hold the static [[||]]
+   rather than [gone]: [Array.make] of a large array forces a minor
+   collection when its initial value is a young block. *)
+let grow rows =
+  let cap = Array.length rows.order in
+  let order' = Array.make (if cap = 0 then 16 else 2 * cap) [||] in
+  Array.blit rows.order 0 order' 0 cap;
+  rows.order <- order'
+
+let insert r tuple =
+  if Array.length tuple <> r.arity then
+    invalid_arg
+      (Printf.sprintf "Relation.insert(%s): arity %d, tuple of width %d"
+         r.name r.arity (Array.length tuple));
+  read_only r "insert";
+  let rows = r.rows in
+  if 2 * (rows.used + 1) > Array.length rows.table then rehash rows;
+  let p = position rows tuple in
+  if p >= 0 then false
+  else begin
+    let i = -1 - p in
+    if rows.table.(i) = empty then rows.used <- rows.used + 1;
+    if rows.filled = Array.length rows.order then grow rows;
+    rows.table.(i) <- rows.filled;
+    rows.order.(rows.filled) <- tuple;
+    rows.filled <- rows.filled + 1;
+    rows.size <- rows.size + 1;
+    true
+  end
+
+let mem r tuple =
+  let s = find_slot r.rows tuple in
+  s >= r.lo && (r.hi < 0 || s < r.hi)
+
+let cardinal r = if is_slice r then r.count else r.rows.size
+let is_empty r = cardinal r = 0
+
+(* ------------------------------------------------------------------ *)
+(* Hash indexes                                                        *)
+
+(* Drop dead tuples from a bucket (see [index] for the liveness rule). *)
 let bucket_compact r idx b =
   if b.dead > 0 then begin
-    b.tuples <- List.filter (fun t -> Tuple.Tbl.mem r.slots t) b.tuples;
+    b.tuples <-
+      List.filter
+        (fun t ->
+          let s = find_slot r.rows t in
+          s >= 0 && s < idx.upto)
+        b.tuples;
     idx.idead <- idx.idead - b.dead;
     b.dead <- 0
   end
@@ -88,121 +216,129 @@ let bucket_tuples r idx b =
 
 let index_add r idx tuple =
   let key = Tuple.project idx.cols tuple in
-  match Tuple.Tbl.find_opt idx.map key with
-  | Some b ->
+  match Tuple.Tbl.find idx.map key with
+  | b ->
     bucket_compact r idx b;
     b.tuples <- tuple :: b.tuples;
     b.blen <- b.blen + 1
-  | None -> Tuple.Tbl.add idx.map key { tuples = [ tuple ]; blen = 1; dead = 0 }
+  | exception Not_found ->
+    Tuple.Tbl.add idx.map key { tuples = [ tuple ]; blen = 1; dead = 0 }
 
-let grow r =
-  let cap = Array.length r.order in
-  let cap' = if cap = 0 then 16 else 2 * cap in
-  let order' = Array.make cap' None in
-  Array.blit r.order 0 order' 0 cap;
-  r.order <- order'
+(* Index the positions from the watermark up to the relation's end,
+   oldest first, so each bucket lists its tuples newest first. *)
+let catch_up r idx =
+  let hi = limit r in
+  while idx.upto < hi do
+    let t = r.rows.order.(idx.upto) in
+    if t != gone then index_add r idx t;
+    idx.upto <- idx.upto + 1
+  done
 
-let insert r tuple =
-  if Array.length tuple <> r.arity then
-    invalid_arg
-      (Printf.sprintf "Relation.insert(%s): arity %d, tuple of width %d"
-         r.name r.arity (Array.length tuple));
-  if Tuple.Tbl.mem r.slots tuple then false
+let index_remove idx tuple =
+  let key = Tuple.project idx.cols tuple in
+  match Tuple.Tbl.find_opt idx.map key with
+  | None -> ()
+  | Some b ->
+    b.blen <- b.blen - 1;
+    if b.blen = 0 then begin
+      (* no dead buckets *)
+      idx.idead <- idx.idead - b.dead;
+      Tuple.Tbl.remove idx.map key
+    end
+    else begin
+      b.dead <- b.dead + 1;
+      idx.idead <- idx.idead + 1
+    end
+
+(* Squeeze out the [gone] slots.  Watermarks are positions, so every
+   hash index is caught up first and then covers the whole compacted
+   store; a sorted projection is rebuilt on its next read. *)
+let compact r =
+  Hashtbl.iter (fun _ idx -> catch_up r idx) r.indexes;
+  let rows = r.rows in
+  let j = ref 0 in
+  for i = 0 to rows.filled - 1 do
+    let t = rows.order.(i) in
+    if t != gone then begin
+      rows.order.(!j) <- t;
+      incr j
+    end
+  done;
+  Array.fill rows.order !j (rows.filled - !j) [||];
+  rows.filled <- !j;
+  rehash rows;
+  Hashtbl.iter (fun _ idx -> idx.upto <- !j) r.indexes;
+  Hashtbl.iter (fun _ s -> s.stale <- true) r.sorted_idx
+
+let remove r tuple =
+  read_only r "remove";
+  let rows = r.rows in
+  let p = position rows tuple in
+  if p < 0 then false
   else begin
-    (* indexes before slots: see [bucket_compact] *)
-    Hashtbl.iter (fun _ idx -> index_add r idx tuple) r.indexes;
+    let slot = rows.table.(p) in
+    let stored = rows.order.(slot) in
+    rows.table.(p) <- tomb;
+    rows.order.(slot) <- gone;
+    rows.size <- rows.size - 1;
     Hashtbl.iter
-      (fun _ s ->
-        if not s.stale then begin
-          s.pending <- tuple :: s.pending;
-          s.npending <- s.npending + 1
-        end)
+      (fun _ idx -> if slot < idx.upto then index_remove idx stored)
+      r.indexes;
+    Hashtbl.iter
+      (fun _ s -> if slot < s.supto then s.stale <- true)
       r.sorted_idx;
-    if r.filled = Array.length r.order then grow r;
-    r.order.(r.filled) <- Some tuple;
-    Tuple.Tbl.add r.slots tuple r.filled;
-    r.filled <- r.filled + 1;
-    r.size <- r.size + 1;
+    if rows.filled > 64 && rows.filled > 2 * rows.size then compact r;
     true
   end
 
-let compact r =
-  let j = ref 0 in
-  for i = 0 to r.filled - 1 do
-    match r.order.(i) with
-    | None -> ()
-    | Some tuple as slot ->
-      r.order.(!j) <- slot;
-      Tuple.Tbl.replace r.slots tuple !j;
-      incr j
-  done;
-  Array.fill r.order !j (r.filled - !j) None;
-  r.filled <- !j
-
-let remove r tuple =
-  match Tuple.Tbl.find_opt r.slots tuple with
-  | None -> false
-  | Some slot ->
-    Tuple.Tbl.remove r.slots tuple;
-    r.order.(slot) <- None;
-    r.size <- r.size - 1;
-    Hashtbl.iter
-      (fun _ idx ->
-        let key = Tuple.project idx.cols tuple in
-        match Tuple.Tbl.find_opt idx.map key with
-        | None -> ()
-        | Some b ->
-          b.blen <- b.blen - 1;
-          if b.blen = 0 then begin
-            (* no dead buckets *)
-            idx.idead <- idx.idead - b.dead;
-            Tuple.Tbl.remove idx.map key
-          end
-          else begin
-            b.dead <- b.dead + 1;
-            idx.idead <- idx.idead + 1
-          end)
-      r.indexes;
-    Hashtbl.iter
-      (fun _ s ->
-        if not s.stale then begin
-          s.stale <- true;
-          s.pending <- [];
-          s.npending <- 0
-        end)
-      r.sorted_idx;
-    if r.filled > 64 && r.filled > 2 * r.size then compact r;
-    true
-
-let mem r tuple = Tuple.Tbl.mem r.slots tuple
-let cardinal r = r.size
-let is_empty r = r.size = 0
+(* ------------------------------------------------------------------ *)
+(* Enumeration                                                         *)
 
 let iter f r =
-  for i = 0 to r.filled - 1 do
-    match r.order.(i) with None -> () | Some tuple -> f tuple
+  let rows = r.rows in
+  for i = r.lo to limit r - 1 do
+    (* [rows.order] is re-read: [f] may grow the store *)
+    let t = rows.order.(i) in
+    if t != gone then f t
   done
 
 let fold f r init =
   let acc = ref init in
-  for i = 0 to r.filled - 1 do
-    match r.order.(i) with None -> () | Some tuple -> acc := f tuple !acc
+  for i = r.lo to limit r - 1 do
+    let t = r.rows.order.(i) in
+    if t != gone then acc := f t !acc
   done;
   !acc
 
-let to_list r =
+let collect r from =
   let acc = ref [] in
-  for i = r.filled - 1 downto 0 do
-    match r.order.(i) with None -> () | Some tuple -> acc := tuple :: !acc
+  for i = limit r - 1 downto max from r.lo do
+    let t = r.rows.order.(i) in
+    if t != gone then acc := t :: !acc
   done;
   !acc
 
-let added_since r mark =
-  let acc = ref [] in
-  for i = r.filled - 1 downto mark do
-    match r.order.(i) with None -> () | Some tuple -> acc := tuple :: !acc
+let to_list r = collect r r.lo
+let added_since r mark = (collect r mark, limit r)
+
+let live_between rows lo hi =
+  let n = ref 0 in
+  for i = lo to hi - 1 do
+    if rows.order.(i) != gone then incr n
   done;
-  (!acc, r.filled)
+  !n
+
+let since r mark =
+  let lo = max mark r.lo in
+  let hi = limit r in
+  { r with
+    lo;
+    hi;
+    count = live_between r.rows lo hi;
+    indexes = Hashtbl.create 4;
+    sorted_idx = Hashtbl.create 4;
+    generation = 0
+  }
 
 (* Column sets are validated here, once per index creation, rather than on
    every probe: callers ([select], [prepare]) always pass a sorted list. *)
@@ -216,16 +352,23 @@ let check_cols cols_list =
   check cols_list
 
 let get_index r cols_list =
-  match Hashtbl.find_opt r.indexes cols_list with
-  | Some idx -> idx
-  | None ->
-    check_cols cols_list;
-    let idx =
-      { cols = Array.of_list cols_list; map = Tuple.Tbl.create 64; idead = 0 }
-    in
-    iter (fun t -> index_add r idx t) r;
-    Hashtbl.add r.indexes cols_list idx;
-    idx
+  let idx =
+    match Hashtbl.find_opt r.indexes cols_list with
+    | Some idx -> idx
+    | None ->
+      check_cols cols_list;
+      let idx =
+        { cols = Array.of_list cols_list;
+          map = Tuple.Tbl.create 64;
+          idead = 0;
+          upto = r.lo
+        }
+      in
+      Hashtbl.add r.indexes cols_list idx;
+      idx
+  in
+  catch_up r idx;
+  idx
 
 (* Shared by [select] and [select_count]: sort the bindings by column,
    collapse duplicates (two equal bindings on one column are redundant;
@@ -258,7 +401,7 @@ let select r bindings =
 
 let select_count r bindings =
   match bindings with
-  | [] -> (to_list r, r.size)
+  | [] -> (to_list r, cardinal r)
   | _ -> (
     match find_bucket r bindings with
     | None -> ([], 0)
@@ -267,7 +410,8 @@ let select_count r bindings =
 (* Pre-resolved index handles.  [prepare] validates and sorts the column
    set once, at plan-compile time; [probe] then memoises the index of the
    last relation it was used against, so the per-call cost is a single
-   physical-equality + generation check followed by one hash lookup. *)
+   physical-equality + generation check, the watermark test, and one hash
+   lookup. *)
 type access = {
   acols : int list;  (* sorted, duplicate-free *)
   mutable m_rel : t option;  (* relation the memo belongs to (physical) *)
@@ -289,6 +433,7 @@ let access_index r a =
   | Some idx
     when (match a.m_rel with Some r' -> r' == r | None -> false)
          && a.m_gen = r.generation ->
+    catch_up r idx;
     idx
   | _ ->
     let idx = get_index r a.acols in
@@ -299,20 +444,20 @@ let access_index r a =
 
 let probe r a key =
   let idx = access_index r a in
-  match Tuple.Tbl.find_opt idx.map key with
-  | None -> ([], 0)
-  | Some b -> (bucket_tuples r idx b, b.blen)
+  match Tuple.Tbl.find idx.map key with
+  | b -> (bucket_tuples r idx b, b.blen)
+  | exception Not_found -> ([], 0)
 
 (* ------------------------------------------------------------------ *)
 (* Frozen read-only views
 
    A worker domain may probe a relation only through a [frozen] handle
    the coordinator prepared while it was the sole accessor: {!freeze}
-   resolves (and lazily builds) the index and compacts away every dead
-   bucket entry up front, so {!probe_frozen} is a pure hashtable lookup
-   that mutates nothing — no bucket compaction, no handle memoisation.
-   On the fixpoint path (no removals) [idead] is 0 and freezing an
-   already-built index is O(1).
+   resolves (and lazily builds or catches up) the index and compacts
+   away every dead bucket entry up front, so {!probe_frozen} is a pure
+   hashtable lookup that mutates nothing — no catching up, no bucket
+   compaction, no handle memoisation.  On the fixpoint path (no
+   removals) [idead] is 0 and freezing an up-to-date index is O(1).
 
    The handle is only valid while the relation is not written; the
    parallel executor ({!Datalog_engine.Par}) freezes per rule
@@ -372,36 +517,43 @@ let sorted_ensure s cap =
     true
   end
 
-(* Bring a projection up to date.  Both paths preserve the invariant
-   that equal keys are ordered newest-insertion-first: a full rebuild
-   lists tuples newest-first before the stable sort, and the pending run
-   (newest first by construction, and younger than everything in
+(* The live rows of positions [lo, hi), newest first. *)
+let newest_first r lo hi =
+  let run = Array.make (live_between r.rows lo hi) ([||] : Tuple.t) in
+  let j = ref 0 in
+  for i = hi - 1 downto lo do
+    let t = r.rows.order.(i) in
+    if t != gone then begin
+      run.(!j) <- t;
+      incr j
+    end
+  done;
+  run
+
+(* Bring a projection up to its relation's end.  Both paths preserve the
+   invariant that equal keys are ordered newest-insertion-first: a full
+   rebuild lists tuples newest-first before the stable sort, and the run
+   since the watermark (newest first, and younger than everything in
    [srows]) wins ties in the merge. *)
 let refresh_sorted r s =
+  let hi = limit r in
   if s.stale then begin
     (* removals are rare on the fixpoint path, so the rebuild allocates
        exact-size buffers (the whole array must be sorted, and the stdlib
        sort has no prefix variant) *)
-    let rows = Array.make r.size ([||] : Tuple.t) in
-    let j = ref 0 in
-    for i = r.filled - 1 downto 0 do
-      match r.order.(i) with
-      | None -> ()
-      | Some t ->
-        rows.(!j) <- t;
-        incr j
-    done;
+    let rows = newest_first r r.lo hi in
     Array.stable_sort (key_compare s.scols) rows;
+    let n = Array.length rows in
     s.srows <- rows;
-    s.slen <- r.size;
-    s.skeys <- Array.map (fun _ -> Array.make r.size (Code.of_int 0)) s.scols;
+    s.slen <- n;
+    s.skeys <- Array.map (fun _ -> Array.make n (Code.of_int 0)) s.scols;
     columnize_from s 0;
-    s.pending <- [];
-    s.npending <- 0;
+    s.supto <- hi;
     s.stale <- false
   end
-  else if s.npending > 0 then begin
-    let run = Array.of_list s.pending in
+  else if s.supto < hi then begin
+    let run = newest_first r s.supto hi in
+    s.supto <- hi;
     Array.stable_sort (key_compare s.scols) run;
     let nb = s.slen and nr = Array.length run in
     let grew = sorted_ensure s (nb + nr) in
@@ -426,9 +578,7 @@ let refresh_sorted r s =
       decr m
     done;
     s.slen <- nb + nr;
-    columnize_from s (if grew then 0 else !m + 1);
-    s.pending <- [];
-    s.npending <- 0
+    columnize_from s (if grew then 0 else !m + 1)
   end
 
 let get_sorted r cols_list =
@@ -441,8 +591,7 @@ let get_sorted r cols_list =
         srows = [||];
         skeys = [||];
         slen = 0;
-        pending = [];
-        npending = 0;
+        supto = r.lo;
         stale = true
       }
     in
@@ -495,10 +644,13 @@ let copy r =
   fresh
 
 let clear r =
-  Tuple.Tbl.reset r.slots;
-  r.order <- [||];
-  r.filled <- 0;
-  r.size <- 0;
+  read_only r "clear";
+  let rows = r.rows in
+  rows.order <- [||];
+  rows.filled <- 0;
+  rows.size <- 0;
+  rows.table <- Array.make min_table empty;
+  rows.used <- 0;
   Hashtbl.reset r.indexes;
   Hashtbl.reset r.sorted_idx;
   r.generation <- r.generation + 1

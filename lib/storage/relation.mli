@@ -1,13 +1,20 @@
-(** In-memory relations with on-demand hash indexes and sorted columnar
-    projections.
+(** In-memory relations: an insertion-order row array that membership,
+    hash indexes, sorted columnar projections and delta slices all index
+    into.
 
-    A relation stores a set of tuples of a fixed arity.  Lookups with a
-    partial binding ([select]) create (once) and then maintain a hash index
-    keyed on the bound columns, which makes the nested-loop joins of the
-    evaluators index-backed.  Independently, {!sorted_view} maintains
-    per-column-set sorted projections (column-major key arrays over rows
-    ordered by raw code), which back the galloping merge joins of the plan
-    executor. *)
+    Membership is an open-addressing table of slot numbers into the row
+    array.  Lookups with a partial binding ([select], [probe]) create
+    (once) a hash index keyed on the bound columns, which makes the
+    nested-loop joins of the evaluators index-backed; {!sorted_view}
+    maintains per-column-set sorted projections (column-major key arrays
+    over rows ordered by raw code), which back the galloping merge joins
+    of the plan executor.  Neither is touched by {!insert}: each covers
+    the row positions below its own watermark and catches up from there
+    when it is next read, so an index nobody reads again costs nothing.
+
+    {!since} is a read-only slice of a relation: the rows inserted after
+    a {!mark}, sharing the parent's rows and membership, with indexes of
+    its own — the semi-naive delta of a fixpoint round. *)
 
 open Datalog_ast
 
@@ -20,17 +27,18 @@ val arity : t -> int
 
 val insert : t -> Tuple.t -> bool
 (** Add a tuple; returns [true] iff it was not already present.
-    @raise Invalid_argument on arity mismatch. *)
+    @raise Invalid_argument on arity mismatch, or on a slice. *)
 
 val remove : t -> Tuple.t -> bool
 (** Delete a tuple; returns [true] iff it was present.  O(#indexes):
     the insertion-order slot is tombstoned (and the array compacted once
-    tombstones dominate), and each index bucket merely counts the
-    deletion — dead entries are filtered out the next time the bucket is
-    read, which the reader pays nothing extra for since it walks the
-    bucket anyway.  A bucket emptied by deletions is removed rather than
-    left behind.  Sorted projections are marked stale and rebuilt on
-    their next read. *)
+    tombstones dominate), and each index that already covers the slot
+    merely counts the deletion in its bucket — dead entries are filtered
+    out the next time the bucket is read, which the reader pays nothing
+    extra for since it walks the bucket anyway.  A bucket emptied by
+    deletions is removed rather than left behind.  Sorted projections
+    covering the slot are marked stale and rebuilt on their next read.
+    @raise Invalid_argument on a slice. *)
 
 val mem : t -> Tuple.t -> bool
 val cardinal : t -> int
@@ -52,6 +60,24 @@ val added_since : t -> int -> Tuple.t list * int
     start.  Marks assume an insert-only relation: a {!remove} may compact
     the order array and shift later tuples below an earlier mark. *)
 
+val mark : t -> int
+(** The insertion-order position the next insert takes: a mark for
+    {!added_since} and {!since}. *)
+
+val since : t -> int -> t
+(** [since r mark] is a read-only slice of [r]: the live tuples inserted
+    at or after position [mark] and before [mark r], in insertion order.
+    It shares [r]'s rows and membership table (no tuple is copied) and
+    builds its own hash indexes and sorted projections lazily, so a
+    slice's buckets and sorted views list its tuples exactly as a fresh
+    relation holding them in that order would.  {!insert}, {!remove} and
+    {!clear} on a slice raise [Invalid_argument].
+
+    Validity: the slice stays valid while [r] is insert-only after
+    [mark], as for {!added_since}; inserts past the slice's end, and the
+    growth and rehashing they cause, leave it unchanged.  A {!remove} or
+    {!clear} on [r] invalidates it. *)
+
 val select : t -> (int * Code.t) list -> Tuple.t list
 (** [select r bindings] returns the tuples agreeing with the given
     [(column, code)] constraints, using (and building if necessary) a hash
@@ -72,31 +98,32 @@ val prepare : int list -> access
 (** [prepare cols] validates and sorts [cols] once.  The handle is not
     tied to a relation: it memoises the index of the last relation it was
     probed against (checked by physical equality and a generation counter
-    bumped by {!clear}), so one handle can serve e.g. a per-round delta
-    relation that changes identity between rounds.
+    bumped by {!clear}), so one handle can serve e.g. the per-round delta
+    slice ({!since}) that changes identity between rounds.
     @raise Invalid_argument on duplicate or negative columns. *)
 
 val probe : t -> access -> Code.t array -> Tuple.t list * int
 (** [probe r a key] returns the bucket of tuples whose projection onto the
     prepared columns equals [key], plus its length in O(1).  [key] codes
     must be in ascending column order (the order of the sorted [cols]
-    given to {!prepare}). *)
+    given to {!prepare}).  Rows inserted since the index was last read
+    are indexed first. *)
 
 type frozen
 (** A read-only snapshot handle of one hash index, for worker domains:
     {!probe_frozen} through it is a pure lookup that mutates neither the
     relation, the index buckets, nor any handle memo — unlike {!probe},
-    which may build the index, re-memoise the handle, and compact
-    buckets in place.  Only valid while the relation is not written
-    (the parallel executor freezes per rule application, while the
-    coordinator is the sole accessor). *)
+    which may build or catch up the index, re-memoise the handle, and
+    compact buckets in place.  Only valid while the relation is not
+    written (the parallel executor freezes per rule application, while
+    the coordinator is the sole accessor). *)
 
 val freeze : t -> access -> frozen
-(** Resolve (building if necessary) the index behind [a] and compact
-    every dead bucket entry up front, so concurrent {!probe_frozen}
-    calls have nothing left to mutate.  O(1) plus the deferred
-    compaction work — free when no tuple was removed since the last
-    read. *)
+(** Resolve (building or catching up if necessary) the index behind [a]
+    and compact every dead bucket entry up front, so concurrent
+    {!probe_frozen} calls have nothing left to mutate.  O(1) plus the
+    deferred catch-up and compaction work — free when nothing was
+    inserted or removed since the last read. *)
 
 val probe_frozen : frozen -> Code.t array -> Tuple.t list * int
 (** Like {!probe}, against the frozen index.  Safe to call from several
@@ -129,14 +156,17 @@ val sorted_view : t -> sorted_access -> sorted_view
 (** [sorted_view r a] is the up-to-date sorted projection of [r] on the
     prepared columns, building it lazily on first use.  Inserts since the
     last view are absorbed as a sorted run merged in place into the
-    buffers (amortized O(run) allocation); removals force a full rebuild.
+    buffers (amortized O(run) allocation); removals of rows the
+    projection already covers force a full rebuild.
     The returned arrays are owned by the relation and must not be
     mutated; they are valid until the next mutation of [r]. *)
 
 val copy : t -> t
-(** A fresh relation with the same tuples (indexes are not copied). *)
+(** A fresh relation with the same tuples (indexes are not copied); the
+    copy of a slice is an ordinary, writable relation. *)
 
 val clear : t -> unit
+(** @raise Invalid_argument on a slice. *)
 
 val union_into : src:t -> dst:t -> int
 (** Insert every tuple of [src] into [dst]; returns how many were new. *)

@@ -79,7 +79,16 @@ let matches atom =
   let p = pattern atom in
   fun (t : t) -> Array.length t = p.arity && accepts p t
 
-let project cols (t : t) = Array.map (fun i -> t.(i)) cols
+let project cols (t : t) =
+  let n = Array.length cols in
+  if n = 0 then [||]
+  else begin
+    let key = Array.make n t.(cols.(0)) in
+    for i = 1 to n - 1 do
+      key.(i) <- t.(cols.(i))
+    done;
+    key
+  end
 
 let add_atom buf pred (t : t) =
   Buffer.add_string buf (Pred.name pred);

@@ -110,6 +110,38 @@ let prop_resume_stratified =
            (L.make ~max_facts:45 ())
            pq)
 
+(* Fact budgets that trip inside later rounds of a chain closure: the
+   saved delta must hold the interrupted round's input and its partial
+   output (facts already in the database, whose consequences the redone
+   round would otherwise never derive).  The second leg's budget trips
+   in the first round after the resume, whose delta was read back from
+   the checkpoint rather than sliced from the database. *)
+let test_resume_twice_midround () =
+  let program = W.ancestor_chain 16 in
+  let query = atom "anc(0, X)" in
+  let seminaive = { O.default with O.strategy = O.Seminaive } in
+  let full = run_exn ~options:seminaive program query in
+  let path = ckpt_path () in
+  let run limits resume_from =
+    let options =
+      { seminaive with O.limits; checkpoint = Ck.create ~path () }
+    in
+    run_exn ~options ?resume_from program query
+  in
+  List.iter
+    (fun first ->
+      let r1 = run (L.make ~max_facts:first ()) None in
+      check tbool "first leg interrupted" true (S.incomplete r1);
+      let r2 = run (L.make ~max_facts:(first + 5) ()) (Some (load_exn path)) in
+      check tbool "second leg interrupted" true (S.incomplete r2);
+      let r3 = run L.none (Some (load_exn path)) in
+      check tbool
+        (Printf.sprintf "resumed twice from %d facts: full answers" first)
+        true
+        (r3.S.answers = full.S.answers))
+    [ 40; 53; 67; 80; 94; 105; 117 ];
+  rm path
+
 (* -------------------------------------------------------------------- *)
 (* Simulated kills: a crash after the n-th save leaves a valid
    checkpoint, and resuming it completes to the full answers *)
@@ -393,6 +425,8 @@ let suite =
   [ ( "checkpoint",
       [ Alcotest.test_case "kill after nth save resumes" `Quick
           test_kill_after_save_resumes;
+        Alcotest.test_case "resume twice, mid-round both times" `Quick
+          test_resume_twice_midround;
         Alcotest.test_case "sparse save cadence" `Quick test_save_cadence;
         Alcotest.test_case "logged state on a chain" `Quick
           test_logged_state_chain;

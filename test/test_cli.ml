@@ -196,7 +196,11 @@ let test_stats_prints_profile () =
   in
   check tint "exit 0" 0 code;
   check tbool "per-rule profile section" true
-    (contains ~sub:"per-rule profile" out)
+    (contains ~sub:"per-rule profile" out);
+  check tbool "gc line" true
+    (contains ~sub:"% gc: minor_words=" out
+    && contains ~sub:" major_collections=" out
+    && contains ~sub:" top_heap_words=" out)
 
 let suite =
   [ ( "cli",

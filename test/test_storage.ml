@@ -45,7 +45,9 @@ let test_tuple_primitives_allocation_free () =
 
 (* One round of a chain closure derives the pairs (i, i + d): under a
    plain [h*31 + code] combine they all share one bucket of a 64-slot
-   table, and every insert walks that bucket. *)
+   table, and every insert walks that bucket.  On a fresh relation of a
+   few hundred tuples the amortised doubling of its row array and
+   membership table comes to about 5 words per insert. *)
 let test_closure_round_insert_cost () =
   let d = 7 and n = 200 in
   let tuples = List.init n (fun i -> tup [ i; i + d ]) in
@@ -58,6 +60,57 @@ let test_closure_round_insert_cost () =
   let per_insert = words /. float_of_int n in
   if per_insert >= 64. then
     Alcotest.failf "%.1f minor words per insert (limit 64)" per_insert
+
+(* All rounds of the 400-node chain closure (79,800 facts, the closure
+   benchmark's relation), so that the count is the per-insert
+   bookkeeping rather than the growth of a small relation.  An index or
+   projection registered before the inserts is caught up when it is next
+   read, not by the inserts; that case also measures the reads.  Catching
+   up costs about 7 words per fact: 2 for the projected key and 3 for the
+   bucket entry of the hash index, and 2 in the stdlib's stable sort of
+   the projection's run. *)
+let test_closure_insert_cost () =
+  let chain = 400 in
+  let tuples =
+    List.concat_map
+      (fun d -> List.init (chain - d) (fun i -> tup [ i; i + d ]))
+      (List.init (chain - 1) succ)
+  in
+  let n = List.length tuples in
+  let per_fact name words limit =
+    let per = words /. float_of_int n in
+    if per > limit then
+      Alcotest.failf "%s: %.1f minor words per fact (limit %g)" name per limit
+  in
+  let inserted name register =
+    let r = Relation.create 2 in
+    register r;
+    let words =
+      minor_words_of (fun () ->
+          List.iter (fun t -> ignore (Relation.insert r t)) tuples)
+    in
+    check tint (name ^ ": all inserted") n (Relation.cardinal r);
+    per_fact (name ^ ": inserts") words 4.;
+    (r, words)
+  in
+  ignore (inserted "no index" ignore);
+  let key = [ (0, Code.of_int 0) ] and by_dst = Relation.prepare_sorted [ 1 ] in
+  let r, insert_words =
+    inserted "hash index and sorted projection" (fun r ->
+        ignore (Relation.select r key);
+        ignore (Relation.sorted_view r by_dst))
+  in
+  let found = ref [] and view = ref None in
+  let read_words =
+    minor_words_of (fun () ->
+        found := Relation.select r key;
+        view := Some (Relation.sorted_view r by_dst))
+  in
+  per_fact "inserts and catch-up" (insert_words +. read_words) 8.;
+  check tint "select after catch-up" (chain - 1) (List.length !found);
+  match !view with
+  | Some v -> check tint "projection after catch-up" n v.Relation.sv_len
+  | None -> assert false
 
 let test_tuple_project () =
   let t = tup [ 10; 20; 30 ] in
@@ -440,6 +493,248 @@ let test_relation_compaction_preserves_order () =
   check tbool "mem after compaction" true (Relation.mem r (tup [ 1000 ]));
   check tbool "removed stay removed" false (Relation.mem r (tup [ 0 ]))
 
+(* Model-based check of a relation's read paths under insert/remove
+   churn, against a list of the live tuples in insertion order (which
+   fixes the newest-first bucket order and the sorted views' tie order).
+   Every operation builds a fresh tuple array, so a reinsert is an equal
+   but physically distinct tuple; indexes and projections come into
+   being at whichever read first uses their column set. *)
+type rel_op =
+  | Ins of int * int
+  | Del of int * int
+  | Mem of int * int
+  | Sel of int * int * int  (* column mask, a, b *)
+  | Probe of int * int * int  (* column set, a, b *)
+  | Frozen of int * int * int
+  | Sorted of int
+
+let col_sets = [| [ 0 ]; [ 1 ]; [ 0; 1 ] |]
+
+let prop_relation_model =
+  let open QCheck.Gen in
+  let v = int_bound 4 and c = int_bound 2 in
+  let op =
+    frequency
+      [ (5, map2 (fun a b -> Ins (a, b)) v v);
+        (3, map2 (fun a b -> Del (a, b)) v v);
+        (1, map2 (fun a b -> Mem (a, b)) v v);
+        (1, map3 (fun m a b -> Sel (m, a, b)) (int_bound 3) v v);
+        (1, map3 (fun k a b -> Probe (k, a, b)) c v v);
+        (1, map3 (fun k a b -> Frozen (k, a, b)) c v v);
+        (1, map (fun k -> Sorted k) c)
+      ]
+  in
+  QCheck.Test.make ~name:"relation agrees with a list model" ~count:300
+    (QCheck.make (list_size (int_range 0 300) op))
+    (fun ops ->
+      let r = Relation.create 2 in
+      let accs = Array.map Relation.prepare col_sets in
+      let saccs = Array.map Relation.prepare_sorted col_sets in
+      let live = ref [] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let present t = List.exists (Tuple.equal t) !live in
+      let key k t = Array.of_list (List.map (fun i -> t.(i)) col_sets.(k)) in
+      let bucket k kv =
+        List.rev (List.filter (fun t -> Tuple.equal (key k t) kv) !live)
+      in
+      let check_probe k (a, b) =
+        let kv = key k (tup [ a; b ]) in
+        let ts, n = Relation.probe r accs.(k) kv in
+        expect (List.equal Tuple.equal ts (bucket k kv) && n = List.length ts)
+      in
+      let check_frozen k (a, b) =
+        let kv = key k (tup [ a; b ]) in
+        let ts, n = Relation.probe_frozen (Relation.freeze r accs.(k)) kv in
+        expect (List.equal Tuple.equal ts (bucket k kv) && n = List.length ts)
+      in
+      let check_sorted k =
+        let w = Relation.sorted_view r saccs.(k) in
+        let rows =
+          List.init w.Relation.sv_len (fun i -> w.Relation.sv_rows.(i))
+        in
+        let by_key x y = compare (key k x) (key k y) in
+        let expected = List.stable_sort by_key (List.rev !live) in
+        expect (List.equal Tuple.equal rows expected);
+        List.iteri
+          (fun j col ->
+            List.iteri
+              (fun i t ->
+                expect (Code.equal w.Relation.sv_keys.(j).(i) t.(col)))
+              rows)
+          col_sets.(k)
+      in
+      let apply = function
+        | Ins (a, b) ->
+          let t = tup [ a; b ] in
+          let fresh = not (present t) in
+          expect (Relation.insert r t = fresh);
+          if fresh then live := !live @ [ t ]
+        | Del (a, b) ->
+          let t = tup [ a; b ] in
+          expect (Relation.remove r t = present t);
+          live := List.filter (fun u -> not (Tuple.equal t u)) !live
+        | Mem (a, b) ->
+          let t = tup [ a; b ] in
+          expect (Relation.mem r t = present t)
+        | Sel (mask, a, b) ->
+          let bindings =
+            (if mask land 1 <> 0 then [ (0, Code.of_int a) ] else [])
+            @ if mask land 2 <> 0 then [ (1, Code.of_int b) ] else []
+          in
+          let matching =
+            List.filter
+              (fun t ->
+                List.for_all (fun (i, c) -> Code.equal t.(i) c) bindings)
+              !live
+          in
+          (* a bound select reads a bucket (newest first), [] the order *)
+          let expected =
+            if bindings = [] then matching else List.rev matching
+          in
+          let ts, n = Relation.select_count r bindings in
+          expect (List.equal Tuple.equal ts expected && n = List.length ts)
+        | Probe (k, a, b) -> check_probe k (a, b)
+        | Frozen (k, a, b) -> check_frozen k (a, b)
+        | Sorted k -> check_sorted k
+      in
+      let check_all () =
+        expect (List.equal Tuple.equal (Relation.to_list r) !live);
+        expect (Relation.cardinal r = List.length !live);
+        let values = List.init 5 Fun.id in
+        Array.iteri
+          (fun k _ ->
+            check_sorted k;
+            List.iter
+              (fun a -> List.iter (fun b -> check_probe k (a, b)) values)
+              values)
+          col_sets
+      in
+      List.iter apply ops;
+      check_all ();
+      (* compaction while indexes lag: bring only the first index and
+         projection up to date, then remove enough to cross the
+         compaction threshold (more than 64 slots, under half live) *)
+      let extra = List.init 80 (fun i -> (10 + i, i mod 5)) in
+      List.iter (fun (a, b) -> apply (Ins (a, b))) extra;
+      check_probe 0 (12, 0);
+      check_sorted 0;
+      List.iter (fun (a, b) -> apply (Del (a, b))) extra;
+      (* removed, then inserted again as a distinct array *)
+      List.iter apply [ Ins (10, 0); Ins (11, 1); Ins (0, 0) ];
+      List.iter apply [ Del (10, 0); Del (0, 0); Ins (0, 0) ];
+      check_all ();
+      List.iter
+        (fun ab ->
+          check_probe 0 ab;
+          check_frozen 2 ab)
+        [ (10, 0); (11, 1) ];
+      !ok)
+
+(* Property: a slice since a mark is exactly the tuples inserted after
+   it, reads like a fresh relation holding them, and is unmoved by the
+   parent's later growth (row array and membership table rehashed). *)
+let prop_slice_since_mark =
+  let gen =
+    QCheck.Gen.(
+      let pairs = list_size (int_bound 40) (pair (int_bound 5) (int_bound 5)) in
+      triple pairs pairs bool)
+  in
+  QCheck.Test.make ~name:"Relation.since is the tuples after the mark"
+    ~count:300 (QCheck.make gen) (fun (before, after, early) ->
+      let r = Relation.create 2 in
+      let insert_all =
+        List.iter (fun (a, b) -> ignore (Relation.insert r (tup [ a; b ])))
+      in
+      insert_all before;
+      (* an index on the parent, built before the mark or not at all *)
+      if early then ignore (Relation.select r [ (0, Code.of_int 0) ]);
+      let m = Relation.mark r in
+      insert_all after;
+      let s = Relation.since r m in
+      let added = fst (Relation.added_since r m) in
+      let model = Relation.create 2 in
+      List.iter (fun t -> ignore (Relation.insert model t)) added;
+      let codes = List.init 6 Code.of_int in
+      let keys k =
+        List.concat_map
+          (fun a ->
+            List.map
+              (fun b ->
+                Array.of_list (List.map (Array.get [| a; b |]) col_sets.(k)))
+              codes)
+          codes
+      in
+      let probes_agree k =
+        let sa = Relation.prepare col_sets.(k) in
+        let ma = Relation.prepare col_sets.(k) in
+        List.for_all
+          (fun kv ->
+            let ts, n = Relation.probe s sa kv in
+            let us, m = Relation.probe model ma kv in
+            n = m && List.equal ( == ) ts us)
+          (keys k)
+      in
+      let sorted_agree k =
+        let view rel =
+          Relation.sorted_view rel (Relation.prepare_sorted col_sets.(k))
+        in
+        let v = view s and w = view model in
+        v.Relation.sv_len = w.Relation.sv_len
+        && List.for_all
+             (fun i -> v.Relation.sv_rows.(i) == w.Relation.sv_rows.(i))
+             (List.init v.Relation.sv_len Fun.id)
+      in
+      let agrees () =
+        List.equal ( == ) (Relation.to_list s) added
+        && Relation.cardinal s = List.length added
+        && List.for_all (Relation.mem s) added
+        && List.for_all
+             (fun (a, b) ->
+               let t = tup [ a; b ] in
+               Relation.mem s t = List.exists (Tuple.equal t) added)
+             before
+        && List.for_all (fun k -> probes_agree k && sorted_agree k) [ 0; 1; 2 ]
+      in
+      let before_growth = agrees () in
+      insert_all (List.init 300 (fun i -> (100 + i, i)));
+      before_growth && agrees () && not (Relation.mem s (tup [ 100; 0 ])))
+
+let test_slice_read_only () =
+  let r = Relation.create ~name:"r" 1 in
+  ignore (Relation.insert r (tup [ 1 ]));
+  let s = Relation.since r 0 in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s on a slice did not raise" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "insert" (fun () -> ignore (Relation.insert s (tup [ 2 ])));
+  raises "remove" (fun () -> ignore (Relation.remove s (tup [ 1 ])));
+  raises "clear" (fun () -> Relation.clear s);
+  check tint "parent untouched" 1 (Relation.cardinal r);
+  let c = Relation.copy s in
+  check tbool "a copy of a slice is writable" true (Relation.insert c (tup [ 2 ]))
+
+let test_database_since () =
+  let db = Database.create () in
+  let p = Pred.make "since_p" 1 and q = Pred.make "since_q" 1 in
+  ignore (Database.add db p (tup [ 1 ]));
+  let m = Database.marks db in
+  check tint "nothing new yet" 0 (Database.total_facts (Database.since db m));
+  ignore (Database.add db p (tup [ 2 ]));
+  ignore (Database.add db q (tup [ 3 ]));
+  let d = Database.since db m in
+  check tint "both new facts" 2 (Database.total_facts d);
+  check tbool "old fact excluded" false (Database.mem d p (tup [ 1 ]));
+  check tbool "a predicate created after the marks counts from 0" true
+    (Database.mem d q (tup [ 3 ]));
+  ignore (Database.add db (Pred.make "since_r" 1) (tup [ 4 ]));
+  check tbool "unchanged predicates are absent" true
+    (Database.find (Database.since db (Database.marks db)) p = None);
+  check tbool "the slice is not widened by later inserts" false
+    (Database.mem d (Pred.make "since_r" 1) (tup [ 4 ]))
+
 (* Property: the coded renderer writes exactly what [Atom.pp] prints for
    the decoded atom, over symbols, negative ints, ints outside the
    arithmetic code range (dictionary codes) and arity 0. *)
@@ -475,6 +770,8 @@ let suite =
           test_tuple_primitives_allocation_free;
         Alcotest.test_case "closure round insert cost" `Quick
           test_closure_round_insert_cost;
+        Alcotest.test_case "closure insert cost" `Quick
+          test_closure_insert_cost;
         Alcotest.test_case "tuple project" `Quick test_tuple_project;
         Alcotest.test_case "relation dedup" `Quick test_relation_insert_dedup;
         Alcotest.test_case "relation arity" `Quick test_relation_arity_check;
@@ -492,6 +789,8 @@ let suite =
           test_relation_dead_buckets_removed;
         Alcotest.test_case "compaction preserves order" `Quick
           test_relation_compaction_preserves_order;
+        Alcotest.test_case "slice is read-only" `Quick test_slice_read_only;
+        Alcotest.test_case "database since" `Quick test_database_since;
         Alcotest.test_case "database basics" `Quick test_database_basics;
         Alcotest.test_case "database of_facts" `Quick test_database_of_facts_atoms;
         Alcotest.test_case "database copy" `Quick test_database_copy_independent
@@ -502,6 +801,8 @@ let suite =
           prop_index_creation_point_irrelevant;
           prop_select_under_churn;
           prop_sorted_and_probe_under_churn;
+          prop_relation_model;
+          prop_slice_since_mark;
           prop_add_atom_matches_atom_pp
         ] )
   ]
