@@ -85,7 +85,7 @@ let itoa = string_of_int
 let run_strategy ?(negation = O.Auto) ?(profile = false)
     ?(checkpoint = Datalog_engine.Checkpoint.none) ?(compile = true)
     ?(merge = true) ?(subsume = true) ?(sips = Datalog_rewrite.Sips.Left_to_right)
-    ?(domains = 1) ?(limits = bench_limits) strategy program query =
+    ?(limits = bench_limits) strategy program query =
   let options =
     { O.strategy;
       negation;
@@ -97,8 +97,7 @@ let run_strategy ?(negation = O.Auto) ?(profile = false)
       compile;
       merge;
       subsume;
-      explain = false;
-      domains
+      explain = false
     }
   in
   S.run_exn ~options program query
@@ -670,8 +669,7 @@ let t8 () =
                 compile = true;
                 merge = true;
                 subsume = true;
-                explain = false;
-                domains = 1
+                explain = false
               }
             in
             let report = S.run_exn ~options program query in
@@ -838,8 +836,7 @@ let bechamel_tests () =
                     compile = true;
                     merge = true;
                     subsume = true;
-                    explain = false;
-                    domains = 1
+                    explain = false
                   }
                 sg (atom "sg(0, X)"))));
     Test.make ~name:"F4/dom-guarded"
@@ -1036,25 +1033,23 @@ let wellfounded_workloads () =
     ("win_cycle_dense_60", W.win_cycle_dense ~nodes:60 ~seed:11, "win(0)")
   ]
 
-(* the long-running cell multicore speedup is measured on: the full
-   transitive closure of a 4000-node chain runs long enough to amortize
-   round barriers.  Restricted to the cheap strategies — seminaive
-   saturates the whole relation (the parallel workload), magic touches
-   only the bound suffix (the rewriting contrast). *)
-let par_workload () = ("anc_chain_4000", W.ancestor_chain 4000, "anc(3000, X)")
-let par_strategies = [ O.Seminaive; O.Magic ]
+(* the long-running cell: the full transitive closure of a 4000-node
+   chain.  Restricted to the cheap strategies — seminaive saturates the
+   whole relation, magic touches only the bound suffix (the rewriting
+   contrast). *)
+let long_workload () = ("anc_chain_4000", W.ancestor_chain 4000, "anc(3000, X)")
+let long_strategies = [ O.Seminaive; O.Magic ]
 
-(* full saturation of the 4000-chain runs close to [bench_limits]'s 120 s
-   on one core; a mid-run timeout would make the cell's counters
-   nondeterministic and flake the parity gate, so it gets its own bound *)
-let par_limits = Datalog_engine.Limits.make ~timeout_s:900. ()
+(* full saturation of the 4000-chain can approach [bench_limits]'s 120 s
+   on a slow machine; a mid-run timeout would make the cell's counters
+   nondeterministic and flake the regression gate, so it gets its own
+   bound *)
+let long_limits = Datalog_engine.Limits.make ~timeout_s:900. ()
 
 let json_workloads () =
   List.map (fun (n, p, q) -> (n, p, q, json_strategies)) (plan_workloads ())
   @ List.map (fun (n, p, q) -> (n, p, q, magic_family)) (subsume_workloads ())
-  @ [ (fun (n, p, q) -> (n, p, q, par_strategies)) (par_workload ()) ]
-
-let bench_domains = ref 1
+  @ [ (fun (n, p, q) -> (n, p, q, long_strategies)) (long_workload ()) ]
 
 let json_baseline out =
   let workloads =
@@ -1062,14 +1057,13 @@ let json_baseline out =
       (fun (name, program, q, strategies) ->
         let query = atom q in
         let limits =
-          if name = "anc_chain_4000" then par_limits else bench_limits
+          if name = "anc_chain_4000" then long_limits else bench_limits
         in
         let strategies =
           List.map
             (fun strategy ->
               let report =
-                run_strategy ~profile:true ~domains:!bench_domains ~limits
-                  strategy program query
+                run_strategy ~profile:true ~limits strategy program query
               in
               S.report_json ~query report)
             strategies
@@ -1174,53 +1168,17 @@ let json_baseline out =
               run_strategy ~sips:Datalog_rewrite.Sips.Cost_aware strategy
                 program query
             in
-            (* domain-pool ablations: same gated counters as ltr (the
-               parallel merge is deterministic; gallops may differ when a
-               merge join's outer side is sharded), only wall time moves *)
-            let par2 = run_strategy ~domains:2 strategy program query in
-            let par4 = run_strategy ~domains:4 strategy program query in
             J.Obj
               [ ("workload", J.String name);
                 ("strategy", J.String (O.strategy_name strategy));
                 ("compiled_wall_s", J.Float compiled.S.wall_time_s);
                 ("interpreted_wall_s", J.Float interpreted.S.wall_time_s);
-                ("par2_wall_s", J.Float par2.S.wall_time_s);
-                ("par4_wall_s", J.Float par4.S.wall_time_s);
                 ("ltr", counters_json compiled);
                 ("hash", counters_json hash);
-                ("cost", counters_json cost);
-                ("par2", counters_json par2);
-                ("par4", counters_json par4)
+                ("cost", counters_json cost)
               ])
           [ O.Seminaive; O.Magic; O.Alexander ])
       (plan_workloads ())
-  in
-  (* multicore speedup on the long-running cell: wall times only (they
-     vary with the machine and core count, so they never gate); the
-     counter-parity guarantee is gated by the parallel-parity CI job
-     re-running the whole "workloads" section under --domains 4 *)
-  let parallel_section =
-    let name, program, q = par_workload () in
-    let query = atom q in
-    List.map
-      (fun strategy ->
-        let wall d =
-          (run_strategy ~domains:d ~limits:par_limits strategy program query)
-            .S.wall_time_s
-        in
-        let w1 = wall 1 in
-        let w2 = wall 2 in
-        let w4 = wall 4 in
-        J.Obj
-          [ ("workload", J.String name);
-            ("strategy", J.String (O.strategy_name strategy));
-            ("domains1_wall_s", J.Float w1);
-            ("domains2_wall_s", J.Float w2);
-            ("domains4_wall_s", J.Float w4);
-            ("speedup_2", J.Float (w1 /. w2));
-            ("speedup_4", J.Float (w1 /. w4))
-          ])
-      par_strategies
   in
   (* durable-ingest throughput per durability regime; wall times only,
      so the regression gate (which reads "workloads") never flakes on
@@ -1273,12 +1231,11 @@ let json_baseline out =
   in
   let doc =
     J.Obj
-      [ ("schema_version", J.Int 6);
+      [ ("schema_version", J.Int 7);
         ("suite", J.String "alexander-bench-baseline");
         ("workloads", J.List workloads);
         ("subsume", J.List subsume_section);
         ("plan", J.List plan_section);
-        ("parallel", J.List parallel_section);
         ("checkpointing", J.List checkpointing);
         ("durable_ingest", J.List durable_ingest)
       ]
@@ -1289,8 +1246,8 @@ let json_baseline out =
       (fun acc (_, _, _, strategies) -> acc + List.length strategies)
       0 (json_workloads ())
   in
-  Printf.printf "wrote %s (%d workloads, %d strategy cells, %d domains)\n" out
-    (List.length workloads) cells !bench_domains
+  Printf.printf "wrote %s (%d workloads, %d strategy cells)\n" out
+    (List.length workloads) cells
 
 (* ------------------------------------------------------------------ *)
 
@@ -1299,6 +1256,8 @@ let experiments =
     ("T7", t7); ("T8", t8); ("T9", t9); ("T10", t10); ("F1", f1); ("F2", f2);
     ("F3", f3); ("F4", f4)
   ]
+
+let die code fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit code) fmt
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -1316,21 +1275,23 @@ let () =
     | "--checkpoint-every" :: n :: rest ->
       (match int_of_string_opt n with
       | Some n when n >= 1 -> checkpoint_every := n
-      | _ -> prerr_endline "--checkpoint-every expects a positive integer");
-      extract_opts acc rest
-    | "--domains" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 1 -> bench_domains := n
-      | _ -> prerr_endline "--domains expects a positive integer");
+      | _ -> die 2 "--checkpoint-every expects a positive integer, got %S" n);
       extract_opts acc rest
     | a :: rest -> extract_opts (a :: acc) rest
   in
-  let args = extract_opts [] args in
+  let selected =
+    List.filter
+      (fun a -> a <> "--no-bechamel" && a <> "--json")
+      (extract_opts [] args)
+  in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name experiments) then
+        die 2 "unknown experiment %S (known: %s)" name
+          (String.concat " " (List.map fst experiments)))
+    selected;
   if json_mode then json_baseline !json_out
   else begin
-    let selected =
-      List.filter (fun a -> a <> "--no-bechamel" && a <> "--json") args
-    in
     let to_run =
       match selected with
       | [] -> experiments

@@ -114,18 +114,6 @@ let no_subsume_arg =
            magic-family rewrites (ablation; same answers, more derived \
            facts and probes)")
 
-let domains_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Evaluate on a pool of N OCaml domains (1 = serial).  Rule \
-           applications are sharded across domains and merged \
-           deterministically at round barriers: answers and gated \
-           counters are identical for every N, only wall time changes.  \
-           Only meaningful with compiled plans (the default)")
-
 let interpret_arg =
   Arg.(
     value
@@ -354,7 +342,7 @@ let print_report query report ~stats =
 let write_stats_json path file runs =
   let doc =
     Datalog_engine.Json.Obj
-      [ ("schema_version", Datalog_engine.Json.Int 6);
+      [ ("schema_version", Datalog_engine.Json.Int 7);
         ("file", Datalog_engine.Json.String file);
         ("runs", Datalog_engine.Json.List (List.rev runs))
       ]
@@ -368,7 +356,7 @@ let run_cmd =
   let action file query strategy negation sips stats stats_json trace data
       (limits : ?cancelled:(unit -> bool) -> unit -> Datalog_engine.Limits.t)
       checkpoint_path checkpoint_every resume_path snapshot_mode
-      explain interpret no_merge no_subsume domains =
+      explain interpret no_merge no_subsume =
     match
       Result.bind (read_program file) (fun parsed ->
           Result.map (fun p -> (parsed, p))
@@ -420,8 +408,7 @@ let run_cmd =
             compile = not interpret;
             merge = not no_merge;
             subsume = not no_subsume;
-            explain = explain || Option.is_some stats_json;
-            domains = max 1 domains
+            explain = explain || Option.is_some stats_json
           }
         in
         (* resume applies to a single query: a checkpoint records one
@@ -496,7 +483,7 @@ let run_cmd =
       $ sips_arg $ stats_arg $ stats_json_arg $ trace_arg $ data_arg
       $ limits_term $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
       $ snapshot_mode_arg $ explain_arg $ interpret_arg $ no_merge_arg
-      $ no_subsume_arg $ domains_arg)
+      $ no_subsume_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Evaluate queries against a program") term
 
@@ -691,8 +678,7 @@ let repl_cmd =
             compile = true;
             merge = true;
             subsume = true;
-            explain = false;
-            domains = 1
+            explain = false
           }
       in
       let stats = ref stats in

@@ -21,10 +21,11 @@ let small_max = max_int asr 1
 let fits_small i = i >= small_min && i <= small_max
 
 (* Side dictionary for ints outside [small_min, small_max].  Like the
-   {!Symbol} intern table it is process-wide mutable state that OCaml 5
-   domains may hit concurrently, so every access holds [lock].  Only
-   out-of-range ints pay it — the small-int and symbol paths are pure
-   arithmetic on immutable ints and stay lock-free. *)
+   {!Symbol} intern table it is process-wide mutable state, and a library
+   caller may use it from more than one OCaml 5 domain at a time, so
+   every access holds [lock].  Only out-of-range ints pay it — the
+   small-int and symbol paths are pure arithmetic on immutable ints and
+   stay lock-free. *)
 let lock = Mutex.create ()
 
 let locked f =

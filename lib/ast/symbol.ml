@@ -1,14 +1,15 @@
 type t = { id : int; name : string }
 
-(* The intern table is process-wide mutable state, and OCaml 5 domains
-   may intern concurrently (fresh symbols from rewrites, late decoding
-   of answers), so every access to the tables below holds [lock].  The
-   structures are tiny and interning never happens inside the join hot
-   loops — workers only move already-interned codes (plain ints) around
-   — so one process-wide mutex costs nothing measurable.  Reads of an
+(* The intern table is process-wide mutable state, and a library caller
+   may run evaluations from more than one OCaml 5 domain at a time, each
+   interning (fresh symbols from rewrites, parsing, decoding answers), so
+   every access to the tables below holds [lock].  The structures are
+   tiny and interning never happens inside the join hot loops — joins
+   only move already-interned codes (plain ints) around — so one
+   process-wide mutex costs nothing measurable.  Reads of an
    [{id; name}] record obtained from a previous [intern] need no lock:
    the record is immutable, and whoever handed the symbol (or its code)
-   across domains created the necessary happens-before edge. *)
+   from one domain to another created the necessary happens-before edge. *)
 let lock = Mutex.create ()
 
 let locked f =

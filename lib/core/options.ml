@@ -24,7 +24,6 @@ type t = {
   compile : bool;
   merge : bool;
   explain : bool;
-  domains : int;
   subsume : bool;
 }
 
@@ -39,7 +38,6 @@ let default =
     compile = true;
     merge = true;
     explain = false;
-    domains = 1;
     subsume = true
   }
 

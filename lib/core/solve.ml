@@ -17,7 +17,6 @@ type report = {
   status : Limits.status;
   wall_time_s : float;
   minor_words : float;
-  parallel : Json.t option;
 }
 
 (* An active profile when the caller asked for one — a trace sink implies
@@ -90,7 +89,7 @@ let check_safety program =
 
 (* Evaluate [program] (rules + facts) under the requested negation
    semantics; answers are read from [answer_pred]/[pattern]. *)
-let evaluate ?resume_from ?plan ?par ?(subsume = Subsume.none) ~db options
+let evaluate ?resume_from ?plan ?(subsume = Subsume.none) ~db options
     profile program answer_pred pattern =
   let limits = options.Options.limits in
   let checkpoint = options.Options.checkpoint in
@@ -108,7 +107,7 @@ let evaluate ?resume_from ?plan ?par ?(subsume = Subsume.none) ~db options
       Result.map_error
         (fun msg -> Errors.Not_stratified msg)
         (Stratified.run ~limits ~profile ~checkpoint ?resume_from ~db
-           ~use_naive ?plan ?par ~subsume program)
+           ~use_naive ?plan ~subsume program)
     in
     Ok
       ( outcome.Stratified.db,
@@ -168,14 +167,6 @@ let subsume_of options rw =
              s.Rewritten.generals,
              s.Rewritten.companion ))
          rw.Rewritten.subsumption)
-
-(* The domain pool for these options: only the compiled fixpoint path
-   can shard, so [--domains N] without plans (or with an engine that
-   never goes through [Fixpoint]) runs serially on an idle pool. *)
-let par_of_options options =
-  if options.Options.domains > 1 && options.Options.compile then
-    Some (Par.create options.Options.domains)
-  else None
 
 let rewrite options adorned =
   match options.Options.strategy with
@@ -258,7 +249,6 @@ let run_uncaught ~options ?resume_from prepared query =
   let profile = profile_of_options options in
   let infos = ref [] in
   let plan = plan_of_options options (fun i -> infos := i :: !infos) in
-  let par = par_of_options options in
   let finish rewritten (db, counters, answers, undefined, evaluator, status) =
     { options;
       rewritten;
@@ -271,11 +261,9 @@ let run_uncaught ~options ?resume_from prepared query =
       evaluator;
       status;
       wall_time_s = Unix.gettimeofday () -. start;
-      minor_words = Gc.minor_words () -. minor0;
-      parallel = Option.map Par.stats_json par
+      minor_words = Gc.minor_words () -. minor0
     }
   in
-  Fun.protect ~finally:(fun () -> Option.iter Par.shutdown par) @@ fun () ->
   let strategy_name = Options.strategy_name options.Options.strategy in
   let query_str = Format.asprintf "%a" Atom.pp query in
   Checkpoint.set_context options.Options.checkpoint ~strategy:strategy_name
@@ -315,7 +303,7 @@ let run_uncaught ~options ?resume_from prepared query =
     | Options.Naive | Options.Seminaive ->
       let own = Lazy.force prepared.own in
       let* result =
-        evaluate ?resume_from ?plan ?par
+        evaluate ?resume_from ?plan
           ~db:(goal_db (Lazy.force prepared.base) own)
           options profile own qpred query
       in
@@ -328,7 +316,7 @@ let run_uncaught ~options ?resume_from prepared query =
           (Tabled.run ~limits:options.Options.limits ~profile
              ~checkpoint:options.Options.checkpoint ?resume_from
              ~db:(goal_db (Lazy.force prepared.base) own)
-             ?plan ?par own query)
+             ?plan own query)
       in
       (* expose the tables as a database, alongside the EDB *)
       let db = own_db prepared in
@@ -365,7 +353,7 @@ let run_uncaught ~options ?resume_from prepared query =
         let rw = rewrite options adorned in
         let goal = Program.make ~facts:rw.Rewritten.seeds rw.Rewritten.rules in
         let* result =
-          evaluate ?resume_from ?plan ?par ~subsume:(subsume_of options rw)
+          evaluate ?resume_from ?plan ~subsume:(subsume_of options rw)
             ~db:(goal_db split.s_base goal) options profile goal
             (Rewritten.answer_pred rw) rw.Rewritten.answer_atom
         in
@@ -424,9 +412,6 @@ let run_many_uncaught ~options program queries =
     (* shared across groups: the rows aggregate over the whole batch *)
     let profile = profile_of_options options in
     let plan = plan_of_options options ignore in
-    let par = par_of_options options in
-    Fun.protect ~finally:(fun () -> Option.iter Par.shutdown par)
-    @@ fun () ->
     let evaluate_group (_, group) =
       let group = List.rev group in
       match group with
@@ -474,7 +459,7 @@ let run_many_uncaught ~options program queries =
                   in
                   Hashtbl.replace results i (query, answers))
                 group)
-            (evaluate ?plan ?par ~subsume:(subsume_of options rw)
+            (evaluate ?plan ~subsume:(subsume_of options rw)
                ~db:(goal_db split.s_base goal) options profile goal
                (Rewritten.answer_pred rw)
                (Atom.make (Rewritten.answer_pred rw)
@@ -557,11 +542,8 @@ let report_json ~query report =
                report.plans) )
       ]
   in
-  let parallel_block =
-    match report.parallel with None -> Json.Null | Some j -> j
-  in
   Json.Obj
-    [ ("schema_version", Json.Int 6);
+    [ ("schema_version", Json.Int 7);
       ("query", Json.String (Format.asprintf "%a" Atom.pp query));
       ( "strategy",
         Json.String (Options.strategy_name report.options.Options.strategy) );
@@ -579,7 +561,6 @@ let report_json ~query report =
       ("minor_words", Json.Float report.minor_words);
       ("rewritten", rewritten);
       ("plan", plan_block);
-      ("parallel", parallel_block);
       ("totals", Counters.to_json report.counters);
       ("profile", Profile.to_json report.profile)
     ]

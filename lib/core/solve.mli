@@ -52,10 +52,6 @@ type report = {
       (** minor-heap words allocated by this evaluation
           ([Gc.minor_words] delta) — the allocation-pressure gauge the
           bench regression gate watches *)
-  parallel : Datalog_engine.Json.t option;
-      (** the domain pool's statistics ({!Datalog_engine.Par.stats_json})
-          when [options.domains > 1] ran the evaluation on a pool;
-          [None] for serial runs *)
 }
 
 val incomplete : report -> bool
@@ -130,10 +126,10 @@ val answer_atoms : Program.t -> Atom.t -> report -> Atom.t list
 (** The answers as ground atoms over the source query predicate. *)
 
 val report_json : query:Atom.t -> report -> Datalog_engine.Json.t
-(** The report as a schema-stable JSON object (schema_version 6): query,
+(** The report as a schema-stable JSON object (schema_version 7): query,
     strategy/sips/negation, the subsumption-filter flag, evaluator,
     status, answer and undefined counts, wall time, minor-heap allocation, rewritten-program size, the
-    compiled-plan block (SIP, per-rule variants and steps), the parallel
-    block ([null] for serial runs), the counter totals, and the full
+    compiled-plan block (SIP, per-rule variants and steps), the counter
+    totals, and the full
     profile (empty rows unless profiling was on).
     See docs/OBSERVABILITY.md. *)

@@ -20,8 +20,6 @@ let create () =
     subsumed = 0
   }
 
-let zero = create
-
 let reset c =
   c.facts_derived <- 0;
   c.firings <- 0;

@@ -3,24 +3,15 @@ open Datalog_storage
 
 (* One rule application, either interpreted ([Eval.apply_rule]) or through
    a compiled plan; the two are counter-for-counter equivalent, so which
-   one runs is invisible to profiles, limits and checkpoints.  With a
-   domain pool ([par], compiled path only) the application may be sharded
-   across worker domains — also counter-equivalent, by [Par]'s merge. *)
-let applier cnt ~guard ~profile ~neg ?plan ?par ~card ?delta_pos rule =
+   one runs is invisible to profiles, limits and checkpoints. *)
+let applier cnt ~guard ~profile ~neg ?plan ~card ?delta_pos rule =
   match plan with
   | None ->
     fun ~rel_of emit ->
       Eval.apply_rule cnt ~guard ~profile ~rel_of ~neg rule emit
-  | Some cfg -> (
+  | Some cfg ->
     let p = Plan.compile cfg ~card ?delta_pos rule in
-    match par with
-    | Some pool ->
-      fun ~rel_of emit ->
-        Par.run_app pool p cnt ~guard ~profile ~rel_of ~neg emit
-    | None ->
-      fun ~rel_of emit -> Plan.run p cnt ~guard ~profile ~rel_of ~neg emit)
-
-let note_round par = match par with Some pool -> Par.note_round pool | None -> ()
+    fun ~rel_of emit -> Plan.run p cnt ~guard ~profile ~rel_of ~neg emit
 
 (* Insert a derived fact into [db] under [pred] (the companion when the
    subsumption filter dropped it), count it as derived or subsumed, and
@@ -50,14 +41,14 @@ let emit cnt ~guard ~profile ~subsume ~db ~on_new pred tuple =
   | None -> store cnt ~guard ~profile ~db ~on_new ~dropped:false pred tuple
 
 let naive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
-    ?(ckpt = Checkpoint.none) ?plan ?par ?(subsume = Subsume.none) ~db ~neg
+    ?(ckpt = Checkpoint.none) ?plan ?(subsume = Subsume.none) ~db ~neg
     rules =
   let rel_of = Eval.db_rel_of db in
   let card pred = Database.cardinal db pred in
   let apps =
     List.map
       (fun rule ->
-        (rule, applier cnt ~guard ~profile ~neg ?plan ?par ~card rule))
+        (rule, applier cnt ~guard ~profile ~neg ?plan ~card rule))
       rules
   in
   let changed = ref true in
@@ -74,9 +65,7 @@ let naive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
                   app ~rel_of (emit cnt ~guard ~profile ~subsume ~db ~on_new)))
             apps)
     with
-    | () ->
-      note_round par;
-      Checkpoint.on_round ckpt ~db ~delta:None
+    | () -> Checkpoint.on_round ckpt ~db ~delta:None
     | exception (Limits.Out_of_budget _ as e) ->
       (* naive rounds re-evaluate everything, so the saved database alone
          is a resumable state *)
@@ -100,7 +89,7 @@ let delta_positions recursive rule =
 let no_new _ _ = ()
 
 let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
-    ?(ckpt = Checkpoint.none) ?plan ?par ?(subsume = Subsume.none)
+    ?(ckpt = Checkpoint.none) ?plan ?(subsume = Subsume.none)
     ?initial_delta ~db ~neg ?recursive rules =
   let recursive =
     match recursive with Some s -> s | None -> head_preds rules
@@ -127,7 +116,7 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
       let apps =
         List.map
           (fun rule ->
-            (rule, applier cnt ~guard ~profile ~neg ?plan ?par ~card rule))
+            (rule, applier cnt ~guard ~profile ~neg ?plan ~card rule))
           rules
       in
       match
@@ -141,7 +130,6 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
               apps)
       with
       | () ->
-        note_round par;
         let d = Database.since db marks in
         Checkpoint.on_round ckpt ~db ~delta:(Some d);
         ref d
@@ -161,7 +149,7 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
             List.map
               (fun delta_pos ->
                 ( delta_pos,
-                  applier cnt ~guard ~profile ~neg ?plan ?par ~card ~delta_pos
+                  applier cnt ~guard ~profile ~neg ?plan ~card ~delta_pos
                     rule ))
               positions
           in
@@ -200,7 +188,6 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
         Checkpoint.on_interrupt ckpt ~db ~delta:(Some merged)
       end;
       raise e);
-    note_round par;
     delta := Database.since db marks;
     Checkpoint.on_round ckpt ~db ~delta:(Some !delta)
   done

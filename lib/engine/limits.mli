@@ -67,21 +67,7 @@ val no_guard : guard
 val guard : t -> Counters.t -> guard
 (** [guard limits cnt] is {!no_guard} when [limits] {!is_none}. *)
 
-val lane_guard : guard -> cnt:Counters.t -> cancelled:(unit -> bool) -> guard
-(** A worker-domain view of an active guard ({!Par}): same budgets and
-    deadline, but compiled against the lane's private counters and the
-    given cancellation poll (typically an [Atomic.get] of the pool's
-    cancel flag — the parent's [cancelled] callback is only safe on the
-    coordinator).  Each lane guard has its own decimation counter, so
-    concurrent polling never races.  {!no_guard} stays {!no_guard}. *)
-
 val is_active : guard -> bool
-
-val poll_cancelled : guard -> bool
-(** Ask the guard's cancellation hook directly (without raising) —
-    {!Par}'s coordinator lane folds this into its own poll so a user
-    cancellation still interrupts a sharded application.  [false] for
-    {!no_guard}. *)
 
 val check : guard -> unit
 (** The hot-path check, called once per candidate tuple / derived fact:

@@ -149,52 +149,6 @@ val run :
     unsafe-rule errors).
     @raise Invalid_argument on plans containing {!Table} ops. *)
 
-(** {2 Domain-sharded execution}
-
-    Building blocks for {!Par}: a shardable plan's one rule application
-    can be split across worker domains, each lane executing the outer
-    op's candidates whose first-bound column hashes to it, against
-    relations frozen by the coordinator.  Summing the lanes' counters
-    reproduces the serial totals exactly, except [gallops] of a sharded
-    outer merge join (each lane runs its own adaptive cursor). *)
-
-val shardable : t -> bool
-(** Whether every relation the plan reads is frozen for the duration of
-    one application (the head predicate only behind a delta literal),
-    the outer op enumerates a relation, and no unsafe op can fire — the
-    conditions under which sharding is counter-exact. *)
-
-type prepped
-(** Per-application immutable state resolved by the coordinator before
-    the lanes start: relations, pre-compacted frozen index handles, and
-    sorted views — everything whose lazy construction would otherwise
-    race. *)
-
-val freeze :
-  t -> rel_of:(int -> Pred.t -> Relation.t option) -> prepped
-
-val outer_cardinal : prepped -> int
-(** Number of candidates the outer op enumerates — the work available
-    for sharding (0 when its relation is absent). *)
-
-val run_shard :
-  t ->
-  prepped ->
-  Counters.t ->
-  ?guard:Limits.guard ->
-  ?profile:Profile.t ->
-  neg:(Pred.t -> Tuple.t -> bool) ->
-  nshards:int ->
-  shard:int ->
-  (int -> Tuple.t -> unit) ->
-  unit
-(** Run lane [shard] of [nshards] over a {!shardable} plan.  Emissions
-    are passed with the outer-candidate index they descend from, so the
-    coordinator can interleave the lanes' buffers back into serial
-    emission order.  Per-execution counters of the outer op are
-    accounted by lane 0 alone; everything per-candidate by the owning
-    lane.  Must only run while no domain writes any involved relation. *)
-
 (** {2 Building blocks for engine-specific executors} *)
 
 val src_value : Code.t array -> src -> Code.t

@@ -96,23 +96,6 @@ val subsumed : t -> Pred.t -> unit
 (** Record one fact of [pred] dropped by the adornment-lattice
     subsumption filter (and diverted into its companion relation). *)
 
-val add_scanned : t -> Pred.t -> scanned:int -> unit
-(** Add candidate tuples scanned for [pred] {e without} counting a
-    probe — used by non-zero lanes of a sharded merge join ({!Par}),
-    whose one outer probe is accounted on lane 0. *)
-
-val add_gallops : t -> Pred.t -> gallops:int -> unit
-(** Add gallop searches against [pred] {e without} counting a merge
-    step — the sharded counterpart of {!merge}. *)
-
-val add : t -> t -> unit
-(** [add dst src] folds [src]'s rows into [dst]: rule and predicate
-    rows merge by key (rows new to [dst] keep [src]'s first-seen
-    order), round and stratum rows concatenate.  Together with a fresh
-    {!create} as the identity this is the commutative-up-to-row-order
-    monoid the parallel merge barrier uses; inactive profiles are
-    left untouched. *)
-
 (** {1 Reading} *)
 
 val rules : t -> rule_row list

@@ -421,15 +421,8 @@ let collect st root query status =
   in
   { answers; calls; tables; counters = st.counters; status }
 
-(* [par] is accepted for interface uniformity with the fixpoint engines
-   but tabling never shards: its plans enumerate call tables ([Table]
-   ops) that the very same agenda step mutates, so no relation is frozen
-   for the duration of an application — the precondition of
-   [Plan.shardable] can never hold.  Every call runs on the coordinator,
-   which a pool-holding caller need not special-case. *)
 let run ?(limits = Limits.none) ?(profile = Profile.none)
-    ?(checkpoint = Checkpoint.none) ?resume_from ?db ?plan
-    ?par:(_ : Par.t option) program query =
+    ?(checkpoint = Checkpoint.none) ?resume_from ?db ?plan program query =
   let has_negation =
     List.exists (fun r -> Rule.negative_body r <> []) (Program.rules program)
   in

@@ -47,14 +47,10 @@ val run :
   ?resume_from:Checkpoint.resume ->
   ?db:Database.t ->
   ?plan:Plan.config ->
-  ?par:Par.t ->
   Program.t ->
   Atom.t ->
   (outcome, string) result
-(** Evaluate a query top-down with tabling.  [par] is accepted but
-    unused: tabled plans enumerate call tables that the same agenda step
-    mutates, so no application is ever shardable — evaluation stays on
-    the coordinator domain.  [Error] when the program is
+(** Evaluate a query top-down with tabling.  [Error] when the program is
     not stratified (negation would be unsound) or a negated subgoal is
     reached unbound.  [limits] bounds the evaluation; note that for this
     engine an {e iteration} is one agenda step (a call being re-solved),

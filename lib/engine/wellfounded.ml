@@ -9,81 +9,6 @@ type outcome = {
   status : Limits.status;
 }
 
-let db_subset a b =
-  let ok = ref true in
-  Database.iter
-    (fun pred rel ->
-      Relation.iter (fun t -> if not (Database.mem b pred t) then ok := false) rel)
-    a;
-  !ok
-
-let db_equal a b = db_subset a b && db_subset b a
-
-(* Van Gelder's alternating fixpoint, kept as the differential oracle for
-   the transformation-based engine below (the role --interpret plays for
-   compiled plans). *)
-let run_alternating ?(limits = Limits.none) ?(profile = Profile.none) ?plan
-    ?db program =
-  let counters = Counters.create () in
-  let guard = Limits.guard limits counters in
-  let seed = match db with Some db -> db | None -> Database.create () in
-  List.iter (fun a -> ignore (Database.add_atom seed a)) (Program.facts program);
-  let rules = Program.rules program in
-  (* S(I): least fixpoint with negation decided against seed ∪ I. *)
-  let s_operator kind i =
-    Profile.note profile (fun () ->
-        Printf.sprintf "well-founded alternation: %s approximation" kind);
-    let db = Database.copy seed in
-    (* The negation oracle is frozen on [seed ∪ i]: it must not observe the
-       facts derived during this very run (those live in [db] only).  EDB
-       atoms are true in every candidate interpretation, so testing the
-       seed directly is sound and avoids deriving junk in the first
-       over-approximation. *)
-    let neg pred tuple =
-      not (Database.mem seed pred tuple || Database.mem i pred tuple)
-    in
-    Fixpoint.seminaive counters ~guard ~profile ?plan ~db ~neg rules;
-    db
-  in
-  let empty = Database.create () in
-  (* On exhaustion, fall back to the last COMPLETED alternation: the
-     under-approximations climb monotonically toward the well-founded true
-     set, so [current] is always a sound set of true atoms, while a
-     half-finished [s_operator] run would not be. *)
-  let rec iterate current last_over rounds =
-    match
-      let over = s_operator "over" current in
-      let under = s_operator "under" over in
-      (over, under)
-    with
-    | over, under ->
-      if db_equal under current then (current, over, rounds + 1, Limits.Complete)
-      else iterate under (Some over) (rounds + 1)
-    | exception Limits.Out_of_budget reason ->
-      ( current,
-        Option.value ~default:current last_over,
-        rounds,
-        Limits.Exhausted reason )
-  in
-  let true_set, possible, rounds, status = iterate empty None 0 in
-  (* [true_set] misses the very first under-approximation only when the
-     loop exits immediately; it is S(S(∅))-limit either way. *)
-  let true_db = Database.copy seed in
-  Database.iter
-    (fun pred rel ->
-      Relation.iter (fun t -> ignore (Database.add true_db pred t)) rel)
-    true_set;
-  let undefined =
-    Database.preds possible
-    |> List.concat_map (fun pred ->
-           Database.tuples possible pred
-           |> List.filter_map (fun t ->
-                  if Database.mem true_db pred t then None
-                  else Some (Tuple.to_atom pred t)))
-    |> List.sort Atom.compare
-  in
-  { true_db; undefined; rounds; counters; status }
-
 (* Transformation-based bottom-up computation (Brass & Dix): instead of
    alternating whole-program fixpoints, run
 

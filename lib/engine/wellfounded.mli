@@ -13,12 +13,6 @@
     compiled-plan join machinery, counters and budget guard as the other
     engines.
 
-    {!run_alternating} is Van Gelder's alternating fixpoint, kept as the
-    differential oracle ([S] is anti-monotone, so iterating [I := S(S(I))]
-    from the empty set climbs to the well-founded true atoms and one more
-    [S] yields the possible ones).  The two engines agree on every
-    program; qcheck pins this.
-
     On stratified programs the undefined set is empty and the true set is
     the perfect model, which the tests check against {!Stratified}. *)
 
@@ -44,14 +38,6 @@ val run :
     (all phases share one budget and one counter set).  An active
     [profile] accumulates rule/round rows across every phase and traces
     each phase transition. *)
-
-val run_alternating :
-  ?limits:Limits.t -> ?profile:Profile.t -> ?plan:Plan.config ->
-  ?db:Database.t -> Program.t ->
-  outcome
-(** Van Gelder's alternating fixpoint (the differential oracle).
-    [rounds] counts outer alternations; on [Exhausted _] the outcome is
-    taken from the last {e completed} alternation. *)
 
 val holds : outcome -> Atom.t -> bool
 val is_undefined : outcome -> Atom.t -> bool

@@ -16,7 +16,6 @@ type bucket = {
 type index = {
   cols : int array;  (* strictly increasing column numbers *)
   map : bucket Tuple.Tbl.t;  (* projected key -> matching tuples *)
-  mutable idead : int;  (* dead entries across all buckets, for {!freeze} *)
   mutable upto : int;  (* first insertion-order position not indexed *)
 }
 
@@ -206,7 +205,6 @@ let bucket_compact r idx b =
           let s = find_slot r.rows t in
           s >= 0 && s < idx.upto)
         b.tuples;
-    idx.idead <- idx.idead - b.dead;
     b.dead <- 0
   end
 
@@ -242,13 +240,9 @@ let index_remove idx tuple =
     b.blen <- b.blen - 1;
     if b.blen = 0 then begin
       (* no dead buckets *)
-      idx.idead <- idx.idead - b.dead;
       Tuple.Tbl.remove idx.map key
     end
-    else begin
-      b.dead <- b.dead + 1;
-      idx.idead <- idx.idead + 1
-    end
+    else b.dead <- b.dead + 1
 
 (* Squeeze out the [gone] slots.  Watermarks are positions, so every
    hash index is caught up first and then covers the whole compacted
@@ -360,7 +354,6 @@ let get_index r cols_list =
       let idx =
         { cols = Array.of_list cols_list;
           map = Tuple.Tbl.create 64;
-          idead = 0;
           upto = r.lo
         }
       in
@@ -447,34 +440,6 @@ let probe r a key =
   match Tuple.Tbl.find idx.map key with
   | b -> (bucket_tuples r idx b, b.blen)
   | exception Not_found -> ([], 0)
-
-(* ------------------------------------------------------------------ *)
-(* Frozen read-only views
-
-   A worker domain may probe a relation only through a [frozen] handle
-   the coordinator prepared while it was the sole accessor: {!freeze}
-   resolves (and lazily builds or catches up) the index and compacts
-   away every dead bucket entry up front, so {!probe_frozen} is a pure
-   hashtable lookup that mutates nothing — no catching up, no bucket
-   compaction, no handle memoisation.  On the fixpoint path (no
-   removals) [idead] is 0 and freezing an up-to-date index is O(1).
-
-   The handle is only valid while the relation is not written; the
-   parallel executor ({!Datalog_engine.Par}) freezes per rule
-   application and re-freezes after the merge barrier. *)
-
-type frozen = index
-
-let freeze r a =
-  let idx = access_index r a in
-  if idx.idead > 0 then
-    Tuple.Tbl.iter (fun _ b -> bucket_compact r idx b) idx.map;
-  idx
-
-let probe_frozen (f : frozen) key =
-  match Tuple.Tbl.find_opt f.map key with
-  | None -> ([], 0)
-  | Some b -> (b.tuples, b.blen)
 
 (* ------------------------------------------------------------------ *)
 (* Sorted columnar projections                                         *)

@@ -109,26 +109,6 @@ val probe : t -> access -> Code.t array -> Tuple.t list * int
     given to {!prepare}).  Rows inserted since the index was last read
     are indexed first. *)
 
-type frozen
-(** A read-only snapshot handle of one hash index, for worker domains:
-    {!probe_frozen} through it is a pure lookup that mutates neither the
-    relation, the index buckets, nor any handle memo — unlike {!probe},
-    which may build or catch up the index, re-memoise the handle, and
-    compact buckets in place.  Only valid while the relation is not
-    written (the parallel executor freezes per rule application, while
-    the coordinator is the sole accessor). *)
-
-val freeze : t -> access -> frozen
-(** Resolve (building or catching up if necessary) the index behind [a]
-    and compact every dead bucket entry up front, so concurrent
-    {!probe_frozen} calls have nothing left to mutate.  O(1) plus the
-    deferred catch-up and compaction work — free when nothing was
-    inserted or removed since the last read. *)
-
-val probe_frozen : frozen -> Code.t array -> Tuple.t list * int
-(** Like {!probe}, against the frozen index.  Safe to call from several
-    domains concurrently as long as the relation is not mutated. *)
-
 type sorted_access
 (** A pre-resolved handle for a sorted columnar projection on a fixed
     column set, the {!access} analogue for merge joins. *)

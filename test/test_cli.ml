@@ -154,7 +154,7 @@ let test_stats_json_file_and_trace () =
   let json = In_channel.with_open_text out In_channel.input_all in
   Sys.remove out;
   check tbool "schema version" true
-    (contains ~sub:"\"schema_version\": 6" json);
+    (contains ~sub:"\"schema_version\": 7" json);
   check tbool "profile enabled" true (contains ~sub:"\"enabled\": true" json);
   check tbool "per-rule rows" true (contains ~sub:"\"rule\":" json);
   check tbool "plan block" true (contains ~sub:"\"compiled\": true" json);
@@ -202,6 +202,30 @@ let test_stats_prints_profile () =
     && contains ~sub:" major_collections=" out
     && contains ~sub:" top_heap_words=" out)
 
+(* bench/main.exe refuses a bad argument with exit 2 before running
+   anything, rather than regenerating zero experiments and exiting 0 *)
+let bench = "../bench/main.exe"
+
+let run_bench args =
+  let cmd = Filename.quote_command bench args in
+  let ic = Unix.open_process_in (cmd ^ " 2>&1") in
+  let output = In_channel.input_all ic in
+  let status = Unix.close_process_in ic in
+  let code = match status with Unix.WEXITED n -> n | _ -> -1 in
+  (code, output)
+
+let test_bench_rejects_checkpoint_every_zero () =
+  let code, out = run_bench [ "--checkpoint-every"; "0"; "--no-bechamel" ] in
+  check tint "exit 2" 2 code;
+  check tbool "names the flag" true (contains ~sub:"--checkpoint-every" out);
+  check tbool "runs nothing" false (contains ~sub:"regenerating" out)
+
+let test_bench_rejects_unknown_experiment () =
+  let code, out = run_bench [ "T99"; "--no-bechamel" ] in
+  check tint "exit 2" 2 code;
+  check tbool "names the experiment" true (contains ~sub:"\"T99\"" out);
+  check tbool "runs nothing" false (contains ~sub:"regenerating" out)
+
 let suite =
   [ ( "cli",
       [ Alcotest.test_case "run file queries" `Quick test_run_file_queries;
@@ -224,6 +248,10 @@ let suite =
         Alcotest.test_case "explain flag" `Quick test_explain_flag;
         Alcotest.test_case "interpret flag" `Quick test_interpret_flag;
         Alcotest.test_case "stats prints profile" `Quick
-          test_stats_prints_profile
+          test_stats_prints_profile;
+        Alcotest.test_case "bench rejects --checkpoint-every 0" `Quick
+          test_bench_rejects_checkpoint_every_zero;
+        Alcotest.test_case "bench rejects an unknown experiment" `Quick
+          test_bench_rejects_unknown_experiment
       ] )
   ]

@@ -147,7 +147,7 @@ let test_report_json_schema () =
     [ "schema_version"; "query"; "strategy"; "sips"; "negation"; "subsume";
       "evaluator";
       "status"; "exhausted_reason"; "answers"; "undefined"; "wall_time_s";
-      "minor_words"; "rewritten"; "plan"; "parallel"; "totals"; "profile"
+      "minor_words"; "rewritten"; "plan"; "totals"; "profile"
     ]
     (J.keys json);
   (match J.member "plan" json with
@@ -183,16 +183,13 @@ let test_report_json_schema () =
         (J.keys first)
     | _ -> Alcotest.fail "no rule rows")
 
-let test_schema_version_is_6 () =
+let test_schema_version_is_7 () =
   let report =
     run_exn ~options:O.default (W.ancestor_chain 5) (atom "anc(0, X)")
   in
   let json = S.report_json ~query:(atom "anc(0, X)") report in
-  check tbool "schema_version 6" true
-    (J.member "schema_version" json = Some (J.Int 6));
-  (* serial runs report the parallel block as null *)
-  check tbool "parallel null when serial" true
-    (J.member "parallel" json = Some J.Null)
+  check tbool "schema_version 7" true
+    (J.member "schema_version" json = Some (J.Int 7))
 
 (* -------------------------------------------------------------------- *)
 (* Trace sinks *)
@@ -273,8 +270,8 @@ let suite =
           test_stratum_rows_stratified;
         Alcotest.test_case "report_json schema pinned" `Quick
           test_report_json_schema;
-        Alcotest.test_case "schema_version is 6" `Quick
-          test_schema_version_is_6;
+        Alcotest.test_case "schema_version is 7" `Quick
+          test_schema_version_is_7;
         Alcotest.test_case "trace lines" `Quick test_trace_lines;
         Alcotest.test_case "trace implies profiling" `Quick
           test_trace_implies_profile;

@@ -505,7 +505,6 @@ type rel_op =
   | Mem of int * int
   | Sel of int * int * int  (* column mask, a, b *)
   | Probe of int * int * int  (* column set, a, b *)
-  | Frozen of int * int * int
   | Sorted of int
 
 let col_sets = [| [ 0 ]; [ 1 ]; [ 0; 1 ] |]
@@ -520,7 +519,6 @@ let prop_relation_model =
         (1, map2 (fun a b -> Mem (a, b)) v v);
         (1, map3 (fun m a b -> Sel (m, a, b)) (int_bound 3) v v);
         (1, map3 (fun k a b -> Probe (k, a, b)) c v v);
-        (1, map3 (fun k a b -> Frozen (k, a, b)) c v v);
         (1, map (fun k -> Sorted k) c)
       ]
   in
@@ -541,11 +539,6 @@ let prop_relation_model =
       let check_probe k (a, b) =
         let kv = key k (tup [ a; b ]) in
         let ts, n = Relation.probe r accs.(k) kv in
-        expect (List.equal Tuple.equal ts (bucket k kv) && n = List.length ts)
-      in
-      let check_frozen k (a, b) =
-        let kv = key k (tup [ a; b ]) in
-        let ts, n = Relation.probe_frozen (Relation.freeze r accs.(k)) kv in
         expect (List.equal Tuple.equal ts (bucket k kv) && n = List.length ts)
       in
       let check_sorted k =
@@ -595,7 +588,6 @@ let prop_relation_model =
           let ts, n = Relation.select_count r bindings in
           expect (List.equal Tuple.equal ts expected && n = List.length ts)
         | Probe (k, a, b) -> check_probe k (a, b)
-        | Frozen (k, a, b) -> check_frozen k (a, b)
         | Sorted k -> check_sorted k
       in
       let check_all () =
@@ -627,7 +619,7 @@ let prop_relation_model =
       List.iter
         (fun ab ->
           check_probe 0 ab;
-          check_frozen 2 ab)
+          check_probe 2 ab)
         [ (10, 0); (11, 1) ];
       !ok)
 

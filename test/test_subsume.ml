@@ -162,7 +162,7 @@ let prop_subsume_preserves_answers_negation =
 
 let wf_agrees program =
   let a = Wf.run program in
-  let b = Wf.run_alternating program in
+  let b = Alternating.run program in
   let idb = Gen.idb_preds program in
   Gen.db_facts_of idb a.Wf.true_db = Gen.db_facts_of idb b.Wf.true_db
   && List.sort Atom.compare a.Wf.undefined
