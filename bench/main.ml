@@ -83,21 +83,12 @@ let itoa = string_of_int
 (* Shared runners *)
 
 let run_strategy ?(negation = O.Auto) ?(profile = false)
-    ?(checkpoint = Datalog_engine.Checkpoint.none) ?(compile = true)
-    ?(merge = true) ?(subsume = true) ?(sips = Datalog_rewrite.Sips.Left_to_right)
+    ?(checkpoint = Datalog_engine.Checkpoint.none) ?(merge = true)
+    ?(subsume = true) ?(sips = Datalog_rewrite.Sips.Left_to_right)
     ?(limits = bench_limits) strategy program query =
   let options =
-    { O.strategy;
-      negation;
-      sips;
-      limits;
-      profile;
-      trace = None;
-      checkpoint;
-      compile;
-      merge;
-      subsume;
-      explain = false
+    { O.default with
+      O.strategy; negation; sips; limits; profile; checkpoint; merge; subsume
     }
   in
   S.run_exn ~options program query
@@ -446,7 +437,10 @@ let t7 () =
   let program = W.ancestor_chain 100 in
   let query = atom "anc(30, X)" in
   let tab =
-    match Datalog_engine.Tabled.run ~limits:bench_limits program query with
+    match
+      Datalog_engine.Tabled.run ~limits:bench_limits
+        ~plan:(Datalog_engine.Plan.config ()) program query
+    with
     | Ok outcome -> outcome
     | Error msg -> failwith msg
   in
@@ -659,18 +653,7 @@ let t8 () =
         List.map
           (fun strategy ->
             let options =
-              { O.strategy;
-                negation = O.Auto;
-                sips;
-                limits = bench_limits;
-                profile = false;
-                trace = None;
-                checkpoint = Datalog_engine.Checkpoint.none;
-                compile = true;
-                merge = true;
-                subsume = true;
-                explain = false
-              }
+              { O.default with O.strategy; sips; limits = bench_limits }
             in
             let report = S.run_exn ~options program query in
             let c = report.S.counters in
@@ -826,17 +809,9 @@ let bechamel_tests () =
            ignore
              (Alexander.Solve.run_exn
                 ~options:
-                  { O.strategy = O.Alexander;
-                    negation = O.Auto;
-                    sips = Datalog_rewrite.Sips.Greedy_bound;
-                    limits = bench_limits;
-                    profile = false;
-                    trace = None;
-                    checkpoint = Datalog_engine.Checkpoint.none;
-                    compile = true;
-                    merge = true;
-                    subsume = true;
-                    explain = false
+                  { O.default with
+                    O.sips = Datalog_rewrite.Sips.Greedy_bound;
+                    limits = bench_limits
                   }
                 sg (atom "sg(0, X)"))));
     Test.make ~name:"F4/dom-guarded"
@@ -1140,9 +1115,9 @@ let json_baseline out =
              "sg(0, X)" )
          ])
   in
-  (* compiled-plan ablation: compiled vs interpreted wall time, the ltr
-     (merge joins on) vs hash (merge joins off) vs cost-aware SIP
-     join-work and allocation counters, per workload *)
+  (* compiled-plan ablation: the ltr (merge joins on) vs hash (merge
+     joins off) vs cost-aware SIP join-work and allocation counters, per
+     workload *)
   let plan_section =
     List.concat_map
       (fun (name, program, q) ->
@@ -1160,9 +1135,6 @@ let json_baseline out =
                 ]
             in
             let compiled = run_strategy strategy program query in
-            let interpreted =
-              run_strategy ~compile:false strategy program query
-            in
             let hash = run_strategy ~merge:false strategy program query in
             let cost =
               run_strategy ~sips:Datalog_rewrite.Sips.Cost_aware strategy
@@ -1172,7 +1144,6 @@ let json_baseline out =
               [ ("workload", J.String name);
                 ("strategy", J.String (O.strategy_name strategy));
                 ("compiled_wall_s", J.Float compiled.S.wall_time_s);
-                ("interpreted_wall_s", J.Float interpreted.S.wall_time_s);
                 ("ltr", counters_json compiled);
                 ("hash", counters_json hash);
                 ("cost", counters_json cost)
@@ -1231,7 +1202,7 @@ let json_baseline out =
   in
   let doc =
     J.Obj
-      [ ("schema_version", J.Int 7);
+      [ ("schema_version", J.Int 8);
         ("suite", J.String "alexander-bench-baseline");
         ("workloads", J.List workloads);
         ("subsume", J.List subsume_section);

@@ -114,16 +114,6 @@ let no_subsume_arg =
            magic-family rewrites (ablation; same answers, more derived \
            facts and probes)")
 
-let interpret_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "interpret" ]
-        ~doc:
-          "Evaluate through the interpreted substitution-based path \
-           instead of compiled join plans (the differential-testing \
-           oracle; slower, same answers and counters)")
-
 let stats_json_arg =
   Arg.(
     value
@@ -342,7 +332,7 @@ let print_report query report ~stats =
 let write_stats_json path file runs =
   let doc =
     Datalog_engine.Json.Obj
-      [ ("schema_version", Datalog_engine.Json.Int 7);
+      [ ("schema_version", Datalog_engine.Json.Int 8);
         ("file", Datalog_engine.Json.String file);
         ("runs", Datalog_engine.Json.List (List.rev runs))
       ]
@@ -356,7 +346,7 @@ let run_cmd =
   let action file query strategy negation sips stats stats_json trace data
       (limits : ?cancelled:(unit -> bool) -> unit -> Datalog_engine.Limits.t)
       checkpoint_path checkpoint_every resume_path snapshot_mode
-      explain interpret no_merge no_subsume =
+      explain no_merge no_subsume =
     match
       Result.bind (read_program file) (fun parsed ->
           Result.map (fun p -> (parsed, p))
@@ -405,7 +395,6 @@ let run_cmd =
                  Some (fun line -> Printf.eprintf "%% trace: %s\n%!" line)
                else None);
             checkpoint;
-            compile = not interpret;
             merge = not no_merge;
             subsume = not no_subsume;
             explain = explain || Option.is_some stats_json
@@ -482,7 +471,7 @@ let run_cmd =
       const action $ file_arg $ query_arg $ strategy_arg $ negation_arg
       $ sips_arg $ stats_arg $ stats_json_arg $ trace_arg $ data_arg
       $ limits_term $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-      $ snapshot_mode_arg $ explain_arg $ interpret_arg $ no_merge_arg
+      $ snapshot_mode_arg $ explain_arg $ no_merge_arg
       $ no_subsume_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Evaluate queries against a program") term
@@ -667,19 +656,7 @@ let repl_cmd =
     | Ok program ->
       let program = ref program in
       let options =
-        ref
-          { O.strategy;
-            negation;
-            sips;
-            limits = limits ();
-            profile = false;
-            trace = None;
-            checkpoint = Datalog_engine.Checkpoint.none;
-            compile = true;
-            merge = true;
-            subsume = true;
-            explain = false
-          }
+        ref { O.default with O.strategy; negation; sips; limits = limits () }
       in
       let stats = ref stats in
       print_endline

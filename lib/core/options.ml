@@ -21,7 +21,6 @@ type t = {
   profile : bool;
   trace : (string -> unit) option;
   checkpoint : Datalog_engine.Checkpoint.t;
-  compile : bool;
   merge : bool;
   explain : bool;
   subsume : bool;
@@ -35,7 +34,6 @@ let default =
     profile = false;
     trace = None;
     checkpoint = Datalog_engine.Checkpoint.none;
-    compile = true;
     merge = true;
     explain = false;
     subsume = true

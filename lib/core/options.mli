@@ -42,21 +42,15 @@ type t = {
           and adds no overhead.  Honored by the fixpoint-based strategies
           and the tabled engine; the conditional and well-founded
           evaluators do not checkpoint. *)
-  compile : bool;
-      (** evaluate through compiled join plans ({!Datalog_engine.Plan});
-          on by default.  Off, the interpreted {!Datalog_engine.Eval}
-          path runs — it is the differential-testing oracle and produces
-          identical answers and counters *)
   merge : bool;
       (** fuse adjacent scan+probe plan steps into galloping merge joins
           over sorted columnar projections ({!Datalog_engine.Plan});
-          on by default, only meaningful with [compile = true].  Merge
-          plans produce identical answers and fact counters to hash
-          plans; [probes] drops and [merge_steps]/[gallops] appear *)
+          on by default.  Merge plans produce identical answers and fact
+          counters to hash plans; [probes] drops and
+          [merge_steps]/[gallops] appear *)
   explain : bool;
       (** collect the compiled plans into {!Solve.report.plans} (and the
-          [plan] block of {!Solve.report_json}); implies nothing about
-          [compile] — explain with [compile = false] reports no plans *)
+          [plan] block of {!Solve.report_json}) *)
   subsume : bool;
       (** apply the adornment-lattice subsumption filter
           ({!Datalog_engine.Subsume}) to the magic-family strategies: a
@@ -71,8 +65,8 @@ type t = {
 
 val default : t
 (** [Alexander] strategy, left-to-right SIP, [Auto] negation, no limits,
-    no profiling, no trace, no checkpoint, compiled plans on, merge
-    joins on, explain off, subsumption filter on. *)
+    no profiling, no trace, no checkpoint, merge joins on, explain off,
+    subsumption filter on. *)
 
 val strategy_name : strategy -> string
 val strategy_of_string : string -> strategy option

@@ -26,20 +26,17 @@ let profile_of_options options =
     Profile.create ?trace:options.Options.trace ()
   else Profile.none
 
-(* The engine-side plan configuration for these options: [None] turns the
-   compiler off entirely (interpreted oracle).  Compiled plans are pushed
-   to [push] as they are built; callers dedupe afterwards because the
+(* The engine-side plan configuration for these options.  Compiled plans
+   are pushed to [push] as they are built; callers dedupe afterwards because the
    well-founded alternation (and re-solved tabled calls) re-enter the
    compiler with the same rules. *)
 let plan_of_options options push =
-  if not options.Options.compile then None
-  else
-    let sip =
-      match options.Options.sips with
-      | Sips.Left_to_right -> Plan.Ltr
-      | Sips.Greedy_bound | Sips.Cost_aware -> Plan.Cost
-    in
-    Some (Plan.config ~sip ~merge:options.Options.merge ~on_compile:push ())
+  let sip =
+    match options.Options.sips with
+    | Sips.Left_to_right -> Plan.Ltr
+    | Sips.Greedy_bound | Sips.Cost_aware -> Plan.Cost
+  in
+  Plan.config ~sip ~merge:options.Options.merge ~on_compile:push ()
 
 let dedup_infos infos =
   let seen = Hashtbl.create 16 in
@@ -89,7 +86,7 @@ let check_safety program =
 
 (* Evaluate [program] (rules + facts) under the requested negation
    semantics; answers are read from [answer_pred]/[pattern]. *)
-let evaluate ?resume_from ?plan ?(subsume = Subsume.none) ~db options
+let evaluate ?resume_from ~plan ?(subsume = Subsume.none) ~db options
     profile program answer_pred pattern =
   let limits = options.Options.limits in
   let checkpoint = options.Options.checkpoint in
@@ -107,7 +104,7 @@ let evaluate ?resume_from ?plan ?(subsume = Subsume.none) ~db options
       Result.map_error
         (fun msg -> Errors.Not_stratified msg)
         (Stratified.run ~limits ~profile ~checkpoint ?resume_from ~db
-           ~use_naive ?plan ~subsume program)
+           ~use_naive ~plan ~subsume program)
     in
     Ok
       ( outcome.Stratified.db,
@@ -118,7 +115,7 @@ let evaluate ?resume_from ?plan ?(subsume = Subsume.none) ~db options
   in
   let conditional_eval () =
     let* () = no_resume "conditional" in
-    let outcome = Conditional.run ~limits ~profile ?plan ~db program in
+    let outcome = Conditional.run ~limits ~profile ~plan ~db program in
     Ok
       ( outcome.Conditional.true_db,
         outcome.Conditional.counters,
@@ -128,7 +125,7 @@ let evaluate ?resume_from ?plan ?(subsume = Subsume.none) ~db options
   in
   let wellfounded_eval () =
     let* () = no_resume "wellfounded" in
-    let outcome = Wellfounded.run ~limits ~profile ?plan ~db program in
+    let outcome = Wellfounded.run ~limits ~profile ~plan ~db program in
     Ok
       ( outcome.Wellfounded.true_db,
         outcome.Wellfounded.counters,
@@ -303,7 +300,7 @@ let run_uncaught ~options ?resume_from prepared query =
     | Options.Naive | Options.Seminaive ->
       let own = Lazy.force prepared.own in
       let* result =
-        evaluate ?resume_from ?plan
+        evaluate ?resume_from ~plan
           ~db:(goal_db (Lazy.force prepared.base) own)
           options profile own qpred query
       in
@@ -316,7 +313,7 @@ let run_uncaught ~options ?resume_from prepared query =
           (Tabled.run ~limits:options.Options.limits ~profile
              ~checkpoint:options.Options.checkpoint ?resume_from
              ~db:(goal_db (Lazy.force prepared.base) own)
-             ?plan own query)
+             ~plan own query)
       in
       (* expose the tables as a database, alongside the EDB *)
       let db = own_db prepared in
@@ -353,7 +350,7 @@ let run_uncaught ~options ?resume_from prepared query =
         let rw = rewrite options adorned in
         let goal = Program.make ~facts:rw.Rewritten.seeds rw.Rewritten.rules in
         let* result =
-          evaluate ?resume_from ?plan ~subsume:(subsume_of options rw)
+          evaluate ?resume_from ~plan ~subsume:(subsume_of options rw)
             ~db:(goal_db split.s_base goal) options profile goal
             (Rewritten.answer_pred rw) rw.Rewritten.answer_atom
         in
@@ -459,7 +456,7 @@ let run_many_uncaught ~options program queries =
                   in
                   Hashtbl.replace results i (query, answers))
                 group)
-            (evaluate ?plan ~subsume:(subsume_of options rw)
+            (evaluate ~plan ~subsume:(subsume_of options rw)
                ~db:(goal_db split.s_base goal) options profile goal
                (Rewritten.answer_pred rw)
                (Atom.make (Rewritten.answer_pred rw)
@@ -521,8 +518,7 @@ let report_json ~query report =
   in
   let plan_block =
     Json.Obj
-      [ ("compiled", Json.Bool report.options.Options.compile);
-        ( "sip",
+      [ ( "sip",
           Json.String (Sips.strategy_name report.options.Options.sips) );
         ( "rules",
           Json.List
@@ -543,7 +539,7 @@ let report_json ~query report =
       ]
   in
   Json.Obj
-    [ ("schema_version", Json.Int 7);
+    [ ("schema_version", Json.Int 8);
       ("query", Json.String (Format.asprintf "%a" Atom.pp query));
       ( "strategy",
         Json.String (Options.strategy_name report.options.Options.strategy) );

@@ -37,8 +37,8 @@ type report = {
           trace sink) asked for collection *)
   plans : Datalog_engine.Plan.info list;
       (** the compiled join plans the evaluation used, deduplicated, in
-          compilation order; empty when [options.compile] is off (or the
-          query short-circuited to an indexed lookup) *)
+          compilation order; empty when the query short-circuited to an
+          indexed lookup *)
   evaluator : string;
       (** which fixpoint ran: "seminaive", "naive", "stratified",
           "conditional" or "wellfounded" *)
@@ -126,7 +126,7 @@ val answer_atoms : Program.t -> Atom.t -> report -> Atom.t list
 (** The answers as ground atoms over the source query predicate. *)
 
 val report_json : query:Atom.t -> report -> Datalog_engine.Json.t
-(** The report as a schema-stable JSON object (schema_version 7): query,
+(** The report as a schema-stable JSON object (schema_version 8): query,
     strategy/sips/negation, the subsumption-filter flag, evaluator,
     status, answer and undefined counts, wall time, minor-heap allocation, rewritten-program size, the
     compiled-plan block (SIP, per-rule variants and steps), the counter

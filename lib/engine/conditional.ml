@@ -397,8 +397,9 @@ let solve_body cnt ~guard ~profile store ~negation c emit =
         end)
       c.positives
 
-let run ?(limits = Limits.none) ?(profile = Profile.none) ?plan ?counters
-    ?(oracle = fun _ -> `Undecided) ?db program =
+let run ?(limits = Limits.none) ?(profile = Profile.none)
+    ?(plan = Plan.config ()) ?counters ?(oracle = fun _ -> `Undecided) ?db
+    program =
   let counters =
     match counters with Some c -> c | None -> Counters.create ()
   in
@@ -411,14 +412,12 @@ let run ?(limits = Limits.none) ?(profile = Profile.none) ?plan ?counters
      is reordered once, against the seed cardinalities.  The answers are
      order-invariant; the work counters are not (the semi-naive variants
      follow the body order). *)
+  let card = Database.cardinal seed in
   let rules =
-    match plan with
-    | None -> Program.rules program
-    | Some cfg ->
-      let card pred = Database.cardinal seed pred in
-      List.map (Plan.reorder cfg ~card) (Program.rules program)
+    List.map
+      (fun r -> compile (Plan.reorder plan ~card r))
+      (Program.rules program)
   in
-  let rules = List.map compile rules in
   Database.iter
     (fun pred rel ->
       Relation.iter

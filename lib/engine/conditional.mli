@@ -51,6 +51,9 @@ val run :
     pre-seeds extra EDB facts; [limits] bounds the evaluation; an active
     [profile] records per-rule and per-round rows of the monotone phase
     (the reduction phase derives no new atoms and is not attributed).
+    [plan] (default [Plan.config ()]) supplies the SIP: each rule body is
+    reordered once by {!Plan.reorder} before the condition-set
+    interpreter runs it (the identity under [Ltr]).
 
     [counters] shares an existing counter set instead of creating a
     fresh one (the budget guard then also sees work recorded by earlier

@@ -140,24 +140,6 @@ let solve_body cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
   in
   go 0 body env
 
-let apply_rule cnt ?(guard = Limits.no_guard) ?profile ~rel_of ~neg rule emit =
-  let head = Rule.head rule in
-  solve_body cnt ~guard ?profile ~rel_of ~neg (Rule.body rule) Cenv.empty
-    (fun env ->
-      Limits.check_derived guard;
-      cnt.Counters.firings <- cnt.Counters.firings + 1;
-      let tuple =
-        Array.map
-          (fun t ->
-            match Cenv.resolve_term env t with
-            | Cenv.Bound c -> c
-            | Cenv.Free _ ->
-              unsafe "derived non-ground head %a in rule %a" Atom.pp
-                (Cenv.apply_atom env head) Rule.pp rule)
-          (Atom.args head)
-      in
-      emit (Atom.pred head) tuple)
-
 let db_rel_of db _i pred = Database.find db pred
 
 let closed_world_neg db pred tuple = not (Database.mem db pred tuple)

@@ -1,13 +1,15 @@
 (** Rule-body evaluation: index-backed nested-loop join with backtracking.
 
-    This is the shared kernel of every evaluator.  A body is solved left to
-    right under a coded binding environment ({!Cenv}); positive literals
-    enumerate matching tuples through {!Datalog_storage.Relation.select}
-    (which uses a hash index on the bound columns), negative literals test
-    the absence of the — by then ground — tuple, and comparisons filter
-    (or, for [=] with one unbound side, bind).  Everything on the hot path
-    holds {!Datalog_ast.Code} ints; values are decoded only to build error
-    messages and provenance substitutions. *)
+    The body solver of {!Provenance}, and the binding helpers of
+    {!Tabled}'s interpreter; the fixpoint engines apply rules through
+    {!Plan}.  A body is solved left to right under a coded binding
+    environment ({!Cenv}); positive literals enumerate matching tuples
+    through {!Datalog_storage.Relation.select} (which uses a hash index
+    on the bound columns), negative literals test the absence of the —
+    by then ground — tuple, and comparisons filter (or, for [=] with one
+    unbound side, bind).  Environments hold {!Datalog_ast.Code} ints;
+    values are decoded only to build error messages and provenance
+    substitutions. *)
 
 open Datalog_ast
 open Datalog_storage
@@ -72,18 +74,6 @@ val solve_body :
     {!Limits.Out_of_budget}.  An active [profile] records one
     per-predicate probe (with its scan width) per positive-literal
     lookup. *)
-
-val apply_rule :
-  Counters.t ->
-  ?guard:Limits.guard ->
-  ?profile:Profile.t ->
-  rel_of:(int -> Pred.t -> Relation.t option) ->
-  neg:(Pred.t -> Tuple.t -> bool) ->
-  Rule.t ->
-  (Pred.t -> Tuple.t -> unit) ->
-  unit
-(** Fire a rule for every body match, handing the ground head tuple to the
-    callback.  [guard] as in {!solve_body}. *)
 
 val bound_positions : Cenv.t -> Atom.t -> (int * Code.t) list
 (** The argument positions of the atom that are ground under the

@@ -1,17 +1,11 @@
 open Datalog_ast
 open Datalog_storage
 
-(* One rule application, either interpreted ([Eval.apply_rule]) or through
-   a compiled plan; the two are counter-for-counter equivalent, so which
-   one runs is invisible to profiles, limits and checkpoints. *)
-let applier cnt ~guard ~profile ~neg ?plan ~card ?delta_pos rule =
-  match plan with
-  | None ->
-    fun ~rel_of emit ->
-      Eval.apply_rule cnt ~guard ~profile ~rel_of ~neg rule emit
-  | Some cfg ->
-    let p = Plan.compile cfg ~card ?delta_pos rule in
-    fun ~rel_of emit -> Plan.run p cnt ~guard ~profile ~rel_of ~neg emit
+(* One rule application through a compiled plan: the rule is compiled
+   once (against [card] at the call) and the result runs per round. *)
+let applier cnt ~guard ~profile ~neg plan ~card ?delta_pos rule =
+  let p = Plan.compile plan ~card ?delta_pos rule in
+  fun ~rel_of emit -> Plan.run p cnt ~guard ~profile ~rel_of ~neg emit
 
 (* Insert a derived fact into [db] under [pred] (the companion when the
    subsumption filter dropped it), count it as derived or subsumed, and
@@ -41,14 +35,14 @@ let emit cnt ~guard ~profile ~subsume ~db ~on_new pred tuple =
   | None -> store cnt ~guard ~profile ~db ~on_new ~dropped:false pred tuple
 
 let naive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
-    ?(ckpt = Checkpoint.none) ?plan ?(subsume = Subsume.none) ~db ~neg
-    rules =
+    ?(ckpt = Checkpoint.none) ?(plan = Plan.config ())
+    ?(subsume = Subsume.none) ~db ~neg rules =
   let rel_of = Eval.db_rel_of db in
   let card pred = Database.cardinal db pred in
   let apps =
     List.map
       (fun rule ->
-        (rule, applier cnt ~guard ~profile ~neg ?plan ~card rule))
+        (rule, applier cnt ~guard ~profile ~neg plan ~card rule))
       rules
   in
   let changed = ref true in
@@ -89,8 +83,8 @@ let delta_positions recursive rule =
 let no_new _ _ = ()
 
 let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
-    ?(ckpt = Checkpoint.none) ?plan ?(subsume = Subsume.none)
-    ?initial_delta ~db ~neg ?recursive rules =
+    ?(ckpt = Checkpoint.none) ?(plan = Plan.config ())
+    ?(subsume = Subsume.none) ?initial_delta ~db ~neg ?recursive rules =
   let recursive =
     match recursive with Some s -> s | None -> head_preds rules
   in
@@ -116,7 +110,7 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
       let apps =
         List.map
           (fun rule ->
-            (rule, applier cnt ~guard ~profile ~neg ?plan ~card rule))
+            (rule, applier cnt ~guard ~profile ~neg plan ~card rule))
           rules
       in
       match
@@ -149,8 +143,7 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
             List.map
               (fun delta_pos ->
                 ( delta_pos,
-                  applier cnt ~guard ~profile ~neg ?plan ~card ~delta_pos
-                    rule ))
+                  applier cnt ~guard ~profile ~neg plan ~card ~delta_pos rule ))
               positions
           in
           Some (rule, apps))

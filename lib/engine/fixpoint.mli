@@ -32,11 +32,28 @@ val naive :
   Rule.t list ->
   unit
 (** Rounds of full re-evaluation of every rule until no new fact appears.
-    With [plan], each rule is compiled once (against the cardinalities of
-    [db] at entry) and run through {!Plan.run}; without it, the
-    interpreted {!Eval.apply_rule} path is used.  The two are equivalent,
-    counters included.
+    Each rule is compiled once under [plan] (default [Plan.config ()]),
+    against the cardinalities of [db] at entry, and run through
+    {!Plan.run}.
     @raise Limits.Out_of_budget when the guard's budget is exhausted. *)
+
+val applier :
+  Counters.t ->
+  guard:Limits.guard ->
+  profile:Profile.t ->
+  neg:(Pred.t -> Tuple.t -> bool) ->
+  Plan.config ->
+  card:(Pred.t -> int) ->
+  ?delta_pos:int ->
+  Rule.t ->
+  rel_of:(int -> Pred.t -> Relation.t option) ->
+  (Pred.t -> Tuple.t -> unit) ->
+  unit
+(** [applier cnt ~guard ~profile ~neg plan ~card ?delta_pos rule] compiles
+    the rule (its [delta_pos] specialization when given) once and returns
+    the application every round runs: [rel_of] picks the relation each
+    body position reads, and every derived head tuple goes to the emit
+    callback.  The one rule-application path of every fixpoint loop. *)
 
 val seminaive :
   Counters.t ->
@@ -56,7 +73,9 @@ val seminaive :
     read-only slice of [db] that round inserted ({!Database.since}), so
     nothing may remove from [db] while the loop runs.  [recursive]
     names the predicates to drive with deltas; it defaults to the head
-    predicates of the given rules.
+    predicates of the given rules.  Every rule variant (the full one and
+    one per delta position) is compiled once under [plan], as in
+    {!naive}.
 
     [initial_delta] warm-starts the loop at a round boundary: [db] must be
     the state after some completed round and [initial_delta] the facts

@@ -9,20 +9,9 @@ let ensure_positive program =
        retract under additions); recompute instead"
   else Ok ()
 
-(* One delta specialization of a rule: position [i] reads the delta, the
-   rest the full database — interpreted, or through a compiled plan. *)
-let delta_applier cnt ~guard ~profile ~neg ?plan ~card ~delta_pos rule =
-  match plan with
-  | None ->
-    fun ~rel_of emit ->
-      Eval.apply_rule cnt ~guard ~profile ~rel_of ~neg rule emit
-  | Some cfg ->
-    let p = Plan.compile cfg ~card ~delta_pos rule in
-    fun ~rel_of emit -> Plan.run p cnt ~guard ~profile ~rel_of ~neg emit
-
 (* Per rule, the delta-readable positions with their appliers (compiled
    once per maintenance call, not once per propagation round). *)
-let delta_apps cnt ~guard ~profile ~neg ?plan ~card rules =
+let delta_apps cnt ~guard ~profile ~neg plan ~card rules =
   List.map
     (fun rule ->
       let apps =
@@ -33,56 +22,56 @@ let delta_apps cnt ~guard ~profile ~neg ?plan ~card rules =
                  Some
                    ( i,
                      Atom.pred a,
-                     delta_applier cnt ~guard ~profile ~neg ?plan ~card
+                     Fixpoint.applier cnt ~guard ~profile ~neg plan ~card
                        ~delta_pos:i rule )
                | Literal.Neg _ | Literal.Cmp _ -> None)
       in
       (rule, apps))
     rules
 
-(* Delta-driven propagation: fire every rule with one body position
-   reading the delta and the rest reading the full database, inserting
-   consequences into the database; the next delta is the slice of the
-   database the round inserted. *)
-let propagate cnt guard profile ?plan program db delta =
-  let inserted = ref 0 in
+(* Delta-driven rounds to quiescence: fire every rule once per body
+   position whose predicate has tuples in the delta, that position
+   reading the delta and the rest the full [db].  [emit] inserts into
+   [into]; the next delta is the slice of [into] the round inserted. *)
+let delta_rounds cnt guard profile rule_apps ~db ~into delta emit =
   let current = ref delta in
-  let neg = Eval.closed_world_neg db in
-  let card pred = Database.cardinal db pred in
-  let rule_apps =
-    delta_apps cnt ~guard ~profile ~neg ?plan ~card (Program.rules program)
-  in
-  let derive pred tuple =
-    if Database.add db pred tuple then begin
-      incr inserted;
-      cnt.Counters.facts_derived <- cnt.Counters.facts_derived + 1;
-      Profile.derived profile pred;
-      if Limits.is_active guard then
-        Limits.check_relation guard (Database.rel db pred)
-    end
-  in
   while Database.total_facts !current > 0 do
     cnt.Counters.iterations <- cnt.Counters.iterations + 1;
     Limits.check_round guard;
-    let marks = Database.marks db in
+    let marks = Database.marks into in
+    let cur = !current in
     Profile.with_round profile cnt (fun () ->
         List.iter
           (fun (rule, apps) ->
             Profile.with_rule profile cnt rule @@ fun () ->
             List.iter
               (fun (i, apred, app) ->
-                if Database.cardinal !current apred > 0 then begin
-                  let cur = !current in
+                if Database.cardinal cur apred > 0 then
                   let rel_of j pred =
-                    if j = i then Database.find cur pred
-                    else Database.find db pred
+                    Database.find (if j = i then cur else db) pred
                   in
-                  app ~rel_of derive
-                end)
+                  app ~rel_of emit)
               apps)
           rule_apps);
-    current := Database.since db marks
-  done;
+    current := Database.since into marks
+  done
+
+(* Propagate an addition: consequences go into [db] itself. *)
+let propagate cnt guard profile plan program db delta =
+  let inserted = ref 0 in
+  let rule_apps =
+    delta_apps cnt ~guard ~profile ~neg:(Eval.closed_world_neg db) plan
+      ~card:(Database.cardinal db) (Program.rules program)
+  in
+  delta_rounds cnt guard profile rule_apps ~db ~into:db delta
+    (fun pred tuple ->
+      if Database.add db pred tuple then begin
+        incr inserted;
+        cnt.Counters.facts_derived <- cnt.Counters.facts_derived + 1;
+        Profile.derived profile pred;
+        if Limits.is_active guard then
+          Limits.check_relation guard (Database.rel db pred)
+      end);
   !inserted
 
 let exhausted_error reason =
@@ -133,8 +122,8 @@ let with_change_report on_change db f =
         (Database.preds db);
       ok)
 
-let add_facts cnt ?(limits = Limits.none) ?(profile = Profile.none) ?plan
-    ?on_change program db facts =
+let add_facts cnt ?(limits = Limits.none) ?(profile = Profile.none)
+    ?(plan = Plan.config ()) ?on_change program db facts =
   match ensure_positive program with
   | Error _ as e -> e
   | Ok () ->
@@ -145,12 +134,12 @@ let add_facts cnt ?(limits = Limits.none) ?(profile = Profile.none) ?plan
     let base_added = ref 0 in
     List.iter (fun a -> if Database.add_atom db a then incr base_added) facts;
     let derived =
-      propagate cnt guard profile ?plan program db (Database.since db marks)
+      propagate cnt guard profile plan program db (Database.since db marks)
     in
     Ok (!base_added + derived)
 
-let remove_facts cnt ?(limits = Limits.none) ?(profile = Profile.none) ?plan
-    ?on_change program db facts =
+let remove_facts cnt ?(limits = Limits.none) ?(profile = Profile.none)
+    ?(plan = Plan.config ()) ?on_change program db facts =
   match ensure_positive program with
   | Error _ as e -> e
   | Ok () ->
@@ -174,38 +163,15 @@ let remove_facts cnt ?(limits = Limits.none) ?(profile = Profile.none) ?plan
       (fun a ->
         if Database.mem_atom db a then ignore (Database.add_atom deleted a))
       facts;
-    (* the frontier is the slice of [deleted] the last round added *)
-    let frontier = ref (Database.since deleted marks) in
     let over_delete_apps =
       delta_apps cnt ~guard ~profile:Profile.none
-        ~neg:(Eval.closed_world_neg db) ?plan
-        ~card:(fun pred -> Database.cardinal db pred)
+        ~neg:(Eval.closed_world_neg db) plan ~card:(Database.cardinal db)
         (Program.rules program)
     in
-    let mark_deleted pred tuple =
-      if Database.mem db pred tuple && not (Database.mem protected pred tuple)
-      then ignore (Database.add deleted pred tuple)
-    in
-    while Database.total_facts !frontier > 0 do
-      cnt.Counters.iterations <- cnt.Counters.iterations + 1;
-      Limits.check_round guard;
-      let marks = Database.marks deleted in
-      List.iter
-        (fun (_rule, apps) ->
-          List.iter
-            (fun (i, apred, app) ->
-              if Database.cardinal !frontier apred > 0 then begin
-                let front = !frontier in
-                let rel_of j pred =
-                  if j = i then Database.find front pred
-                  else Database.find db pred
-                in
-                app ~rel_of mark_deleted
-              end)
-            apps)
-        over_delete_apps;
-      frontier := Database.since deleted marks
-    done;
+    delta_rounds cnt guard Profile.none over_delete_apps ~db ~into:deleted
+      (Database.since deleted marks) (fun pred tuple ->
+        if Database.mem db pred tuple && not (Database.mem protected pred tuple)
+        then ignore (Database.add deleted pred tuple));
     (* Phase 2: physically remove the over-deleted tuples. *)
     Database.iter
       (fun pred rel ->
@@ -213,7 +179,7 @@ let remove_facts cnt ?(limits = Limits.none) ?(profile = Profile.none) ?plan
       deleted;
     (* Phase 3: re-derive — anything with an alternative derivation from
        the remaining facts comes back (semi-naive to fixpoint). *)
-    Fixpoint.seminaive cnt ~guard ~profile ?plan ~db
+    Fixpoint.seminaive cnt ~guard ~profile ~plan ~db
       ~neg:(Eval.closed_world_neg db)
       (Program.rules program);
     Ok (before - Database.total_facts db)

@@ -28,7 +28,8 @@ val add_facts :
 (** [add_facts cnt program db facts] inserts the (ground, extensional)
     [facts] into the saturated [db] and propagates their consequences.
     Returns the number of new tuples (base + derived), or [Error] on a
-    program with negation.
+    program with negation.  Every rule runs through plans compiled under
+    [plan] (default [Plan.config ()]), as in {!Fixpoint}.
 
     [limits] bounds the propagation.  Unlike the query engines, exhaustion
     here is an [Error], and the operation is {e transactional}: the
@@ -57,7 +58,7 @@ val remove_facts :
 (** [remove_facts cnt program db facts] deletes the given extensional
     facts and every derived tuple that no longer has a derivation.
     Returns the number of tuples removed, or [Error] on a program with
-    negation.  [limits] and [on_change] as in {!add_facts} (exhaustion
+    negation.  [limits], [plan] and [on_change] as in {!add_facts} (exhaustion
     rolls [db] back to its pre-call state and is reported as [Error]).
 
     Note: [db] is rebuilt in place (relations are replaced), so aliased

@@ -76,8 +76,8 @@ val check : guard -> unit
     @raise Out_of_budget on exhaustion. *)
 
 val check_derived : guard -> unit
-(** The per-derivation poll, called at every rule firing (compiled and
-    interpreted paths alike): fact cap unconditionally, clock and
+(** The per-derivation poll, called at every rule firing of a compiled
+    plan ({!Plan.run}): fact cap unconditionally, clock and
     cancellation every 64 derivations.  Without it, one explosive
     fixpoint round whose candidates mostly fire could overshoot a
     wall-clock deadline by the whole round's derivation work; with it,

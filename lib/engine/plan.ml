@@ -73,10 +73,10 @@ type op =
   | Unsafe_neg of { pred : Pred.t; args : src array }
   | Unsafe_cmp of { cmp : Literal.cmp; lhs : src; rhs : src }
 
-(* The interpreters raise [Unsafe_rule] with slightly different wording
-   (and [Eval] aliases unbound [X = Y] while [Tabled] rejects it); plans
-   reproduce each dialect exactly so differential tests can compare
-   behaviour one-to-one. *)
+(* Rule application and [Tabled]'s interpreter raise [Unsafe_rule] with
+   slightly different wording (and rules alias unbound [X = Y] while
+   [Tabled] rejects it); plans reproduce each dialect exactly so
+   differential tests can compare behaviour one-to-one. *)
 type dialect = Rule_eval | Call_eval
 
 type variant = Full | Delta of int | Call of string
@@ -520,8 +520,8 @@ let fuse_merge ~variant ~head_pred ops =
   in
   go ops
 
-(* Compile [rule] for the fixpoint-style evaluators ([Eval.apply_rule]
-   semantics).  [card] supplies relation cardinalities for the cost SIP;
+(* Compile [rule] for the fixpoint-style evaluators (left-to-right
+   [Eval.solve_body] semantics).  [card] supplies relation cardinalities for the cost SIP;
    [delta_pos] compiles the semi-naive specialization whose literal at
    that original position reads the delta. *)
 let compile cfg ~card ?delta_pos rule =
@@ -693,7 +693,7 @@ let dummy_value : Code.t = Code.of_int 0
 let make_regs (plan : t) = Array.make (max plan.nregs 1) dummy_value
 
 (* Run a compiled plan once (one rule application): counter-for-counter
-   equivalent to [Eval.apply_rule] on the same rule.  Relations are
+   equivalent to interpreting the rule with [Eval.solve_body].  Relations are
    resolved once up front — sound because a missed mid-application
    relation creation would require this very rule to have already matched
    a tuple of a relation that did not exist. *)
@@ -739,7 +739,7 @@ let run (plan : t) cnt ?(guard = Limits.no_guard) ?(profile = Profile.none) ~rel
         | Some rel ->
           cnt.Counters.probes <- cnt.Counters.probes + 1;
           (* snapshot: tuples inserted during this scan are not visited,
-             exactly like the interpreter's [select rel []] *)
+             exactly like [Eval.solve_body]'s [select rel []] *)
           let candidates = Relation.to_list rel in
           if profiling then
             Profile.probe profile pred ~scanned:(Relation.cardinal rel);

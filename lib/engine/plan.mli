@@ -8,9 +8,10 @@
     literal's statically-bound column set.  Boundness is static because
     every evaluator starts rule applications from the empty substitution.
 
-    {!run} is counter-for-counter equivalent to {!Eval.apply_rule} on the
-    same rule — the interpreted path stays available as the differential
-    -testing oracle.
+    {!run} is the only way the fixpoint engines apply a rule.  It is
+    counter-for-counter equivalent to interpreting the same rule with
+    {!Eval.solve_body}; the test suite keeps that interpreter as its
+    differential oracle.
 
     The representation is exposed so that the tabled engine (whose probe
     accounting and unsafe-rule dialect differ) can drive the ops with its
@@ -144,9 +145,9 @@ val run :
   neg:(Pred.t -> Tuple.t -> bool) ->
   (Pred.t -> Tuple.t -> unit) ->
   unit
-(** Run the plan for one rule application; equivalent to
-    {!Eval.apply_rule} (same emissions, same counter increments, same
-    unsafe-rule errors).
+(** Run the plan for one rule application; equivalent to interpreting
+    the rule with {!Eval.solve_body} (same emissions, same counter
+    increments, same unsafe-rule errors).
     @raise Invalid_argument on plans containing {!Table} ops. *)
 
 (** {2 Building blocks for engine-specific executors} *)

@@ -30,7 +30,8 @@ val run :
 (** Evaluate the whole program.  [db] optionally supplies a pre-seeded
     database (the program's facts are always added); [use_naive] switches
     the per-stratum fixpoint from semi-naive to naive (for the ablation
-    benchmarks).
+    benchmarks).  Each stratum's rules are compiled under [plan]
+    (default [Plan.config ()]), see {!Fixpoint}.
     An active [subsume] filter ({!Subsume}) is applied in every stratum's
     fixpoint.  An active [profile] records per-stratum, per-round and
     per-rule rows (see {!Profile}).  [limits] bounds the evaluation (see {!Limits}); on

@@ -14,8 +14,7 @@
     The filter is consulted at the evaluators' emit sites
     ({!Fixpoint.naive}/{!Fixpoint.seminaive}); a [drop] decision reads
     only the general relations, which a single rule application never
-    mutates, so interpreted and compiled evaluation make identical
-    decisions. *)
+    mutates, so every literal order makes identical decisions. *)
 
 open Datalog_ast
 open Datalog_storage

@@ -35,7 +35,9 @@ val run :
   ?db:Database.t -> Program.t ->
   outcome
 (** The transformation-based engine.  [limits] bounds the evaluation
-    (all phases share one budget and one counter set).  An active
+    (all phases share one budget and one counter set); [plan] (default
+    [Plan.config ()]) compiles the fixpoint phases and orders the
+    conditional one.  An active
     [profile] accumulates rule/round rows across every phase and traces
     each phase transition. *)
 

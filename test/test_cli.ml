@@ -154,10 +154,10 @@ let test_stats_json_file_and_trace () =
   let json = In_channel.with_open_text out In_channel.input_all in
   Sys.remove out;
   check tbool "schema version" true
-    (contains ~sub:"\"schema_version\": 7" json);
+    (contains ~sub:"\"schema_version\": 8" json);
   check tbool "profile enabled" true (contains ~sub:"\"enabled\": true" json);
   check tbool "per-rule rows" true (contains ~sub:"\"rule\":" json);
-  check tbool "plan block" true (contains ~sub:"\"compiled\": true" json);
+  check tbool "plan block" true (contains ~sub:"\"steps\":" json);
   check tbool "query echoed" true (contains ~sub:"anc(ann, X)" json)
 
 let test_stats_json_stdout () =
@@ -181,14 +181,6 @@ let test_explain_flag () =
   check tbool "plan banner" true (contains ~sub:"% plan " out);
   check tbool "emit step shown" true (contains ~sub:"emit " out);
   check tbool "answers still printed" true (contains ~sub:"anc(ann, fay)" out)
-
-let test_interpret_flag () =
-  let args query = [ "run"; sample "ancestor.dl"; "-q"; query ] in
-  let code_c, out_c = run_cli (args "anc(ann, X)") in
-  let code_i, out_i = run_cli (args "anc(ann, X)" @ [ "--interpret" ]) in
-  check tint "compiled exit" 0 code_c;
-  check tint "interpreted exit" 0 code_i;
-  check Alcotest.string "identical output" out_c out_i
 
 let test_stats_prints_profile () =
   let code, out =
@@ -246,7 +238,6 @@ let suite =
           test_stats_json_file_and_trace;
         Alcotest.test_case "stats-json stdout" `Quick test_stats_json_stdout;
         Alcotest.test_case "explain flag" `Quick test_explain_flag;
-        Alcotest.test_case "interpret flag" `Quick test_interpret_flag;
         Alcotest.test_case "stats prints profile" `Quick
           test_stats_prints_profile;
         Alcotest.test_case "bench rejects --checkpoint-every 0" `Quick

@@ -67,27 +67,21 @@ let test_timeout_stops () =
    semi-naive round (~13M candidate firings for n = 60), so a deadline
    that only fired at round boundaries would overshoot by the entire
    round.  The per-derivation poll (Limits.check_derived, every 64
-   firings) must stop the round from inside, under both the compiled and
-   the interpreted path. *)
+   firings) must stop the round from inside. *)
 let test_deadline_inside_one_round () =
-  List.iter
-    (fun compile ->
-      let program = explosive 60 in
-      let t0 = Unix.gettimeofday () in
-      let options =
-        { (with_limits (L.make ~timeout_s:0.05 ())) with O.compile }
-      in
-      let report = run_exn ~options program (blowup_query ()) in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      check tbool "timed out mid-round" true
-        (report.S.status = L.Exhausted L.Timeout);
-      (* one round alone is seconds of work; the poll must cut the
-         overshoot to a small multiple of the budget (generous bound so
-         a loaded CI machine cannot flake it) *)
-      check tbool "stopped inside the round" true (elapsed < 2.0);
-      check tbool "stopped before the round completed" true
-        (report.S.counters.C.iterations <= 2))
-    [ true; false ]
+  let program = explosive 60 in
+  let t0 = Unix.gettimeofday () in
+  let options = with_limits (L.make ~timeout_s:0.05 ()) in
+  let report = run_exn ~options program (blowup_query ()) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check tbool "timed out mid-round" true
+    (report.S.status = L.Exhausted L.Timeout);
+  (* one round alone is seconds of work; the poll must cut the overshoot
+     to a small multiple of the budget (generous bound so a loaded CI
+     machine cannot flake it) *)
+  check tbool "stopped inside the round" true (elapsed < 2.0);
+  check tbool "stopped before the round completed" true
+    (report.S.counters.C.iterations <= 2)
 
 let test_iteration_cap () =
   let program = W.ancestor_chain 30 in

@@ -1,18 +1,21 @@
 (* Differential tests for the compiled join-plan path (Plan) against the
-   interpreted substitution path (Eval) — the oracle.  Under the
-   left-to-right SIP the two must agree answer-for-answer and
-   counter-for-counter on every strategy; under the cost-aware SIP the
-   answers (and, for the fixpoint family, the firings) stay invariant
-   while the join work changes.  Plus: unsafe-rule dialect parity, the
-   incremental engine, a golden explain plan, and the Seki equivalence
-   under both SIPs. *)
+   interpreted rule application kept in the test suite ([Interp]) — the
+   oracle.  The comparison is per rule application: every rule variant a
+   run evaluated is applied by both on identically built databases, and
+   under the left-to-right SIP the two must agree emission-for-emission
+   and counter-for-counter; under the cost-aware SIP the emitted facts
+   stay the same while the join work changes.  Tabled evaluation is
+   compared against its own interpreter.  Plus: unsafe-rule dialect
+   parity, merge plans against hash plans in the incremental engine, a
+   golden explain plan, and the Seki equivalence under both SIPs. *)
 
 open Datalog_ast
+open Datalog_storage
+open Datalog_engine
 module O = Alexander.Options
 module S = Alexander.Solve
 module E = Alexander.Equivalence
 module C = Datalog_engine.Counters
-module Plan = Datalog_engine.Plan
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
@@ -24,16 +27,169 @@ let prog = Datalog_parser.Parser.program_of_string
 let atom = Datalog_parser.Parser.atom_of_string
 let rule = Datalog_parser.Parser.rule_of_string
 
-let opts ?(compile = true) ?(merge = true)
-    ?(sips = Datalog_rewrite.Sips.Left_to_right) ?(negation = O.Auto) strategy
-    =
-  { O.default with O.strategy; compile; merge; sips; negation }
-
-let counters (r : S.report) =
-  let c = r.S.counters in
-  (c.C.probes, c.C.scanned, c.C.firings, c.C.facts_derived)
+let opts ?(merge = true) ?(sips = Datalog_rewrite.Sips.Left_to_right)
+    ?(negation = O.Auto) strategy =
+  { O.default with O.strategy; merge; sips; negation }
 
 let firings (r : S.report) = r.S.counters.C.firings
+
+(* ------------------------------------------------------------------ *)
+(* One rule application, compiled against interpreted *)
+
+(* The facts of a run, laid out in four parts as semi-naive rounds meet
+   them: the EDB and a seeded quarter of the IDB start in the database,
+   the second quarter is the first delta slice, the third and fourth
+   arrive before the second and third application. *)
+let layout ~seed ~idb db =
+  let parts = Array.make 4 [] in
+  List.iter
+    (fun pred ->
+      List.iter
+        (fun t ->
+          let k =
+            if not (Pred.Set.mem pred idb) then 0
+            else
+              Hashtbl.hash
+                (seed, Format.asprintf "%a" Atom.pp (Tuple.to_atom pred t))
+              mod 4
+          in
+          parts.(k) <- (pred, t) :: parts.(k))
+        (Database.tuples db pred))
+    (List.sort Pred.compare (Database.preds db));
+  Array.map List.rev parts
+
+(* Three applications of one rule variant on a fresh database built from
+   [parts], the way a fixpoint runs it: [make db] prepares the
+   application once (a plan is compiled against [db]'s cardinalities at
+   that point), each later application sees the facts the earlier ones
+   emitted plus the next part, and every emitted fact is inserted as
+   [Fixpoint.emit] does.  [delta_pos] reads the slice inserted since the
+   previous application.  Returns the emissions, the join counters and
+   the unsafe-rule message, if one was raised. *)
+let applications parts ?delta_pos make =
+  let db = Database.create () in
+  let add = List.iter (fun (p, t) -> ignore (Database.add db p t)) in
+  add parts.(0);
+  let marks = ref (Database.marks db) in
+  add parts.(1);
+  let apply = make db in
+  let cnt = Counters.create () in
+  let log = ref [] in
+  let emit p t =
+    log := (p, t) :: !log;
+    ignore (Database.add db p t)
+  in
+  let unsafe =
+    match
+      for k = 1 to 3 do
+        let delta = Database.since db !marks in
+        marks := Database.marks db;
+        let rel_of j pred =
+          Database.find (if Some j = delta_pos then delta else db) pred
+        in
+        apply cnt ~neg:(Eval.closed_world_neg db) ~rel_of emit;
+        if k < 3 then add parts.(k + 1)
+      done
+    with
+    | () -> None
+    | exception Eval.Unsafe_rule msg -> Some msg
+  in
+  (List.rev !log, C.(cnt.probes, cnt.scanned, cnt.firings), unsafe)
+
+let plan_of cfg ?delta_pos rule db =
+  Plan.compile cfg ~card:(Database.cardinal db) ?delta_pos rule
+
+(* The interpreter follows the plan's literal order: body position [k] of
+   the reordered rule reads what original position [order.(k)] reads. *)
+let interpreted cfg ?delta_pos rule db =
+  let order = (Plan.info (plan_of cfg ?delta_pos rule db)).Plan.i_order in
+  let body = Array.of_list (Rule.body rule) in
+  let reordered =
+    Rule.make (Rule.head rule) (List.map (Array.get body) order)
+  in
+  let order = Array.of_list order in
+  fun cnt ~neg ~rel_of emit ->
+    let rel_of k = rel_of order.(k) in
+    Interp.apply_rule cnt ~rel_of ~neg reordered emit
+
+let compiled cfg ?delta_pos rule db =
+  let p = plan_of cfg ?delta_pos rule db in
+  fun cnt ~neg ~rel_of emit -> Plan.run p cnt ~rel_of ~neg emit
+
+let show_emits es =
+  String.concat " "
+    (List.map
+       (fun (p, t) -> Format.asprintf "%a" Atom.pp (Tuple.to_atom p t))
+       es)
+
+(* Every variant of every rule — the full one and one per positive body
+   position — applied by the plan and by the interpreter.  Under [Ltr]
+   ([exact]) the emission sequences, join counters and unsafe-rule
+   messages must coincide; under [Cost] the emitted sets and whether the
+   rule was unsafe. *)
+let per_application ?(seed = 0) cfg rules db =
+  let idb =
+    List.fold_left
+      (fun acc r -> Pred.Set.add (Atom.pred (Rule.head r)) acc)
+      Pred.Set.empty rules
+  in
+  let all_parts = layout ~seed ~idb db in
+  let exact = cfg.Plan.sip = Plan.Ltr in
+  let variant parts rule delta_pos =
+    let run make = applications parts ?delta_pos (make cfg ?delta_pos rule) in
+    let pe, pc, pu = run compiled and ie, ic, iu = run interpreted in
+    let same =
+      if exact then pe = ie && pc = ic && pu = iu
+      else
+        List.sort_uniq compare pe = List.sort_uniq compare ie
+        && Option.is_some pu = Option.is_some iu
+    in
+    if same then Ok ()
+    else
+      Error
+        (Format.asprintf "%a (delta %s):@.plan   %s@.interp %s" Rule.pp rule
+           (match delta_pos with Some i -> string_of_int i | None -> "-")
+           (show_emits pe) (show_emits ie))
+  in
+  List.fold_left
+    (fun acc rule ->
+      (* a rule application reads its body predicates and writes its head:
+         the rest of the database is left out *)
+      let used =
+        Pred.Set.of_list
+          (Atom.pred (Rule.head rule)
+          :: List.filter_map
+               (function
+                 | Literal.Pos a | Literal.Neg a -> Some (Atom.pred a)
+                 | Literal.Cmp _ -> None)
+               (Rule.body rule))
+      in
+      let parts =
+        Array.map (List.filter (fun (p, _) -> Pred.Set.mem p used)) all_parts
+      in
+      let positions =
+        List.concat
+          (List.mapi
+             (fun i -> function
+               | Literal.Pos _ -> [ Some i ]
+               | Literal.Neg _ | Literal.Cmp _ -> [])
+             (Rule.body rule))
+      in
+      List.fold_left
+        (fun acc delta_pos ->
+          Result.bind acc (fun () -> variant parts rule delta_pos))
+        acc (None :: positions))
+    (Ok ()) rules
+
+let holds = function
+  | Ok () -> true
+  | Error msg -> QCheck.Test.fail_report msg
+
+(* The rules a run evaluated: the rewritten ones, or the source's. *)
+let evaluated program (r : S.report) =
+  match r.S.rewritten with
+  | Some rw -> rw.Datalog_rewrite.Rewritten.rules
+  | None -> Program.rules program
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: compiled = interpreted, per strategy *)
@@ -42,73 +198,71 @@ let strategies_under_test =
   [ O.Naive; O.Seminaive; O.Magic; O.Supplementary; O.Supplementary_idb;
     O.Alexander; O.Tabled ]
 
-(* Under ltr, answers AND all counters must coincide. *)
-let prop_ltr_parity arb tag count =
+(* Tabled evaluation against its own body interpreter (run without a
+   plan): the same answers; under ltr also the same tables and counters
+   (a reordered body makes different calls). *)
+let tabled_agrees cfg program query =
+  match Tabled.run ~plan:cfg program query, Tabled.run program query with
+  | Ok a, Ok b ->
+    let counters (o : Tabled.outcome) =
+      C.(o.Tabled.counters.probes, o.Tabled.counters.scanned,
+         o.Tabled.counters.firings, o.Tabled.counters.facts_derived)
+    in
+    a.Tabled.answers = b.Tabled.answers
+    && (cfg.Plan.sip = Plan.Cost
+       || (a.Tabled.tables = b.Tabled.tables && counters a = counters b))
+  | Error x, Error y -> x = y
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let prop_parity ~sip arb tag count =
+  let sips, cfg =
+    match sip with
+    | Plan.Ltr ->
+      (Datalog_rewrite.Sips.Left_to_right, Plan.config ~merge:false ())
+    | Plan.Cost ->
+      (Datalog_rewrite.Sips.Cost_aware, Plan.config ~sip:Plan.Cost ())
+  in
   List.map
     (fun strategy ->
       QCheck.Test.make
         ~name:
-          (Printf.sprintf "compiled = interpreted (%s, ltr, %s)"
-             (O.strategy_name strategy) tag)
-        ~count arb
-        (fun (program, query) ->
-          match
-            ( S.run ~options:(opts ~merge:false strategy) program query,
-              S.run ~options:(opts ~compile:false strategy) program query )
-          with
-          | Ok a, Ok b ->
-            a.S.answers = b.S.answers && counters a = counters b
-          | Error _, Error _ -> true
-          | Ok _, Error _ | Error _, Ok _ -> false))
+          (Printf.sprintf "plan = interpreter (%s, %s, %s)"
+             (O.strategy_name strategy) (Plan.sip_name sip) tag)
+        ~count (QCheck.pair arb QCheck.small_nat)
+        (fun ((program, query), seed) ->
+          if strategy = O.Tabled then tabled_agrees cfg program query
+          else
+            let options = opts ~merge:false ~sips strategy in
+            match S.run ~options program query with
+            | Error _ -> true
+            | Ok r ->
+              holds
+                (per_application ~seed cfg (evaluated program r) r.S.db)))
     strategies_under_test
 
-(* Under the cost SIP the literal order changes, so only the answer set
-   is pinned.  (Not even firings survive a reorder in general: a body
-   that reads its own head predicate sees mid-round insertions at
-   different times under different join orders, so per-round match
-   counts shift even though the fixpoint is identical.) *)
-let prop_cost_parity arb tag count =
+(* Programs with negation through recursion: the rules applied to the
+   facts the conditional and well-founded evaluators reach, under a fact
+   budget (a partial database is as good a test bed as a complete one). *)
+let prop_unstratified =
   List.map
-    (fun strategy ->
+    (fun (name, facts_of) ->
       QCheck.Test.make
-        ~name:
-          (Printf.sprintf "compiled = interpreted (%s, cost, %s)"
-             (O.strategy_name strategy) tag)
-        ~count arb
-        (fun (program, query) ->
-          let sips = Datalog_rewrite.Sips.Cost_aware in
-          match
-            ( S.run ~options:(opts ~sips strategy) program query,
-              S.run ~options:(opts ~sips ~compile:false strategy) program query
-            )
-          with
-          | Ok a, Ok b -> a.S.answers = b.S.answers
-          | Error _, Error _ -> true
-          | Ok _, Error _ | Error _, Ok _ -> false))
-    strategies_under_test
-
-(* The non-stratified-capable evaluators, driven through the seminaive
-   strategy with the negation mode forced. *)
-let prop_negation_modes =
-  List.map
-    (fun (name, negation) ->
-      QCheck.Test.make
-        ~name:
-          (Printf.sprintf "compiled = interpreted (%s evaluator, ltr)" name)
-        ~count:20 Gen.arb_stratified_program_query
-        (fun (program, query) ->
-          match
-            ( S.run ~options:(opts ~negation ~merge:false O.Seminaive) program
-                query,
-              S.run
-                ~options:(opts ~negation ~compile:false O.Seminaive)
-                program query )
-          with
-          | Ok a, Ok b ->
-            a.S.answers = b.S.answers && counters a = counters b
-          | Error _, Error _ -> true
-          | Ok _, Error _ | Error _, Ok _ -> false))
-    [ ("conditional", O.Conditional); ("wellfounded", O.Well_founded) ]
+        ~name:(Printf.sprintf "plan = interpreter (%s evaluator, ltr)" name)
+        ~count:20
+        (QCheck.pair Gen.arb_unstratified_program QCheck.small_nat)
+        (fun (program, seed) ->
+          holds
+            (per_application ~seed (Plan.config ~merge:false ())
+               (Program.rules program) (facts_of program))))
+    [ ( "conditional",
+        fun p ->
+          (Conditional.run ~limits:(Limits.make ~max_facts:2000 ()) p)
+            .Conditional.true_db );
+      ( "wellfounded",
+        fun p ->
+          (Wellfounded.run ~limits:(Limits.make ~max_facts:2000 ()) p)
+            .Wellfounded.true_db )
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Unit: comparison literals, including the both-unbound Eq alias *)
@@ -120,26 +274,21 @@ let cmp_program =
      alias(X, Y) :- e(X, Z), Y = Z.\n\
      shifted(X, Y) :- e(X, Z), Y = 9, Z < 4."
 
+let check_parity name program strategy query =
+  let r =
+    S.run_exn ~options:(opts ~merge:false strategy) program (atom query)
+  in
+  let cfg = Plan.config ~merge:false () in
+  match per_application cfg (evaluated program r) r.S.db with
+  | Ok () -> ()
+  | Error msg ->
+    Alcotest.failf "%s %s (%s): %s" name query (O.strategy_name strategy) msg
+
 let test_cmp_parity () =
   List.iter
     (fun q ->
-      let query = atom q in
       List.iter
-        (fun strategy ->
-          let a =
-            S.run_exn ~options:(opts ~merge:false strategy) cmp_program query
-          in
-          let b =
-            S.run_exn ~options:(opts ~compile:false strategy) cmp_program query
-          in
-          check tbool
-            (Printf.sprintf "answers %s (%s)" q (O.strategy_name strategy))
-            true
-            (a.S.answers = b.S.answers);
-          check tbool
-            (Printf.sprintf "counters %s (%s)" q (O.strategy_name strategy))
-            true
-            (counters a = counters b))
+        (fun strategy -> check_parity "cmp" cmp_program strategy q)
         [ O.Seminaive; O.Alexander ])
     [ "big(X)"; "alias(1, Y)"; "shifted(2, Y)" ]
 
@@ -147,38 +296,21 @@ let test_cmp_parity () =
    evaluates; compiled and interpreted must agree on that too. *)
 let test_alias_dialects () =
   let query = atom "alias(1, Y)" in
-  let run compile =
-    S.run ~options:(opts ~compile O.Seminaive) cmp_program query
-  in
-  (match run true, run false with
-  | Ok a, Ok b ->
-    check tbool "rule dialect evaluates the alias" true
-      (a.S.answers = b.S.answers && a.S.answers <> [])
-  | _ -> Alcotest.fail "seminaive alias failed");
-  let tabled compile =
-    match S.run ~options:(opts ~compile O.Tabled) cmp_program query with
-    | Ok r -> `Answers r.S.answers
-    | Error e -> `Error (Alexander.Errors.message e)
+  (match S.run ~options:(opts O.Seminaive) cmp_program query with
+  | Ok a ->
+    check tbool "rule dialect evaluates the alias" true (a.S.answers <> []);
+    check_parity "alias" cmp_program O.Seminaive "alias(1, Y)"
+  | Error _ -> Alcotest.fail "seminaive alias failed");
+  let tabled plan =
+    match Tabled.run ?plan cmp_program query with
+    | Ok o -> `Answers o.Tabled.answers
+    | Error msg -> `Error msg
   in
   check tbool "tabled agrees with itself compiled vs interpreted" true
-    (tabled true = tabled false)
+    (tabled (Some (Plan.config ())) = tabled None)
 
 (* ------------------------------------------------------------------ *)
-(* Unit: unsafe-rule message parity at the engine level *)
-
-open Datalog_storage
-open Datalog_engine
-
-let fixpoint_error ?plan program =
-  let db = Database.of_facts (Program.facts program) in
-  let cnt = Counters.create () in
-  match
-    Fixpoint.seminaive cnt ?plan ~db
-      ~neg:(Eval.closed_world_neg db)
-      (Program.rules program)
-  with
-  | () -> None
-  | exception Eval.Unsafe_rule msg -> Some msg
+(* Unit: unsafe-rule message parity, rule by rule *)
 
 let test_unsafe_parity () =
   let cases =
@@ -193,27 +325,29 @@ let test_unsafe_parity () =
   List.iter
     (fun src ->
       let program = prog src in
-      let interpreted = fixpoint_error program in
-      let compiled = fixpoint_error ~plan:(Plan.config ()) program in
-      check tbool (Printf.sprintf "both raise (%s)" src) true
-        (Option.is_some interpreted && Option.is_some compiled);
-      check tstr "same message" (Option.get interpreted) (Option.get compiled))
+      let db = Database.of_facts (Program.facts program) in
+      let parts = layout ~seed:0 ~idb:Pred.Set.empty db in
+      List.iter
+        (fun r ->
+          let cfg = Plan.config () in
+          let _, _, compiled_msg = applications parts (compiled cfg r) in
+          let _, _, interpreted_msg = applications parts (interpreted cfg r) in
+          check tbool (Printf.sprintf "both raise (%s)" src) true
+            (Option.is_some compiled_msg && Option.is_some interpreted_msg);
+          check tstr "same message" (Option.get interpreted_msg)
+            (Option.get compiled_msg))
+        (Program.rules program))
     cases
 
 (* ------------------------------------------------------------------ *)
 (* Unit: semi-naive delta rules, compiled = interpreted *)
 
 let test_delta_parity () =
-  let program = Alexander.Workloads.ancestor_chain 60 in
-  let query = atom "anc(10, X)" in
-  let a = S.run_exn ~options:(opts ~merge:false O.Seminaive) program query in
-  let b = S.run_exn ~options:(opts ~compile:false O.Seminaive) program query in
-  check tint "answers" (List.length a.S.answers) (List.length b.S.answers);
-  check tbool "counters" true (counters a = counters b);
-  check tint "iterations" a.S.counters.C.iterations b.S.counters.C.iterations
+  check_parity "delta" (Alexander.Workloads.ancestor_chain 60) O.Seminaive
+    "anc(10, X)"
 
 (* ------------------------------------------------------------------ *)
-(* Unit: the incremental engine with and without plans *)
+(* Unit: the incremental engine under merge and hash plans *)
 
 let test_incremental_parity () =
   let program = Alexander.Workloads.ancestor_chain 30 in
@@ -221,20 +355,23 @@ let test_incremental_parity () =
     let db = Database.of_facts (Program.facts program) in
     let cnt = Counters.create () in
     (match
-       Incremental.add_facts cnt ?plan program db
+       Incremental.add_facts cnt ~plan program db
          [ atom "edge(30, 31)"; atom "edge(31, 32)" ]
      with
     | Ok _ -> ()
     | Error msg -> Alcotest.fail msg);
-    (match Incremental.remove_facts cnt ?plan program db [ atom "edge(5, 6)" ] with
+    (match
+       Incremental.remove_facts cnt ~plan program db [ atom "edge(5, 6)" ]
+     with
     | Ok _ -> ()
     | Error msg -> Alcotest.fail msg);
-    (Gen.db_facts_of (Gen.idb_preds program) db, cnt.C.facts_derived)
+    ( Gen.db_facts_of (Gen.idb_preds program) db,
+      C.(cnt.facts_derived, cnt.firings, cnt.scanned) )
   in
-  let facts_i, derived_i = run None in
-  let facts_c, derived_c = run (Some (Plan.config ())) in
-  check tbool "same database" true (facts_i = facts_c);
-  check tint "same derivations" derived_i derived_c
+  let facts_m, work_m = run (Plan.config ()) in
+  let facts_h, work_h = run (Plan.config ~merge:false ()) in
+  check tbool "same database" true (facts_m = facts_h);
+  check tbool "same derivations" true (work_m = work_h)
 
 (* ------------------------------------------------------------------ *)
 (* Golden explain: the compiled plan of the canonical ancestor rule *)
@@ -296,13 +433,7 @@ let test_report_plans () =
     && List.exists
          (fun i -> String.length i.Plan.i_variant >= 5
                    && String.sub i.Plan.i_variant 0 5 = "delta")
-         report.S.plans);
-  let interpreted =
-    S.run_exn
-      ~options:{ options with O.compile = false }
-      program (atom "anc(0, X)")
-  in
-  check tbool "no plans when interpreted" true (interpreted.S.plans = [])
+         report.S.plans)
 
 (* ------------------------------------------------------------------ *)
 (* The Seki equivalence must hold under both SIPs *)
@@ -413,10 +544,13 @@ let suite =
           test_merge_reduces_probes
       ]
       @ List.map QCheck_alcotest.to_alcotest
-          (prop_ltr_parity Gen.arb_positive_program_query "positive" 40
-          @ prop_cost_parity Gen.arb_positive_program_query "positive" 25
-          @ prop_ltr_parity Gen.arb_stratified_program_query "stratified" 25
+          (prop_parity ~sip:Plan.Ltr Gen.arb_positive_program_query
+             "positive" 40
+          @ prop_parity ~sip:Plan.Cost Gen.arb_positive_program_query
+              "positive" 25
+          @ prop_parity ~sip:Plan.Ltr Gen.arb_stratified_program_query
+              "stratified" 25
           @ prop_merge_parity Gen.arb_positive_program_query "positive" 40
           @ prop_merge_parity Gen.arb_stratified_program_query "stratified" 25
-          @ prop_negation_modes) )
+          @ prop_unstratified) )
   ]

@@ -152,7 +152,7 @@ let test_report_json_schema () =
     (J.keys json);
   (match J.member "plan" json with
   | Some plan -> (
-    check tstrings "plan keys" [ "compiled"; "sip"; "rules" ] (J.keys plan);
+    check tstrings "plan keys" [ "sip"; "rules" ] (J.keys plan);
     match J.member "rules" plan with
     | Some (J.List (first :: _)) ->
       check tstrings "plan rule keys"
@@ -183,13 +183,13 @@ let test_report_json_schema () =
         (J.keys first)
     | _ -> Alcotest.fail "no rule rows")
 
-let test_schema_version_is_7 () =
+let test_schema_version_is_8 () =
   let report =
     run_exn ~options:O.default (W.ancestor_chain 5) (atom "anc(0, X)")
   in
   let json = S.report_json ~query:(atom "anc(0, X)") report in
-  check tbool "schema_version 7" true
-    (J.member "schema_version" json = Some (J.Int 7))
+  check tbool "schema_version 8" true
+    (J.member "schema_version" json = Some (J.Int 8))
 
 (* -------------------------------------------------------------------- *)
 (* Trace sinks *)
@@ -270,8 +270,8 @@ let suite =
           test_stratum_rows_stratified;
         Alcotest.test_case "report_json schema pinned" `Quick
           test_report_json_schema;
-        Alcotest.test_case "schema_version is 7" `Quick
-          test_schema_version_is_7;
+        Alcotest.test_case "schema_version is 8" `Quick
+          test_schema_version_is_8;
         Alcotest.test_case "trace lines" `Quick test_trace_lines;
         Alcotest.test_case "trace implies profiling" `Quick
           test_trace_implies_profile;

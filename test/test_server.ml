@@ -814,6 +814,64 @@ let test_e2e_overload_pipelined () =
   (try Unix.close fd with _ -> ());
   check tint "clean exit" 0 (wait_exit pid)
 
+(* ------------------------------------------------------------------ *)
+(* Differential: saturated-mode mutations against recomputation *)
+
+(* A random positive program and a few add/remove batches over its EDB
+   ([e] and [f] on the 0..5 domain).  After every batch the supervisor's
+   incrementally maintained database must equal a stratified run of the
+   rules over the base facts as they now stand. *)
+let batches_gen =
+  let open QCheck.Gen in
+  let fact =
+    map3
+      (fun pred a b -> Atom.app pred [ Term.int a; Term.int b ])
+      (oneofl [ "e"; "f" ]) (int_bound 5) (int_bound 5)
+  in
+  list_size (int_range 1 6) (pair bool (list_size (int_range 1 5) fact))
+
+let print_batches =
+  QCheck.Print.list (fun (add, facts) ->
+      Format.asprintf "%s %a"
+        (if add then "add" else "remove")
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space Atom.pp)
+        facts)
+
+let prop_mutations_match_recompute =
+  QCheck.Test.make ~name:"saturated mutations = recomputation" ~count:40
+    (QCheck.pair Gen.arb_positive_program
+       (QCheck.make ~print:print_batches batches_gen))
+    (fun (program, batches) ->
+      let t = sup_exn program in
+      let base = ref (Program.facts program) in
+      let all_facts db =
+        Gen.db_facts_of (List.sort_uniq Pred.compare (Database.preds db)) db
+      in
+      List.for_all
+        (fun (add, facts) ->
+          let request = if add then P.Add facts else P.Remove facts in
+          let reply = handle t (env request) in
+          if status reply <> "ok" then
+            QCheck.Test.fail_reportf "refused: %s" (Json.to_line reply);
+          base :=
+            if add then facts @ !base
+            else
+              List.filter
+                (fun a -> not (List.exists (Atom.equal a) facts))
+                !base;
+          let expected =
+            match
+              Datalog_engine.Stratified.run
+                (Program.make ~facts:!base (Program.rules program))
+            with
+            | Ok o -> all_facts o.Datalog_engine.Stratified.db
+            | Error msg -> QCheck.Test.fail_report msg
+          in
+          all_facts (Sup.db t) = expected
+          || QCheck.Test.fail_reportf "after %s: database differs"
+               (print_batches [ (add, facts) ]))
+        batches)
+
 let suite =
   [ ( "server",
       [ Alcotest.test_case "protocol parse" `Quick test_parse_roundtrip;
@@ -853,6 +911,7 @@ let suite =
           test_e2e_session_and_restart;
         Alcotest.test_case "e2e startup exit codes" `Quick
           test_e2e_startup_exit_codes;
-        Alcotest.test_case "e2e overload" `Quick test_e2e_overload_pipelined
+        Alcotest.test_case "e2e overload" `Quick test_e2e_overload_pipelined;
+        QCheck_alcotest.to_alcotest prop_mutations_match_recompute
       ] )
   ]

@@ -160,18 +160,33 @@ let prop_subsume_preserves_answers_negation =
 (* ---------------------------------------------------------------- *)
 (* Well-founded: transformation-based engine vs the alternating oracle *)
 
-let wf_agrees program =
-  let a = Wf.run program in
+(* [limits] bounds the transformation-based run only.  A run that
+   completes must agree exactly; one that exhausts its budget must still
+   be sound: every atom it reports true is well-founded true. *)
+let wf_agrees ?limits program =
+  let a = Wf.run ?limits program in
   let b = Alternating.run program in
   let idb = Gen.idb_preds program in
-  Gen.db_facts_of idb a.Wf.true_db = Gen.db_facts_of idb b.Wf.true_db
-  && List.sort Atom.compare a.Wf.undefined
-     = List.sort Atom.compare b.Wf.undefined
+  let facts db = Gen.db_facts_of idb db in
+  match a.Wf.status with
+  | Datalog_engine.Limits.Complete ->
+    facts a.Wf.true_db = facts b.Wf.true_db
+    && List.sort Atom.compare a.Wf.undefined
+       = List.sort Atom.compare b.Wf.undefined
+  | Datalog_engine.Limits.Exhausted _ ->
+    let truth = facts b.Wf.true_db in
+    List.for_all (fun f -> List.mem f truth) (facts a.Wf.true_db)
+
+(* A generated program can make the conditional phase derive without
+   end (tens of thousands of conditional statements for a 9-rule,
+   16-fact program), so the property runs under a deterministic fact
+   budget, far above what a terminating case derives. *)
+let wf_budget = Datalog_engine.Limits.make ~max_facts:20_000 ()
 
 let prop_wellfounded_differential =
   QCheck.Test.make
     ~name:"transformation-based WF agrees with alternating fixpoint"
-    ~count:60 Gen.arb_unstratified_program wf_agrees
+    ~count:60 Gen.arb_unstratified_program (wf_agrees ~limits:wf_budget)
 
 let test_wf_agrees_on_games () =
   List.iter
