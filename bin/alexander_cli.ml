@@ -625,14 +625,17 @@ let explain_cmd =
           else
             let program = parsed.Datalog_parser.Parser.program in
             (match Datalog_engine.Provenance.explain program goal with
-            | Some proof ->
+            | Ok (Some proof) ->
               Format.printf "%a@." Datalog_engine.Provenance.pp proof;
               Format.printf "%% proof height %d, %d nodes@."
                 (Datalog_engine.Provenance.depth proof)
                 (Datalog_engine.Provenance.size proof);
               0
-            | None ->
+            | Ok None ->
               Format.printf "%a is not derivable.@." Atom.pp goal;
+              1
+            | Error msg ->
+              prerr_endline msg;
               1)))
   in
   Cmd.v

@@ -62,6 +62,7 @@ let () =
   (* explain a derived violation *)
   let goal = Datalog_parser.Parser.atom_of_string "covered(d3)" in
   (match P.explain program goal with
-  | Some proof ->
+  | Ok (Some proof) ->
     Format.printf "@.why %a?@.%a@." Atom.pp goal P.pp proof
-  | None -> Format.printf "@.%a is not derivable@." Atom.pp goal)
+  | Ok None -> Format.printf "@.%a is not derivable@." Atom.pp goal
+  | Error msg -> Format.printf "@.cannot explain %a: %s@." Atom.pp goal msg)

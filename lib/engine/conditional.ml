@@ -249,7 +249,7 @@ let apply_atom c codes bound atom =
    [negation]: over IDB predicates they are delayed into the accumulated
    condition, negative EDB literals and comparisons are decided
    immediately. *)
-let solve_body cnt ~guard ~profile store ~negation c emit =
+let apply_conditional cnt ~guard ~profile store ~negation c emit =
   let codes = Array.make c.nslots 0 in
   let bound = Array.make c.nslots false in
   let trail = Array.make c.nslots 0 in
@@ -484,7 +484,7 @@ let run ?(limits = Limits.none) ?(profile = Profile.none)
               (fun rule ->
                 Profile.with_rule profile counters rule.rule (fun () ->
                     let start = store.Store.inserts in
-                    solve_body counters ~guard ~profile store ~negation
+                    apply_conditional counters ~guard ~profile store ~negation
                       rule (fun tuple cond ->
                         let head = Rule.head rule.rule in
                         if not (Cond.is_empty cond) then incr statements;

@@ -38,24 +38,17 @@ module Cenv = struct
   let bind v c env : t = M.add v (Code c) env
   let alias v w env : t = M.add v (Alias w) env
 
-  (* Boundary conversions (error messages, provenance): decode. *)
-  let term_of env t =
-    match resolve_term env t with
+  (* Boundary conversion (error messages): decode. *)
+  let term_of_resolved = function
     | Bound c -> Term.const (Code.to_value c)
     | Free w -> Term.var w
 
   let apply_atom env a =
-    Atom.make (Atom.pred a) (Array.map (term_of env) (Atom.args a))
-
-  let to_subst env =
-    M.fold
-      (fun v _ acc ->
-        match resolve env v with
-        | Bound c -> Subst.bind v (Term.const (Code.to_value c)) acc
-        | Free w ->
-          if String.equal v w then acc else Subst.bind v (Term.var w) acc)
-      env Subst.empty
+    Atom.make (Atom.pred a)
+      (Array.map (fun t -> term_of_resolved (resolve_term env t)) (Atom.args a))
 end
+
+let term_of_resolved = Cenv.term_of_resolved
 
 (* Split an atom's arguments under an environment into index constraints
    (bound positions, as codes) and the residual pattern to match. *)
@@ -93,52 +86,6 @@ let ground_tuple env atom : Tuple.t =
         unsafe "negative literal %a not ground at evaluation time" Atom.pp
           (Cenv.apply_atom env atom))
     (Atom.args atom)
-
-let term_of_resolved = function
-  | Cenv.Bound c -> Term.const (Code.to_value c)
-  | Cenv.Free w -> Term.var w
-
-let solve_body cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
-    ~rel_of ~neg body env emit =
-  let rec go i body env =
-    match body with
-    | [] -> emit env
-    | Literal.Pos atom :: rest -> (
-      match rel_of i (Atom.pred atom) with
-      | None -> ()
-      | Some rel ->
-        let bound = bound_positions env atom in
-        cnt.Counters.probes <- cnt.Counters.probes + 1;
-        let candidates, width = Relation.select_count rel bound in
-        if Profile.is_active profile then
-          Profile.probe profile (Atom.pred atom) ~scanned:width;
-        List.iter
-          (fun tuple ->
-            Limits.check guard;
-            cnt.Counters.scanned <- cnt.Counters.scanned + 1;
-            match match_tuple env atom tuple with
-            | Some env' -> go (i + 1) rest env'
-            | None -> ())
-          candidates)
-    | Literal.Neg atom :: rest ->
-      if neg (Atom.pred atom) (ground_tuple env atom) then go (i + 1) rest env
-    | Literal.Cmp (op, t1, t2) :: rest -> (
-      let r1 = Cenv.resolve_term env t1 and r2 = Cenv.resolve_term env t2 in
-      match op, r1, r2 with
-      | _, Cenv.Bound c1, Cenv.Bound c2 ->
-        if Code.eval_cmp op c1 c2 then go (i + 1) rest env
-      | Literal.Eq, Cenv.Free v, Cenv.Bound c
-      | Literal.Eq, Cenv.Bound c, Cenv.Free v ->
-        go (i + 1) rest (Cenv.bind v c env)
-      | Literal.Eq, Cenv.Free v, Cenv.Free w ->
-        (* aliasing two unbound variables is allowed for [=] *)
-        if String.equal v w then go (i + 1) rest env
-        else go (i + 1) rest (Cenv.alias v w env)
-      | _, _, _ ->
-        unsafe "comparison %a with unbound variable" Literal.pp
-          (Literal.Cmp (op, term_of_resolved r1, term_of_resolved r2)))
-  in
-  go 0 body env
 
 let db_rel_of db _i pred = Database.find db pred
 

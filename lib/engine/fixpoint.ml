@@ -34,9 +34,11 @@ let emit cnt ~guard ~profile ~subsume ~db ~on_new pred tuple =
     store cnt ~guard ~profile ~db ~on_new ~dropped:true companion tuple
   | None -> store cnt ~guard ~profile ~db ~on_new ~dropped:false pred tuple
 
+let no_new _ _ = ()
+
 let naive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
     ?(ckpt = Checkpoint.none) ?(plan = Plan.config ())
-    ?(subsume = Subsume.none) ~db ~neg rules =
+    ?(subsume = Subsume.none) ?(on_new = no_new) ~db ~neg rules =
   let rel_of = Eval.db_rel_of db in
   let card pred = Database.cardinal db pred in
   let apps =
@@ -46,7 +48,10 @@ let naive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
       rules
   in
   let changed = ref true in
-  let on_new _ _ = changed := true in
+  let on_new pred tuple =
+    changed := true;
+    on_new pred tuple
+  in
   while !changed do
     changed := false;
     match
@@ -80,11 +85,10 @@ let delta_positions recursive rule =
          | Literal.Pos a when Pred.Set.mem (Atom.pred a) recursive -> Some i
          | Literal.Pos _ | Literal.Neg _ | Literal.Cmp _ -> None)
 
-let no_new _ _ = ()
-
 let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
     ?(ckpt = Checkpoint.none) ?(plan = Plan.config ())
-    ?(subsume = Subsume.none) ?initial_delta ~db ~neg ?recursive rules =
+    ?(subsume = Subsume.none) ?(on_new = no_new) ?initial_delta ~db ~neg
+    ?recursive rules =
   let recursive =
     match recursive with Some s -> s | None -> head_preds rules
   in
@@ -92,7 +96,7 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
      the bridge rules join against them — drive those joins with deltas *)
   let recursive = Pred.Set.union recursive (Subsume.companions subsume) in
   let card pred = Database.cardinal db pred in
-  let derive = emit cnt ~guard ~profile ~subsume ~db ~on_new:no_new in
+  let derive = emit cnt ~guard ~profile ~subsume ~db ~on_new in
   (* A round's delta is the slice of [db] the round inserted: [db] is
      insert-only while the loop runs, so a slice since the marks taken
      when the round started lists exactly the round's new facts, in the

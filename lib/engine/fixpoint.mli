@@ -12,10 +12,12 @@
     partial outcome.
 
     An active [profile] attributes each round, and each rule's share of
-    the counters, to its rows.  An active [ckpt] saves a resumable image
-    at every due round boundary, and unconditionally (just before the
-    exception escapes) on budget exhaustion — see {!Checkpoint} for the
-    resume-correctness argument. *)
+    the counters, to its rows.  [on_new] (default: ignore) observes every
+    fact the loop inserts, in insertion order, as it is inserted —
+    {!Provenance} numbers the facts of a saturation with it.  An active
+    [ckpt] saves a resumable image at every due round boundary, and
+    unconditionally (just before the exception escapes) on budget
+    exhaustion — see {!Checkpoint} for the resume-correctness argument. *)
 
 open Datalog_ast
 open Datalog_storage
@@ -27,6 +29,7 @@ val naive :
   ?ckpt:Checkpoint.t ->
   ?plan:Plan.config ->
   ?subsume:Subsume.t ->
+  ?on_new:(Pred.t -> Tuple.t -> unit) ->
   db:Database.t ->
   neg:(Pred.t -> Tuple.t -> bool) ->
   Rule.t list ->
@@ -62,6 +65,7 @@ val seminaive :
   ?ckpt:Checkpoint.t ->
   ?plan:Plan.config ->
   ?subsume:Subsume.t ->
+  ?on_new:(Pred.t -> Tuple.t -> unit) ->
   ?initial_delta:Database.t ->
   db:Database.t ->
   neg:(Pred.t -> Tuple.t -> bool) ->

@@ -520,9 +520,9 @@ let fuse_merge ~variant ~head_pred ops =
   in
   go ops
 
-(* Compile [rule] for the fixpoint-style evaluators (left-to-right
-   [Eval.solve_body] semantics).  [card] supplies relation cardinalities for the cost SIP;
-   [delta_pos] compiles the semi-naive specialization whose literal at
+(* Compile [rule] for the fixpoint-style evaluators (the semantics of the
+   left-to-right interpreter in test/interp.ml).  [card] supplies
+   relation cardinalities for the cost SIP; [delta_pos] compiles the semi-naive specialization whose literal at
    that original position reads the delta. *)
 let compile cfg ~card ?delta_pos rule =
   let ordered = order_body cfg.sip ~card ?delta_pos (Rule.body rule) in
@@ -693,8 +693,8 @@ let dummy_value : Code.t = Code.of_int 0
 let make_regs (plan : t) = Array.make (max plan.nregs 1) dummy_value
 
 (* Run a compiled plan once (one rule application): counter-for-counter
-   equivalent to interpreting the rule with [Eval.solve_body].  Relations are
-   resolved once up front — sound because a missed mid-application
+   equivalent to interpreting the rule with the left-to-right
+   interpreter (test/interp.ml).  Relations are resolved once up front — sound because a missed mid-application
    relation creation would require this very rule to have already matched
    a tuple of a relation that did not exist. *)
 let run (plan : t) cnt ?(guard = Limits.no_guard) ?(profile = Profile.none) ~rel_of
@@ -739,7 +739,7 @@ let run (plan : t) cnt ?(guard = Limits.no_guard) ?(profile = Profile.none) ~rel
         | Some rel ->
           cnt.Counters.probes <- cnt.Counters.probes + 1;
           (* snapshot: tuples inserted during this scan are not visited,
-             exactly like [Eval.solve_body]'s [select rel []] *)
+             exactly like the interpreter's [select rel []] *)
           let candidates = Relation.to_list rel in
           if profiling then
             Profile.probe profile pred ~scanned:(Relation.cardinal rel);

@@ -8,10 +8,11 @@
     literal's statically-bound column set.  Boundness is static because
     every evaluator starts rule applications from the empty substitution.
 
-    {!run} is the only way the fixpoint engines apply a rule.  It is
-    counter-for-counter equivalent to interpreting the same rule with
-    {!Eval.solve_body}; the test suite keeps that interpreter as its
-    differential oracle.
+    {!run} is the only join executor the fixpoint engines and
+    {!Provenance} use.  It is counter-for-counter equivalent to
+    interpreting the same rule left to right with {!Eval.Cenv}
+    environments; that interpreter is the test suite's differential
+    oracle ([Interp], in [test/interp.ml]).
 
     The representation is exposed so that the tabled engine (whose probe
     accounting and unsafe-rule dialect differ) can drive the ops with its
@@ -146,8 +147,8 @@ val run :
   (Pred.t -> Tuple.t -> unit) ->
   unit
 (** Run the plan for one rule application; equivalent to interpreting
-    the rule with {!Eval.solve_body} (same emissions, same counter
-    increments, same unsafe-rule errors).
+    the rule left to right (same emissions, same counter increments, same
+    unsafe-rule errors as the test suite's [Interp]).
     @raise Invalid_argument on plans containing {!Table} ops. *)
 
 (** {2 Building blocks for engine-specific executors} *)

@@ -41,91 +41,143 @@ let rec size = function
           | Absent _ | Holds _ -> acc)
         0 premises
 
-(* A justification records the FIRST derivation of each fact during a
-   saturation run.  Because a rule instance only consumes facts that are
-   already in the database when it fires, following justifications can
-   never loop: every premise was derived strictly before its conclusion.
-   This makes proof extraction linear and the proofs rank-minimal in the
-   fixpoint sense, with no atom repeating along any root-to-leaf path. *)
-type justification = {
-  j_rule : Rule.t;
-  j_subst : Subst.t;
+(* The model, computed once by the engine, with every derived fact
+   numbered in the order the engine inserted it.  The program's own facts
+   are in the database before evaluation starts and carry no number. *)
+type model = {
+  db : Database.t;
+  order : int Tuple.Tbl.t Pred.Tbl.t;
 }
 
-let saturate_with_justifications program =
-  let db = Database.create () in
-  List.iter (fun a -> ignore (Database.add_atom db a)) (Program.facts program);
-  let justif : justification Atom.Tbl.t = Atom.Tbl.create 256 in
-  let counters = Counters.create () in
-  let neg = Eval.closed_world_neg db in
-  let record rule =
-    Eval.solve_body counters ~rel_of:(Eval.db_rel_of db) ~neg (Rule.body rule)
-      Eval.Cenv.empty (fun env ->
-        (* proofs are user-facing: decode at this boundary *)
-        let head = Eval.Cenv.apply_atom env (Rule.head rule) in
-        if Atom.is_ground head && Database.add_atom db head then
-          Atom.Tbl.replace justif head
-            { j_rule = rule; j_subst = Eval.Cenv.to_subst env })
+let saturate program =
+  let order = Pred.Tbl.create 16 in
+  let next = ref 0 in
+  let on_new pred tuple =
+    let numbers =
+      match Pred.Tbl.find_opt order pred with
+      | Some numbers -> numbers
+      | None ->
+        let numbers = Tuple.Tbl.create 64 in
+        Pred.Tbl.add order pred numbers;
+        numbers
+    in
+    Tuple.Tbl.add numbers tuple !next;
+    incr next
   in
-  let evaluate rules =
-    let changed = ref true in
-    while !changed do
-      let before = Database.total_facts db in
-      List.iter record rules;
-      changed := Database.total_facts db <> before
-    done
-  in
-  (match Datalog_analysis.Stratify.stratification program with
-  | Some strata ->
-    Array.iteri
-      (fun s _ ->
-        match Datalog_analysis.Stratify.rules_of_stratum program strata s with
-        | [] -> ()
-        | rules -> evaluate rules)
-      strata.Datalog_analysis.Stratify.groups
-  | None ->
-    (* not stratified: best effort on the positive part *)
-    evaluate (Program.rules program));
-  (db, justif)
+  Result.map
+    (fun outcome -> { db = outcome.Stratified.db; order })
+    (Stratified.run ~on_new program)
+
+(* The insertion number of a fact of the model; [-1] (before every derived
+   fact) for a fact of the program. *)
+let number model atom =
+  match Pred.Tbl.find_opt model.order (Atom.pred atom) with
+  | None -> -1
+  | Some numbers ->
+    Option.value ~default:(-1) (Tuple.Tbl.find_opt numbers (Tuple.of_atom atom))
+
+exception Found of Subst.t
+
+(* The first instance of [rule] that concludes [atom], the fact numbered
+   [n], and whose positive premises were all inserted before it.  The
+   rule is specialised to [atom] and compiled under a head that lists the
+   variables of its body, so every tuple the plan emits completes the
+   grounding substitution. *)
+let justify model rule atom n =
+  match Unify.matches ~pattern:(Rule.head rule) ~ground:atom with
+  | None -> None
+  | Some head_subst -> (
+    let body = List.map (Subst.apply_literal head_subst) (Rule.body rule) in
+    let vars = Rule.body_vars (Rule.make atom body) in
+    let head = Pred.make "%instance" (List.length vars) in
+    let capture =
+      Rule.make (Atom.make head (Array.of_list (List.map Term.var vars))) body
+    in
+    let plan =
+      Plan.compile (Plan.config ()) ~card:(Database.cardinal model.db) capture
+    in
+    let earlier subst =
+      List.for_all
+        (fun a -> number model (Subst.apply_atom subst a) < n)
+        (Rule.positive_body rule)
+    in
+    match
+      Plan.run plan (Counters.create ()) ~rel_of:(Eval.db_rel_of model.db)
+        ~neg:(Eval.closed_world_neg model.db) (fun _ values ->
+          let subst =
+            List.fold_left2
+              (fun s v c -> Subst.bind v (Term.const (Code.to_value c)) s)
+              head_subst vars (Array.to_list values)
+          in
+          if earlier subst then raise (Found subst))
+    with
+    | () -> None
+    | exception Found subst -> Some (rule, subst))
 
 let explain ?(max_depth = 10_000) program atom =
   if not (Atom.is_ground atom) then
     invalid_arg "Provenance.explain: atom not ground";
-  let db, justif = saturate_with_justifications program in
-  let given = Atom.Tbl.create 64 in
-  List.iter (fun a -> Atom.Tbl.replace given a ()) (Program.facts program);
-  let memo : proof Atom.Tbl.t = Atom.Tbl.create 256 in
-  let exception Failed in
-  let rec build fuel atom =
-    if fuel <= 0 then raise Failed;
-    match Atom.Tbl.find_opt memo atom with
-    | Some proof -> proof
-    | None ->
-      let proof =
-        if Atom.Tbl.mem given atom then Fact atom
-        else
-          match Atom.Tbl.find_opt justif atom with
-          | None -> raise Failed
-          | Some { j_rule; j_subst } ->
-            let premises =
-              List.map
-                (fun lit ->
-                  match Subst.apply_literal j_subst lit with
-                  | Literal.Pos a -> Proved (build (fuel - 1) a)
-                  | Literal.Neg a -> Absent a
-                  | Literal.Cmp (_, _, _) as c -> Holds c)
-                (Rule.body j_rule)
-            in
-            Derived
-              { conclusion = atom; rule = j_rule; subst = j_subst; premises }
-      in
-      Atom.Tbl.replace memo atom proof;
-      proof
+  let ( let* ) = Result.bind in
+  let exception Too_deep in
+  let prove model =
+    (* each atom's proof and height, built once *)
+    let memo : (proof * int) Atom.Tbl.t = Atom.Tbl.create 256 in
+    let rec build level atom =
+      if level > max_depth then raise Too_deep;
+      match Atom.Tbl.find_opt memo atom with
+      | Some (proof, height) ->
+        if level + height - 1 > max_depth then raise Too_deep;
+        (proof, height)
+      | None ->
+        let n = number model atom in
+        let node =
+          if n < 0 then (Fact atom, 1)
+          else
+            match
+              List.find_map
+                (fun rule -> justify model rule atom n)
+                (Program.rules_for program (Atom.pred atom))
+            with
+            | None -> assert false (* the instance the engine fired is one *)
+            | Some (rule, subst) ->
+              let height = ref 0 in
+              let premises =
+                List.map
+                  (fun lit ->
+                    match Subst.apply_literal subst lit with
+                    | Literal.Pos a ->
+                      let proof, h = build (level + 1) a in
+                      height := max !height h;
+                      Proved proof
+                    | Literal.Neg a -> Absent a
+                    | Literal.Cmp (_, _, _) as c -> Holds c)
+                  (Rule.body rule)
+              in
+              ( Derived { conclusion = atom; rule; subst; premises },
+                1 + !height )
+        in
+        Atom.Tbl.replace memo atom node;
+        node
+    in
+    if not (Database.mem_atom model.db atom) then Ok None
+    else
+      match build 1 atom with
+      | proof, _ -> Ok (Some proof)
+      | exception Too_deep ->
+        Error
+          (Format.asprintf "the proof of %a exceeds the depth limit of %d"
+             Atom.pp atom max_depth)
   in
-  if not (Database.mem_atom db atom) then None
-  else match build max_depth atom with
-    | proof -> Some proof
-    | exception Failed -> None
+  match
+    let* () =
+      Result.map_error (String.concat "\n")
+        (Datalog_analysis.Safety.check_program program)
+    in
+    let* model = saturate program in
+    prove model
+  with
+  | result -> result
+  | exception Eval.Unsafe_rule msg -> Error msg
 
 let rec pp ppf proof =
   match proof with

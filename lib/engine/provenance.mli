@@ -3,12 +3,21 @@
     Proofs in the sense of the constructive proof theory: a ground atom is
     proved either because it is a given fact, or by a rule instance whose
     positive premises are proved in turn and whose negative premises are
-    {e absent} from the (already computed) model.  [explain] reconstructs
-    such a tree by replaying a stratified saturation of the program while
-    recording each fact's first derivation: premises are always derived
-    strictly before their conclusion, so the extracted proofs are
-    well-founded (no atom repeats along a root-to-leaf path) and
-    extraction is linear in the proof size. *)
+    {e absent} from the (already computed) model.
+
+    [explain] saturates the program once with the engine that computes
+    its model ({!Stratified.run}: compiled plans, semi-naive rounds),
+    numbering every derived fact in the order the engine inserted it.  A
+    derived fact is then justified by the first instance of a rule
+    concluding it whose positive premises were all inserted {e before}
+    it; one always exists, since the instance the engine fired when it
+    inserted the fact is such an instance.  Negative premises hold in the
+    final model because a stratum only negates complete lower strata.
+    Premises therefore carry strictly smaller numbers than their
+    conclusion, so the proofs are well-founded (no atom repeats along a
+    root-to-leaf path) and each atom's justification is searched once.
+    Insertion order, not round number, is what decreases: a semi-naive
+    round reads facts that the same round has already inserted. *)
 
 open Datalog_ast
 
@@ -26,11 +35,14 @@ and premise =
   | Absent of Atom.t  (** a negative premise: the atom is not in the model *)
   | Holds of Literal.t  (** a ground comparison that evaluates to true *)
 
-val explain : ?max_depth:int -> Program.t -> Atom.t -> proof option
-(** [explain program atom] builds a proof of the ground [atom].  Returns
-    [None] when the atom is not derivable or [max_depth] (default 10_000)
-    is exceeded.  On non-stratified programs only the positive part is
-    replayed (negative premises are then best-effort).
+val explain :
+  ?max_depth:int -> Program.t -> Atom.t -> (proof option, string) result
+(** [explain program atom] builds a proof of the ground [atom]: [Ok None]
+    when the atom is not in the program's model.  [Error _] when the
+    program is unsafe (the messages of
+    {!Datalog_analysis.Safety.check_program}), is not stratified (the
+    message of {!Stratified.run}), or when the proof found is higher than
+    [max_depth] (default 10_000).
     @raise Invalid_argument if [atom] is not ground. *)
 
 val depth : proof -> int

@@ -11,7 +11,7 @@ type outcome = {
 
 let run ?(limits = Limits.none) ?(profile = Profile.none)
     ?(checkpoint = Checkpoint.none) ?resume_from ?db ?(use_naive = false)
-    ?plan ?(subsume = Subsume.none) program =
+    ?plan ?(subsume = Subsume.none) ?on_new program =
   match Stratify.stratification program with
   | None ->
     Error
@@ -61,11 +61,11 @@ let run ?(limits = Limits.none) ?(profile = Profile.none)
                    strata produced *)
                 if use_naive then
                   Fixpoint.naive counters ~guard ~profile ~ckpt:checkpoint
-                    ?plan ~subsume ~db ~neg rules
+                    ?plan ~subsume ?on_new ~db ~neg rules
                 else
                   Fixpoint.seminaive counters ~guard ~profile
-                    ~ckpt:checkpoint ?plan ~subsume ?initial_delta ~db
-                    ~neg rules)
+                    ~ckpt:checkpoint ?plan ~subsume ?on_new ?initial_delta
+                    ~db ~neg rules)
         done
       with
       | () -> Limits.Complete

@@ -25,6 +25,7 @@ val run :
   ?use_naive:bool ->
   ?plan:Plan.config ->
   ?subsume:Subsume.t ->
+  ?on_new:(Pred.t -> Tuple.t -> unit) ->
   Program.t ->
   (outcome, string) result
 (** Evaluate the whole program.  [db] optionally supplies a pre-seeded
@@ -34,8 +35,11 @@ val run :
     (default [Plan.config ()]), see {!Fixpoint}.
     An active [subsume] filter ({!Subsume}) is applied in every stratum's
     fixpoint.  An active [profile] records per-stratum, per-round and
-    per-rule rows (see {!Profile}).  [limits] bounds the evaluation (see {!Limits}); on
-    exhaustion the outcome is still [Ok] with [status = Exhausted _].
+    per-rule rows (see {!Profile}).  [on_new] observes every derived
+    fact as the fixpoints insert it (see {!Fixpoint}); the program's own
+    facts, added before evaluation starts, are not reported.  [limits]
+    bounds the evaluation (see {!Limits}); on exhaustion the outcome is
+    still [Ok] with [status = Exhausted _].
 
     An active [checkpoint] saves a resumable image at round boundaries and
     on exhaustion; [resume_from] continues such an image — completed

@@ -156,7 +156,7 @@ and decide_negation st pred (tuple : Tuple.t) =
     GroundTbl.add st.neg_memo (pred, tuple) holds;
     not holds
 
-and solve_body st ~consumer body env emit =
+and interpret_body st ~consumer body env emit =
   match body with
   | [] -> emit env
   | Literal.Pos atom :: rest ->
@@ -184,7 +184,7 @@ and solve_body st ~consumer body env emit =
         Limits.check st.guard;
         st.counters.Counters.scanned <- st.counters.Counters.scanned + 1;
         match Eval.match_tuple env atom tuple with
-        | Some env' -> solve_body st ~consumer rest env' emit
+        | Some env' -> interpret_body st ~consumer rest env' emit
         | None -> ())
       candidates
   | Literal.Neg atom :: rest ->
@@ -194,16 +194,16 @@ and solve_body st ~consumer body env emit =
       if Program.is_idb st.program pred then decide_negation st pred tuple
       else not (Database.mem st.edb pred tuple)
     in
-    if holds then solve_body st ~consumer rest env emit
+    if holds then interpret_body st ~consumer rest env emit
   | Literal.Cmp (op, t1, t2) :: rest -> (
     let r1 = Eval.Cenv.resolve_term env t1
     and r2 = Eval.Cenv.resolve_term env t2 in
     match op, r1, r2 with
     | _, Eval.Cenv.Bound c1, Eval.Cenv.Bound c2 ->
-      if Code.eval_cmp op c1 c2 then solve_body st ~consumer rest env emit
+      if Code.eval_cmp op c1 c2 then interpret_body st ~consumer rest env emit
     | Literal.Eq, Eval.Cenv.Free v, Eval.Cenv.Bound c
     | Literal.Eq, Eval.Cenv.Bound c, Eval.Cenv.Free v ->
-      solve_body st ~consumer rest (Eval.Cenv.bind v c env) emit
+      interpret_body st ~consumer rest (Eval.Cenv.bind v c env) emit
     | _, _, _ ->
       raise
         (Eval.Unsafe_rule
@@ -364,7 +364,7 @@ and solve_call st c =
         match env0 with
         | None -> ()
         | Some env0 ->
-          solve_body st ~consumer:c (Rule.body rule) env0 (fun env ->
+          interpret_body st ~consumer:c (Rule.body rule) env0 (fun env ->
               st.counters.Counters.firings <-
                 st.counters.Counters.firings + 1;
               let tuple =

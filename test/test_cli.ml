@@ -194,6 +194,46 @@ let test_stats_prints_profile () =
     && contains ~sub:" major_collections=" out
     && contains ~sub:" top_heap_words=" out)
 
+(* [explain] on a program written to a temporary file *)
+let explain_program text goal =
+  let file = Filename.temp_file "alexander_explain" ".dl" in
+  Out_channel.with_open_text file (fun oc -> output_string oc text);
+  let result = run_cli [ "explain"; file; "-q"; goal ] in
+  Sys.remove file;
+  result
+
+(* explain validates the program as run does: an unlimited variable is
+   reported with run's message and exit 1, not an uncaught exception
+   (negative literal) or a "not derivable" verdict (head) *)
+let test_explain_rejects_unsafe_programs () =
+  List.iter
+    (fun (text, goal, culprit) ->
+      let code, out = explain_program text goal in
+      check tint (culprit ^ ": exit 1") 1 code;
+      check tbool (culprit ^ ": not limited") true
+        (contains ~sub:"variable Y in " out
+        && contains ~sub:culprit out
+        && contains ~sub:"is not limited" out);
+      check tbool (culprit ^ ": no verdict") false
+        (contains ~sub:"not derivable" out))
+    [ ("p(X) :- q(X), not r(Y). q(1).", "p(1)", "a negative literal");
+      ("p(X, Y) :- q(X). q(1).", "p(1, 2)", "the head") ]
+
+(* run answers win(1) and win(3) on this game (conditional fixpoint), so
+   a stratified-replay proof of win(2) citing "not win(3)" would be
+   unsound: explain refuses the program *)
+let test_explain_rejects_unstratified_programs () =
+  let code, out =
+    explain_program
+      "win(X) :- move(X, Y), not win(Y).\n\
+       move(1, 2). move(2, 3). move(3, 1). move(3, 4)."
+      "win(2)"
+  in
+  check tint "exit 1" 1 code;
+  check tbool "not stratified" true
+    (contains ~sub:"program is not stratified: win/1" out);
+  check tbool "no proof printed" false (contains ~sub:"[absent]" out)
+
 (* bench/main.exe refuses a bad argument with exit 2 before running
    anything, rather than regenerating zero experiments and exiting 0 *)
 let bench = "../bench/main.exe"
@@ -228,6 +268,10 @@ let suite =
         Alcotest.test_case "rewrite" `Quick test_rewrite_outputs_rules;
         Alcotest.test_case "equiv" `Quick test_equiv_reports_equal;
         Alcotest.test_case "explain" `Quick test_explain_prints_tree;
+        Alcotest.test_case "explain rejects unsafe programs" `Quick
+          test_explain_rejects_unsafe_programs;
+        Alcotest.test_case "explain rejects unstratified programs" `Quick
+          test_explain_rejects_unstratified_programs;
         Alcotest.test_case "wellfounded flag" `Quick test_wellfounded_flag;
         Alcotest.test_case "bad query" `Quick test_bad_query_reports_error;
         Alcotest.test_case "fact-cap exit code" `Quick test_fact_cap_exit_code;
