@@ -280,22 +280,29 @@ let print_plans report =
         i.Datalog_engine.Plan.i_steps)
     report.S.plans
 
-(* Answer lines are rendered from the codes into one buffer and written to
-   the buffered stdout channel; the report flushes once at the end: a flush
-   per line would cost one write per answer. *)
+(* Answer lines are rendered from the codes into a buffer that goes to
+   the buffered stdout channel a few kilobytes at a time; the report
+   flushes once at the end: a flush per line would cost one write per
+   answer, and a channel write per line costs a lock. *)
+let answer_chunk = 4096
+
 let print_report query report ~stats =
   let open S in
   (match report.answers with
   | [] -> print_endline "no."
   | answers ->
-    let buf = Buffer.create 256 in
+    let buf = Buffer.create answer_chunk in
+    let pred = Atom.pred query in
     List.iter
       (fun t ->
-        Buffer.clear buf;
-        Datalog_storage.Tuple.add_atom buf (Atom.pred query) t;
+        Datalog_storage.Tuple.add_atom buf pred t;
         Buffer.add_char buf '\n';
-        Buffer.output_buffer stdout buf)
-      answers);
+        if Buffer.length buf >= answer_chunk then begin
+          Buffer.output_buffer stdout buf;
+          Buffer.clear buf
+        end)
+      answers;
+    Buffer.output_buffer stdout buf);
   List.iter
     (fun a -> Format.printf "undefined: %a@." Atom.pp a)
     report.undefined;

@@ -105,6 +105,12 @@ let compare_values a b =
   | false, true -> -1
   | true, false -> 1
 
+let is_dictionary c = c < 0 && c land 1 = 0
+
+(* Small ints keep their value; symbols go below [small_min] in id
+   order. *)
+let order_key c = if c land 1 = 1 then c asr 1 else min_int + (c lsr 1)
+
 let eval_cmp op a b =
   match (op : Literal.cmp) with
   | Literal.Eq -> a = b
@@ -116,3 +122,22 @@ let eval_cmp op a b =
 
 let pp ppf c = Value.pp ppf (to_value c)
 let to_string c = Value.to_string (to_value c)
+
+(* Digits of [-n] for [n <= 0], most significant first: working on the
+   non-positive side covers [min_int], whose negation overflows. *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_digits buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf n
+  end
+  else add_neg_digits buf (-n)
+
+let render buf c =
+  if c land 1 = 1 then add_digits buf (c asr 1)
+  else if c >= 0 then
+    Buffer.add_string buf (Symbol.name (Symbol.of_id (c lsr 1)))
+  else Buffer.add_string buf (string_of_int (to_int c))

@@ -45,6 +45,15 @@ val compare_values : t -> t -> int
 (** Order of the decoded values, identical to {!Value.compare}: symbols by
     interning order, ints numerically, symbols below ints. *)
 
+val is_dictionary : t -> bool
+(** Whether the code is an out-of-range int, held in the side
+    dictionary. *)
+
+val order_key : t -> int
+(** For a code that is not {!is_dictionary}: an int whose order is
+    {!compare_values}'s — the value of a small int, [min_int + id] for a
+    symbol.  Meaningless for dictionary codes. *)
+
 val eval_cmp : Literal.cmp -> t -> t -> bool
 (** Comparison-literal semantics on codes; agrees with {!Literal.eval_cmp}
     on the decoded values. *)
@@ -56,3 +65,11 @@ val dictionary_size : unit -> int
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val add_digits : Buffer.t -> int -> unit
+(** [add_digits buf n] appends [string_of_int n] without allocating. *)
+
+val render : Buffer.t -> t -> unit
+(** [render buf c] appends [to_string c]: the digits of a small int
+    ({!add_digits}), the name of a symbol, and [string_of_int] of a
+    dictionary int.  Only the dictionary case allocates. *)

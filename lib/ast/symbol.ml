@@ -53,14 +53,16 @@ let intern name = locked (fun () -> intern_locked name)
 let name s = s.name
 let id s = s.id
 
+(* Without [locked]: its closure would be the only allocation of
+   rendering a symbol ({!Code.render}), and nothing here can raise while
+   the lock is held. *)
 let of_id id =
-  locked (fun () ->
-      if id < 0 || id >= !counter then
-        invalid_arg (Printf.sprintf "Symbol.of_id: unknown id %d" id)
-      else
-        match !by_id.(id) with
-        | Some s -> s
-        | None -> assert false)
+  Mutex.lock lock;
+  let s = if id >= 0 && id < !counter then !by_id.(id) else None in
+  Mutex.unlock lock;
+  match s with
+  | Some s -> s
+  | None -> invalid_arg (Printf.sprintf "Symbol.of_id: unknown id %d" id)
 
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id

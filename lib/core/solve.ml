@@ -26,17 +26,20 @@ let profile_of_options options =
     Profile.create ?trace:options.Options.trace ()
   else Profile.none
 
-(* The engine-side plan configuration for these options.  Compiled plans
-   are pushed to [push] as they are built; callers dedupe afterwards because the
-   well-founded alternation (and re-solved tabled calls) re-enter the
-   compiler with the same rules. *)
+(* The engine-side plan configuration for these options.  Under
+   [explain], compiled plans are pushed to [push] as they are built;
+   callers dedupe afterwards because the well-founded alternation (and
+   re-solved tabled calls) re-enter the compiler with the same rules.
+   Otherwise no plan description is built at all. *)
 let plan_of_options options push =
   let sip =
     match options.Options.sips with
     | Sips.Left_to_right -> Plan.Ltr
     | Sips.Greedy_bound | Sips.Cost_aware -> Plan.Cost
   in
-  Plan.config ~sip ~merge:options.Options.merge ~on_compile:push ()
+  Plan.config ~sip ~merge:options.Options.merge
+    ?on_compile:(if options.Options.explain then Some push else None)
+    ()
 
 let dedup_infos infos =
   let seen = Hashtbl.create 16 in
@@ -62,12 +65,7 @@ let ( let* ) r f = Result.bind r f
 let matching_tuples db pred pattern =
   match Database.find db pred with
   | None -> []
-  | Some rel ->
-    let p = Tuple.pattern pattern in
-    let selected = Tuple.filter p (Relation.select rel p.Tuple.consts) in
-    let sorted = Array.of_list selected in
-    Array.stable_sort Tuple.compare sorted;
-    Array.to_list sorted
+  | Some rel -> Relation.matching rel (Tuple.pattern pattern)
 
 let matching_atoms atoms pattern =
   List.filter
@@ -183,7 +181,10 @@ type prepared = {
   program : Program.t;
   own : Program.t Lazy.t;
       (* the rules plus the facts over IDB predicates — everything a
-         non-rewriting goal loads on top of [base] *)
+         non-rewriting goal loads on top of [base].  Rule bodies are
+         reordered for left-to-right evaluation when they are not
+         already: [p(X) :- not r(X), q(X)] is range-restricted, but a
+         plan that tests [not r(X)] before [q(X)] binds [X] cannot run. *)
   base : Database.t Lazy.t;  (* the facts over EDB predicates *)
   split : split Lazy.t;
 }
@@ -206,7 +207,10 @@ let prepare program =
   in
   let base = lazy (Database.of_facts edb_facts) in
   { program;
-    own = lazy (Program.make ~facts:idb_facts (Program.rules program));
+    own =
+      lazy
+        (Preprocess.reorder_bodies
+           (Program.make ~facts:idb_facts (Program.rules program)));
     base;
     split =
       lazy
@@ -356,14 +360,19 @@ let run_uncaught ~options ?resume_from prepared query =
         in
         Ok (finish (Some rw) result))
 
-(* A failed checkpoint save surfaces as a typed error; a simulated kill
-   (Faults.Crashed) deliberately propagates — it stands for process
-   death, and only the fault-injection harness catches it. *)
-let run_prepared ?(options = Options.default) ?resume_from prepared query =
-  match run_uncaught ~options ?resume_from prepared query with
+(* A failed checkpoint save and a rule no body order can run surface as
+   typed errors; a simulated kill (Faults.Crashed) deliberately
+   propagates — it stands for process death, and only the
+   fault-injection harness catches it. *)
+let typed_errors f =
+  match f () with
   | r -> r
   | exception Checkpoint.Save_error msg ->
     Error (Errors.Evaluation ("checkpoint save failed: " ^ msg))
+  | exception Eval.Unsafe_rule msg -> Error (Errors.Evaluation msg)
+
+let run_prepared ?(options = Options.default) ?resume_from prepared query =
+  typed_errors (fun () -> run_uncaught ~options ?resume_from prepared query)
 
 let run ?options ?resume_from program query =
   run_prepared ?options ?resume_from (prepare program) query
@@ -486,10 +495,7 @@ let run_many_uncaught ~options program queries =
              queries)))
 
 let run_many ?(options = Options.default) program queries =
-  match run_many_uncaught ~options program queries with
-  | r -> r
-  | exception Checkpoint.Save_error msg ->
-    Error (Errors.Evaluation ("checkpoint save failed: " ^ msg))
+  typed_errors (fun () -> run_many_uncaught ~options program queries)
 
 let run_exn ?options program query =
   match run ?options program query with

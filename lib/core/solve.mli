@@ -26,7 +26,10 @@ type report = {
           to an EDB predicate would reach every later goal of the same
           prepared program.  Copy it ({!Database.copy}) to modify. *)
   answers : Tuple.t list;
-      (** tuples of the query predicate satisfying the goal, sorted *)
+      (** tuples of the query predicate satisfying the goal, in
+          {!Tuple.compare} order: symbols first, by interning id (the
+          order of first appearance in the process), then ints in numeric
+          order, column by column from the first *)
   undefined : Atom.t list;
       (** goal instances with undefined truth value (conditional /
           well-founded evaluation of non-stratified programs) *)
@@ -37,8 +40,8 @@ type report = {
           trace sink) asked for collection *)
   plans : Datalog_engine.Plan.info list;
       (** the compiled join plans the evaluation used, deduplicated, in
-          compilation order; empty when the query short-circuited to an
-          indexed lookup *)
+          compilation order; empty unless [options.explain], and when the
+          query short-circuited to an indexed lookup *)
   evaluator : string;
       (** which fixpoint ran: "seminaive", "naive", "stratified",
           "conditional" or "wellfounded" *)

@@ -106,11 +106,10 @@ type info = {
 type config = {
   sip : sip;
   merge : bool;  (* fuse scan+probe pairs into merge joins *)
-  on_compile : info -> unit;
+  on_compile : (info -> unit) option;
 }
 
-let config ?(sip = Ltr) ?(merge = true) ?(on_compile = fun (_ : info) -> ())
-    () =
+let config ?(sip = Ltr) ?(merge = true) ?on_compile () =
   { sip; merge; on_compile }
 
 (* ------------------------------------------------------------------ *)
@@ -479,7 +478,7 @@ let finish cfg ~dialect ~variant ~env ~ops ~order rule =
       head_safe = Array.for_all is_src_bound hsrc
     }
   in
-  cfg.on_compile (info plan);
+  Option.iter (fun f -> f (info plan)) cfg.on_compile;
   plan
 
 (* Fuse each adjacent [Scan l; Probe r] pair into one galloping merge
@@ -602,16 +601,19 @@ let reorder cfg ~card rule =
     let ordered = order_body Cost ~card (Rule.body rule) in
     let order = List.map fst ordered in
     let rule' = Rule.make (Rule.head rule) (List.map snd ordered) in
-    cfg.on_compile
-      { i_rule = Format.asprintf "%a" Rule.pp rule;
-        i_variant = "reorder";
-        i_sip = sip_name Cost;
-        i_order = order;
-        i_steps =
-          [ Printf.sprintf "body order [%s]"
-              (String.concat "," (List.map string_of_int order))
-          ]
-      };
+    Option.iter
+      (fun f ->
+        f
+          { i_rule = Format.asprintf "%a" Rule.pp rule;
+            i_variant = "reorder";
+            i_sip = sip_name Cost;
+            i_order = order;
+            i_steps =
+              [ Printf.sprintf "body order [%s]"
+                  (String.concat "," (List.map string_of_int order))
+              ]
+          })
+      cfg.on_compile;
     rule'
 
 (* ------------------------------------------------------------------ *)

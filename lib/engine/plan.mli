@@ -105,12 +105,14 @@ type info = {
 type config = {
   sip : sip;
   merge : bool;  (** fuse scan+probe pairs into merge joins *)
-  on_compile : info -> unit;
+  on_compile : (info -> unit) option;
+      (** receives the {!info} of every plan compiled and every body
+          reordered; with [None] no description is built *)
 }
 
 val config :
   ?sip:sip -> ?merge:bool -> ?on_compile:(info -> unit) -> unit -> config
-(** [merge] defaults to [true]. *)
+(** [merge] defaults to [true]; no [on_compile] leaves it [None]. *)
 
 val compile : config -> card:(Pred.t -> int) -> ?delta_pos:int -> Rule.t -> t
 (** Compile a rule for the fixpoint-family evaluators.  [card] supplies

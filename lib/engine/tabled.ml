@@ -404,10 +404,7 @@ let collect st root query status =
   let answers =
     match CallTbl.find_opt st.tables root with
     | None -> []
-    | Some rel ->
-      Relation.to_list rel
-      |> List.filter (Tuple.matches query)
-      |> List.sort Tuple.compare
+    | Some rel -> Relation.matching rel (Tuple.pattern query)
   in
   let calls = List.rev st.order in
   let tables =
@@ -485,10 +482,7 @@ let run ?(limits = Limits.none) ?(profile = Profile.none)
       let answers =
         match Database.find edb qpred with
         | None -> []
-        | Some rel ->
-          Relation.select rel root.bound
-          |> List.filter (Tuple.matches query)
-          |> List.sort Tuple.compare
+        | Some rel -> Relation.matching rel (Tuple.pattern query)
       in
       Ok
         { answers;

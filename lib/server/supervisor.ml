@@ -315,10 +315,13 @@ let run_query t ~now ~deadline env goal engine =
       ~reason:None ~txn:t.txn ~wall_s:(wall ())
   | None ->
     if t.positive && not engine then begin
-      (* the saturated database already holds every answer *)
+      (* the saturated database already holds every answer: an indexed
+         select on the goal's constants, sorted as the engine path sorts *)
       let pred = Atom.pred goal in
       let answers =
-        Tuple.filter (Tuple.pattern goal) (Database.tuples t.db pred)
+        match Database.find t.db pred with
+        | None -> []
+        | Some rel -> Relation.matching rel (Tuple.pattern goal)
       in
       Cache.insert t.cache goal ~deps:(deps_closure t pred) answers;
       Protocol.answers_reply ~id ~goal ~answers ~cached:false ~complete:true

@@ -392,6 +392,22 @@ let select r bindings =
     | None -> []
     | Some (idx, b) -> bucket_tuples r idx b)
 
+let matching r (p : Tuple.pattern) =
+  let a =
+    if p.consts = [] && p.repeats = [] then begin
+      let a = Array.make (cardinal r) [||] and n = ref 0 in
+      iter
+        (fun t ->
+          a.(!n) <- t;
+          incr n)
+        r;
+      a
+    end
+    else Array.of_list (Tuple.filter p (select r p.consts))
+  in
+  Tuple.sort a;
+  Array.to_list a
+
 let select_count r bindings =
   match bindings with
   | [] -> (to_list r, cardinal r)

@@ -85,6 +85,13 @@ val select : t -> (int * Code.t) list -> Tuple.t list
     bindings on one column are collapsed: equal codes are redundant,
     conflicting codes match nothing (the result is [[]]). *)
 
+val matching : t -> Tuple.pattern -> Tuple.t list
+(** The tuples the pattern accepts ({!Tuple.filter}), sorted by
+    {!Tuple.sort}: a {!select} on the pattern's constants, or every
+    tuple, read straight into the sort's array, when the pattern's
+    arguments are pairwise-distinct variables.  The pattern's arity must
+    be the relation's. *)
+
 val select_count : t -> (int * Code.t) list -> Tuple.t list * int
 (** Like {!select} but also returns the number of tuples in O(1), so
     profiling callers do not have to walk the bucket with [List.length]. *)

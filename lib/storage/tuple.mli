@@ -14,6 +14,16 @@ val compare : t -> t -> int
 (** Lexicographic in the {e decoded} value order ({!Code.compare_values}),
     so sorted tuple listings are stable across processes. *)
 
+val sort : t array -> unit
+(** Sort in place into exactly the order of [Array.stable_sort compare]:
+    symbols first, by interning id, then ints numerically.  Arrays of
+    a few hundred tuples or more, of one arity and without dictionary
+    ints ({!Code}), take a stable LSD radix sort, in linear time for a
+    bounded key range: each column costs one 11-bit pass per 11 bits of
+    its key range (the span from its least to its greatest value, a
+    symbol's value being [min_int + id]).  Other arrays take
+    [Array.stable_sort compare]. *)
+
 val hash : t -> int
 (** Allocation-free, and well spread in its low bits.  [Hashtbl] keeps a
     power-of-two number of buckets and indexes them by the low bits of the

@@ -220,22 +220,6 @@ let scan data =
 
 type lines = { ndict : int; nfacts : int; text : string; fresh : int list }
 
-(* [Buffer.add_string buf (string_of_int n)] without the allocation and
-   the format parsing: codes are most of a frame's bytes *)
-let add_int buf scratch n =
-  if n < 0 then Buffer.add_string buf (string_of_int n)
-  else if n < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + n))
-  else begin
-    let len = Bytes.length scratch in
-    let i = ref len and n = ref n in
-    while !n > 0 do
-      decr i;
-      Bytes.unsafe_set scratch !i (Char.unsafe_chr (48 + (!n mod 10)));
-      n := !n / 10
-    done;
-    Buffer.add_subbytes buf scratch !i (len - !i)
-  end
-
 let fact_lines ~emitted iter =
   let dict = Buffer.create 256 in
   let facts = Buffer.create 1024 in
@@ -245,7 +229,6 @@ let fact_lines ~emitted iter =
   (* facts arrive grouped by name: escape each name once per run *)
   let last = ref ("", -1) in
   let prefix = ref "" in
-  let scratch = Bytes.create 20 in
   iter (fun name arity (tuple : Tuple.t) ->
       if Array.length tuple <> arity then
         invalid_arg
@@ -271,7 +254,7 @@ let fact_lines ~emitted iter =
                  (encode_value (Code.to_value c)))
           end;
           Buffer.add_char facts '\t';
-          add_int facts scratch c)
+          Code.add_digits facts c)
         tuple;
       Buffer.add_char facts '\n';
       incr nfacts);

@@ -219,6 +219,21 @@ let test_explain_rejects_unsafe_programs () =
     [ ("p(X) :- q(X), not r(Y). q(1).", "p(1)", "a negative literal");
       ("p(X, Y) :- q(X). q(1).", "p(1, 2)", "the head") ]
 
+(* a negation written before the literal that binds its variable: the
+   fixpoint and tabled strategies reorder the body instead of dying on
+   an unbound negative literal *)
+let test_run_negation_before_binding () =
+  let file = Filename.temp_file "alexander_neg_first" ".dl" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc "p(X) :- not r(X), q(X).\nq(1).\n");
+  List.iter
+    (fun s ->
+      let code, out = run_cli [ "run"; file; "-q"; "p(X)"; "-s"; s ] in
+      check tint (s ^ " exits 0") 0 code;
+      check Alcotest.string (s ^ " answers p(1)") "?- p(X).\np(1)\n" out)
+    [ "naive"; "seminaive"; "tabled" ];
+  Sys.remove file
+
 (* run answers win(1) and win(3) on this game (conditional fixpoint), so
    a stratified-replay proof of win(2) citing "not win(3)" would be
    unsound: explain refuses the program *)
@@ -270,6 +285,8 @@ let suite =
         Alcotest.test_case "explain" `Quick test_explain_prints_tree;
         Alcotest.test_case "explain rejects unsafe programs" `Quick
           test_explain_rejects_unsafe_programs;
+        Alcotest.test_case "negation before its binding literal" `Quick
+          test_run_negation_before_binding;
         Alcotest.test_case "explain rejects unstratified programs" `Quick
           test_explain_rejects_unstratified_programs;
         Alcotest.test_case "wellfounded flag" `Quick test_wellfounded_flag;

@@ -136,6 +136,44 @@ let test_concurrent_interning () =
   check tint "all fresh symbols distinct" (n_domains * n_values)
     (Hashtbl.length fresh_codes)
 
+(* The one digit writer renders what [to_string] decodes: small ints at
+   the digit boundaries and the ends of the arithmetic range, dictionary
+   ints and symbols, one with a space. *)
+let test_render_matches_to_string () =
+  let rendered c =
+    let buf = Buffer.create 16 in
+    Code.render buf c;
+    Buffer.contents buf
+  in
+  let big = max_int asr 1 in
+  let ints =
+    [ 0; 9; 10; -1; -9; -10; 99; 100; 12345; min_int asr 1; big;
+      big + 1; -(big + 2); max_int; min_int ]
+  in
+  List.iter
+    (fun c ->
+      check Alcotest.string (Code.to_string c) (Code.to_string c) (rendered c))
+    (List.map Code.of_int ints
+    @ List.map
+        (fun name -> Code.of_symbol (Symbol.intern name))
+        [ "render_sym"; "Big Co"; "" ]);
+  List.iter
+    (fun n ->
+      let buf = Buffer.create 24 in
+      Code.add_digits buf n;
+      check Alcotest.string "add_digits" (string_of_int n) (Buffer.contents buf))
+    ints;
+  (* small ints and symbols render without allocating *)
+  let buf = Buffer.create 64 in
+  let codes = [| Code.of_int (-4321); Code.of_symbol (Symbol.intern "Big Co") |] in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Buffer.clear buf;
+    Code.render buf (Sys.opaque_identity codes.(i land 1))
+  done;
+  check (Alcotest.float 0.) "minor words over 10k renders" 0.
+    (Gc.minor_words () -. before)
+
 (* -------------------------------------------------------------------- *)
 (* Properties *)
 
@@ -164,6 +202,23 @@ let prop_hash_consistent =
     (fun v ->
       Code.hash (Code.of_value v) = Code.hash (Code.of_value v))
 
+let prop_render =
+  QCheck.Test.make ~name:"Code.render appends Code.to_string" ~count:1000
+    arb_value (fun v ->
+      let c = Code.of_value v in
+      let buf = Buffer.create 8 in
+      Buffer.add_char buf '[';
+      Code.render buf c;
+      Buffer.contents buf = "[" ^ Code.to_string c)
+
+let prop_order_key =
+  QCheck.Test.make ~name:"Code.order_key orders as Code.compare_values"
+    ~count:1000 (QCheck.pair arb_value arb_value) (fun (a, b) ->
+      let a = Code.of_value a and b = Code.of_value b in
+      QCheck.assume (not (Code.is_dictionary a || Code.is_dictionary b));
+      compare (Code.order_key a) (Code.order_key b)
+      = compare (Code.compare_values a b) 0)
+
 let suite =
   [ ( "code",
       [ Alcotest.test_case "small ints arithmetic" `Quick
@@ -173,6 +228,8 @@ let suite =
         Alcotest.test_case "symbols" `Quick test_symbols_are_even_ids;
         Alcotest.test_case "value order" `Quick
           test_compare_values_matches_value_compare;
+        Alcotest.test_case "render = to_string" `Quick
+          test_render_matches_to_string;
         Alcotest.test_case "comparison literals" `Quick
           test_eval_cmp_matches_literal_semantics;
         Alcotest.test_case "concurrent interning (4 domains)" `Quick
@@ -180,5 +237,7 @@ let suite =
       ] );
     ( "code:properties",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_roundtrip; prop_injective; prop_hash_consistent ] )
+        [ prop_roundtrip; prop_injective; prop_hash_consistent; prop_render;
+          prop_order_key
+        ] )
   ]

@@ -435,6 +435,17 @@ let test_report_plans () =
                    && String.sub i.Plan.i_variant 0 5 = "delta")
          report.S.plans)
 
+(* without --explain no plan description is built or collected *)
+let test_report_plans_off () =
+  let program = Alexander.Workloads.ancestor_chain 10 in
+  List.iter
+    (fun strategy ->
+      let report = S.run_exn ~options:(opts strategy) program (atom "anc(0, X)") in
+      check tbool
+        (O.strategy_name strategy ^ ": no plans")
+        true (report.S.plans = []))
+    [ O.Seminaive; O.Alexander; O.Tabled ]
+
 (* ------------------------------------------------------------------ *)
 (* The Seki equivalence must hold under both SIPs *)
 
@@ -536,6 +547,8 @@ let suite =
         Alcotest.test_case "incremental parity" `Quick test_incremental_parity;
         Alcotest.test_case "golden explain" `Quick test_golden_explain;
         Alcotest.test_case "report plans" `Quick test_report_plans;
+        Alcotest.test_case "no plans without explain" `Quick
+          test_report_plans_off;
         Alcotest.test_case "equivalence under both sips" `Quick
           test_equivalence_under_sips;
         Alcotest.test_case "cost sip reduces work" `Quick

@@ -134,12 +134,13 @@ let test_stratum_rows_stratified () =
     (sum (fun (s : P.stratum_row) -> s.P.s_rounds) (P.strata prof))
 
 (* -------------------------------------------------------------------- *)
-(* The JSON schema is pinned: future PRs may add keys only knowingly *)
+(* The JSON schema is pinned: future PRs may add keys only knowingly.
+   The plan block lists rules under [explain], as [--stats-json] sets. *)
 
 let test_report_json_schema () =
   let report =
     run_exn
-      ~options:(profiled O.Alexander)
+      ~options:{ (profiled O.Alexander) with O.explain = true }
       (W.ancestor_chain 10) (atom "anc(0, X)")
   in
   let json = S.report_json ~query:(atom "anc(0, X)") report in

@@ -239,6 +239,32 @@ let test_query_cache_and_invalidation () =
   check tbool "eve no longer reachable" false
     (List.mem "anc(ann, eve)" (answers r4))
 
+(* A saturated-mode read and an engine run answer one goal with the same
+   list: both select and sort through the shared extraction.  The chain's
+   facts are out of order, so insertion order is not the answer order. *)
+let test_saturated_reads_sorted () =
+  let program =
+    Program.make
+      ~facts:
+        (List.map atom
+           [ "par(3, 1)"; "par(5, 3)"; "par(1, 4)"; "par(4, 2)"; "par(5, 0)" ])
+      [ rule "anc(X, Y) :- par(X, Y).";
+        rule "anc(X, Y) :- par(X, Z), anc(Z, Y)."
+      ]
+  in
+  List.iter
+    (fun g ->
+      (* a fresh server per goal, so no read is served from the cache *)
+      let t = sup_exn program in
+      let ask engine = handle t (env (P.Query { goal = atom g; engine })) in
+      let saturated = ask false in
+      let engine = ask true in
+      check tstr "saturated ok" "ok" (status saturated);
+      check tbool "saturated read computed" false (cached saturated);
+      check tstr "engine ok" "ok" (status engine);
+      check (Alcotest.list tstr) g (answers engine) (answers saturated))
+    [ "anc(5, X)"; "anc(X, Y)"; "anc(X, 2)"; "par(X, Y)" ]
+
 let test_mutation_validation_and_rollback () =
   let t = sup_exn (ancestor_program ()) in
   let before = Database.total_facts (Sup.db t) in
@@ -898,6 +924,8 @@ let suite =
         Alcotest.test_case "recovery roundtrip" `Quick test_recovery_roundtrip;
         Alcotest.test_case "wal rotation + recovery" `Quick
           test_wal_rotation_and_recovery;
+        Alcotest.test_case "saturated reads = engine answers" `Quick
+          test_saturated_reads_sorted;
         Alcotest.test_case "idempotent retry" `Quick test_idempotent_retry;
         Alcotest.test_case "wal: failed apply truncated" `Quick
           test_wal_failed_apply_truncated;

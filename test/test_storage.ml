@@ -116,6 +116,83 @@ let test_tuple_project () =
   let t = tup [ 10; 20; 30 ] in
   check tbool "projection" true (Tuple.equal (Tuple.project [| 2; 0 |] t) (tup [ 30; 10 ]))
 
+(* [Tuple.sort] must give [Array.stable_sort Tuple.compare]'s order, down
+   to which of two equal tuples comes first.  The arrays mix symbols with
+   negative ints, put ints at both ends of the arithmetic range (a key
+   range wider than [max_int] once symbols join them), hold dictionary
+   ints (the comparison-sort fallback) and duplicates, and straddle the
+   radix cutoff at arities 0 to 3. *)
+let test_tuple_sort_matches_stable_sort () =
+  let rng = Random.State.make [| 22 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let syms =
+    Array.init 50 (fun i ->
+        Code.of_symbol (Symbol.intern (Printf.sprintf "sort_sym_%d" i)))
+  in
+  let big = max_int asr 1 in
+  let extremes = [| big; -big - 1; big - 1; -big; 0; -1; 1 |] in
+  let dictionary = [| big + 1; -(big + 2); max_int; min_int |] in
+  let modes =
+    [| ("narrow ints", fun () -> Code.of_int (Random.State.int rng 400));
+       ( "symbols and negatives",
+         fun () ->
+           if Random.State.bool rng then pick syms
+           else Code.of_int (-Random.State.int rng 3000) );
+       ( "range ends and symbols",
+         fun () ->
+           match Random.State.int rng 3 with
+           | 0 -> pick syms
+           | 1 -> Code.of_int (pick extremes)
+           | _ -> Code.of_int (Random.State.bits rng - (1 lsl 29)) );
+       ( "dictionary ints",
+         fun () ->
+           if Random.State.int rng 50 = 0 then Code.of_int (pick dictionary)
+           else Code.of_int (Random.State.int rng 100 - 50) );
+       ("duplicates", fun () -> Code.of_int (Random.State.int rng 3))
+    |]
+  in
+  let sizes = [| 0; 1; 2; 17; 255; 256; 257; 600; 2000 |] in
+  for round = 1 to 300 do
+    let mode, code = pick modes in
+    let n = pick sizes and arity = Random.State.int rng 4 in
+    let mixed = round mod 25 = 0 in
+    let a =
+      Array.init n (fun _ ->
+          let w = if mixed then Random.State.int rng 4 else arity in
+          Array.init w (fun _ -> code ()))
+    in
+    let expect = Array.copy a in
+    Array.stable_sort Tuple.compare expect;
+    let got = Array.copy a in
+    Tuple.sort got;
+    let label =
+      Printf.sprintf "%s, %d tuples of arity %d%s" mode n arity
+        (if mixed then " (mixed)" else "")
+    in
+    check tbool label true (Array.for_all2 ( == ) expect got)
+  done
+
+(* [Relation.matching] selects what [Tuple.filter] accepts, sorted *)
+let test_relation_matching () =
+  let r = Relation.create 2 in
+  let x = Term.var "X" and y = Term.var "Y" and k i = Term.int i in
+  let pat args = Tuple.pattern (Atom.make (Pred.make "matching_p" 2) args) in
+  for i = 0 to 599 do
+    ignore (Relation.insert r (tup [ i mod 20; (i * 31) mod 601 ]))
+  done;
+  check tint "above the radix cutoff" 600 (Relation.cardinal r);
+  List.iter
+    (fun (name, p) ->
+      let expect =
+        List.sort Tuple.compare (Tuple.filter p (Relation.to_list r))
+      in
+      check tbool name true (Relation.matching r p = expect))
+    [ ("all variables", pat [| x; y |]);
+      ("constant", pat [| k 3; y |]);
+      ("repeated variable", pat [| x; x |]);
+      ("no match", pat [| k 99; y |])
+    ]
+
 let test_relation_insert_dedup () =
   let r = Relation.create 2 in
   check tbool "first insert new" true (Relation.insert r (tup [ 1; 2 ]));
@@ -765,6 +842,9 @@ let suite =
         Alcotest.test_case "closure insert cost" `Quick
           test_closure_insert_cost;
         Alcotest.test_case "tuple project" `Quick test_tuple_project;
+        Alcotest.test_case "tuple sort = stable sort" `Quick
+          test_tuple_sort_matches_stable_sort;
+        Alcotest.test_case "relation matching" `Quick test_relation_matching;
         Alcotest.test_case "relation dedup" `Quick test_relation_insert_dedup;
         Alcotest.test_case "relation arity" `Quick test_relation_arity_check;
         Alcotest.test_case "insertion order" `Quick test_relation_insertion_order;
