@@ -120,6 +120,11 @@ let reorder_for_cdi rule =
   | Some reordered when Result.is_ok (cdi reordered) -> Some reordered
   | Some _ | None -> None
 
+let cdi_order rule =
+  match cdi rule with
+  | Ok () -> rule
+  | Error _ -> Option.value (reorder_for_cdi rule) ~default:rule
+
 let check_program program =
   let errors =
     List.filter_map

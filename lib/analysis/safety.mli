@@ -29,5 +29,10 @@ val reorder_for_cdi : Rule.t -> Rule.t option
     relative order of positive atoms; [None] when impossible (the rule is
     not range-restricted). *)
 
+val cdi_order : Rule.t -> Rule.t
+(** The body order a rule is evaluated in: the rule itself when it is
+    cdi, else its {!reorder_for_cdi} when one exists, else itself (for
+    the safety check to report). *)
+
 val check_program : Program.t -> (unit, string list) result
 (** Range restriction of every rule; errors name the offending rules. *)

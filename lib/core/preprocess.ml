@@ -41,18 +41,8 @@ let split_idb_facts program =
   end
 
 let reorder_bodies program =
-  let rules =
-    List.map
-      (fun r ->
-        match Datalog_analysis.Safety.cdi r with
-        | Ok () -> r
-        | Error _ -> (
-          match Datalog_analysis.Safety.reorder_for_cdi r with
-          | Some r' -> r'
-          | None -> r))
-      (Program.rules program)
-  in
-  Program.make ~facts:(Program.facts program) rules
+  Program.make ~facts:(Program.facts program)
+    (List.map Datalog_analysis.Safety.cdi_order (Program.rules program))
 
 let prune_unreachable program query =
   let graph = Datalog_analysis.Depgraph.make program in

@@ -10,9 +10,10 @@ val split_idb_facts : Program.t -> Program.t
     without IDB facts are returned unchanged. *)
 
 val reorder_bodies : Program.t -> Program.t
-(** Apply {!Datalog_analysis.Safety.reorder_for_cdi} to every rule that is
-    not already cdi and can be fixed by reordering (rules that cannot are
-    left untouched for the safety check to report). *)
+(** Apply {!Datalog_analysis.Safety.cdi_order} to every rule: reorder
+    each rule that is not already cdi and can be fixed by reordering
+    (rules that cannot are left untouched for the safety check to
+    report). *)
 
 val prune_unreachable : Program.t -> Atom.t -> Program.t
 (** Drop every rule and fact whose predicate the query predicate does not

@@ -270,6 +270,14 @@ let on_interrupt_tables c ~db ~tables =
 (* ---------------------------------------------------------------- *)
 (* Resume *)
 
+(* Where a resume came from: the log's identity and length when its scan
+   ended cleanly at its last byte (the only log a resumed run may
+   continue), and whether a run has adopted its relations yet. *)
+type source = {
+  file : (int * int * int) option;  (* device, inode, bytes *)
+  mutable adopted : bool;
+}
+
 type resume = {
   r_strategy : string;
   r_query : string;
@@ -280,6 +288,7 @@ type resume = {
   r_db : Database.t;
   r_delta : Database.t option;
   r_tables : table list;
+  r_source : source;
 }
 
 let starts_with ~prefix s =
@@ -301,21 +310,24 @@ type frame = {
   f_counters : int * int * int * int * int;
   f_delta : string;
   f_calls : (string * Pred.t * (int * Value.t) list) list;  (* "tbl:<i>" *)
-  f_facts : (string * int * Tuple.t) list;
+  f_facts : Wal.facts;
 }
 
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-let decode_frame ~dict ~first body =
+let decode_frame ~dict ~first data (span : Wal.span) =
   let ok = function Ok v -> v | Error reason -> raise (Bad reason) in
   match
-    let words, meta, facts = ok (Wal.decode_meta_body ~dict body) in
+    let kind, meta, facts =
+      ok (Wal.decode_meta_body ~dict data ~pos:span.pos ~len:span.len)
+    in
     let base =
-      match words with
-      | [ "ckpt"; ("base" | "round") as kind ] -> kind = "base"
-      | _ -> bad "not a checkpoint frame: %S" (String.concat " " words)
+      match kind with
+      | "ckpt base" -> true
+      | "ckpt round" -> false
+      | _ -> bad "not a checkpoint frame: %S" kind
     in
     if base <> first then
       bad
@@ -342,14 +354,12 @@ let decode_frame ~dict ~first body =
     in
     let arities = Hashtbl.create 8 in
     List.iter (fun (k, pred, _) -> Hashtbl.replace arities k (Pred.arity pred)) calls;
-    List.iter
-      (fun (name, arity, _) ->
+    Wal.iter_runs facts (fun name arity _ _ _ ->
         if starts_with ~prefix:"tbl:" name then
           match Hashtbl.find_opt arities name with
           | Some a when a = arity -> ()
           | Some _ -> bad "table %s arity mismatch" name
-          | None -> bad "answers for unknown table %s" name)
-      facts;
+          | None -> bad "answers for unknown table %s" name);
     { f_context =
         (if base then Some (need "strategy", need "query", need "evaluator")
          else None);
@@ -374,19 +384,27 @@ let decode_frame ~dict ~first body =
 
 (* The resume state after the last valid frame [last]; [db] holds the
    replayed database. *)
-let resume_of (strategy, query, evaluator) last db =
+let resume_of (strategy, query, evaluator) last db source =
   let delta = Database.create () in
   let answers = Hashtbl.create 8 in
   let delta_prefix = if last.f_delta = "added" then "db:" else "delta:" in
-  List.iter
-    (fun (name, arity, tuple) ->
+  Wal.iter_runs last.f_facts (fun name arity tuples first n ->
       match strip ~prefix:delta_prefix name with
-      | Some p -> ignore (Database.add delta (Pred.make p arity) tuple)
+      | Some p ->
+        let rel = Database.rel delta (Pred.make p arity) in
+        for i = first to first + n - 1 do
+          ignore (Relation.insert rel tuples.(i))
+        done
       | None ->
-        if starts_with ~prefix:"tbl:" name then
-          Hashtbl.replace answers name
-            (tuple :: Option.value ~default:[] (Hashtbl.find_opt answers name)))
-    last.f_facts;
+        if starts_with ~prefix:"tbl:" name then begin
+          let acc =
+            ref (Option.value ~default:[] (Hashtbl.find_opt answers name))
+          in
+          for i = first to first + n - 1 do
+            acc := tuples.(i) :: !acc
+          done;
+          Hashtbl.replace answers name !acc
+        end);
   { r_strategy = strategy;
     r_query = query;
     r_evaluator = evaluator;
@@ -401,8 +419,14 @@ let resume_of (strategy, query, evaluator) last db =
           ( pred,
             bound,
             List.rev (Option.value ~default:[] (Hashtbl.find_opt answers k)) ))
-        last.f_calls
+        last.f_calls;
+    r_source = source
   }
+
+let identity path =
+  match Unix.stat path with
+  | st -> Some (st.Unix.st_dev, st.Unix.st_ino, st.Unix.st_size)
+  | exception Unix.Unix_error _ -> None
 
 let load ?(mode = Snapshot.Strict) cpath =
   match Faults.read_file cpath with
@@ -413,25 +437,20 @@ let load ?(mode = Snapshot.Strict) cpath =
       Error
         (Snapshot.Malformed
            { section = "checkpoint header"; reason = Wal.describe_corruption c })
-    | Ok (frames, stop) -> (
+    | Ok (spans, stop) -> (
       let section at = Printf.sprintf "checkpoint frame at byte %d" at in
       let malformed at reason = Snapshot.Malformed { section = section at; reason } in
       let db = Database.create () in
       let dict = Hashtbl.create 64 in
-      let preds = Hashtbl.create 16 in
-      let install (name, arity, tuple) =
+      (* a run of [db:] facts goes into its relation, resolved once *)
+      let install name arity tuples first n =
         match strip ~prefix:"db:" name with
         | None -> ()
         | Some p ->
-          let pred =
-            match Hashtbl.find_opt preds (name, arity) with
-            | Some pred -> pred
-            | None ->
-              let pred = Pred.make p arity in
-              Hashtbl.add preds (name, arity) pred;
-              pred
-          in
-          ignore (Database.add db pred tuple)
+          let rel = Database.rel db (Pred.make p arity) in
+          for i = first to first + n - 1 do
+            ignore (Relation.insert rel tuples.(i))
+          done
       in
       (* replay base + round frames up to the first damaged one *)
       let rec replay state = function
@@ -446,11 +465,11 @@ let load ?(mode = Snapshot.Strict) cpath =
                     { section = section at; expected; actual } )
             | Wal.Stopped { at; damage = Wal.Unparsable reason } ->
               Some (at, malformed at reason) ))
-        | (at, body) :: rest -> (
-          match decode_frame ~dict ~first:(Option.is_none state) body with
-          | Error reason -> (state, Some (at, malformed at reason))
+        | (span : Wal.span) :: rest -> (
+          match decode_frame ~dict ~first:(Option.is_none state) data span with
+          | Error reason -> (state, Some (span.at, malformed span.at reason))
           | Ok frame ->
-            List.iter install frame.f_facts;
+            Wal.iter_runs frame.f_facts install;
             let context =
               match (frame.f_context, state) with
               | Some context, _ | None, Some (context, _) -> context
@@ -458,28 +477,84 @@ let load ?(mode = Snapshot.Strict) cpath =
             in
             replay (Some (context, frame)) rest)
       in
-      let resume (context, last) = resume_of context last db in
-      match replay None frames with
+      let resume ~clean (context, last) =
+        (* a log read to its last byte may be continued: [identity]'s
+           length check rules out a read that came up short *)
+        let file =
+          match identity cpath with
+          | Some (_, _, bytes) as file
+            when clean && bytes = String.length data ->
+            file
+          | _ -> None
+        in
+        resume_of context last db { file; adopted = false }
+      in
+      match replay None spans with
       | None, Some (_, c) -> Error c
       | None, None -> Error (Snapshot.Truncated "checkpoint base frame")
-      | Some state, None -> Ok (resume state, [])
+      | Some state, None ->
+        let clean = match stop with Wal.End -> true | Wal.Stopped _ -> false in
+        Ok (resume ~clean state, [])
       | Some state, Some (at, c) -> (
         match mode with
         | Snapshot.Strict -> Error c
         | Snapshot.Lenient ->
           Ok
-            ( resume state,
+            ( resume ~clean:false state,
               [ { Snapshot.w_section = section at; w_corruption = c } ] ))))
 
-let restore_counters r (cnt : Counters.t) =
-  let facts, firings, probes, scanned, iterations = r.r_counters in
-  cnt.Counters.facts_derived <- facts;
-  cnt.Counters.firings <- firings;
-  cnt.Counters.probes <- probes;
-  cnt.Counters.scanned <- scanned;
-  cnt.Counters.iterations <- iterations
+(* The length of the log [r] was read from, if that is the log [c]
+   writes and it is unchanged since: the same file and length. *)
+let source_bytes c r =
+  match r.r_source.file with
+  | Some ((_, _, bytes) as file) when identity c.cpath = Some file -> Some bytes
+  | _ -> None
 
-let resume_rounds c r = if c.active then c.rounds <- r.r_rounds
+(* Every relation of [db] holds exactly what the log holds for it (the
+   log's relations are in [db] after the adoption, so equal sizes mean
+   equal contents): the log images [db] as it stands. *)
+let logs_all r db =
+  List.for_all
+    (fun pred ->
+      Database.cardinal db pred = Database.cardinal r.r_db pred)
+    (Database.preds db)
+
+let adopt c r ~db ~counters =
+  if r.r_source.adopted then
+    invalid_arg "Checkpoint.adopt: resume already adopted";
+  r.r_source.adopted <- true;
+  let facts, firings, probes, scanned, iterations = r.r_counters in
+  counters.Counters.facts_derived <- facts;
+  counters.Counters.firings <- firings;
+  counters.Counters.probes <- probes;
+  counters.Counters.scanned <- scanned;
+  counters.Counters.iterations <- iterations;
+  Database.adopt ~src:r.r_db ~dst:db;
+  if c.active then begin
+    c.rounds <- r.r_rounds;
+    match source_bytes c r with
+    | Some bytes when logs_all r db ->
+      (* continue the log: the next save appends a round frame after its
+         last byte.  The emitted set starts empty — even codes are
+         process-local, and this session's [d] lines override the old
+         process's meanings for every later frame *)
+      let marks = Pred.Tbl.create 16 in
+      List.iter
+        (fun pred ->
+          let rel = Database.rel db pred in
+          Pred.Tbl.replace marks pred
+            (rel, Relation.mark rel, Relation.cardinal rel))
+        (Database.preds db);
+      c.log <-
+        Some
+          { l_db = db;
+            l_context = (r.r_strategy, r.r_query, r.r_evaluator);
+            marks;
+            emitted = Hashtbl.create 64;
+            bytes
+          }
+    | _ -> ()
+  end
 
 let verify_context r ~strategy ~query =
   if r.r_strategy <> strategy then

@@ -47,6 +47,10 @@
     - A save over a different database object, under a changed context,
       or after a relation was replaced or shrank writes a new base
       instead: the engines only ever add facts between saves.
+    - A resumed run whose checkpoint is the log it resumed from, read
+      cleanly to its last byte, continues that log ({!adopt}): its
+      first save appends a round frame rather than re-imaging the
+      database it has just replayed.
 
     Every prefix of the log that ends at a frame boundary is exactly an
     earlier save's state.  So {!load} replays base + round frames; a
@@ -135,6 +139,11 @@ val on_interrupt_tables :
 
 (** {1 Resume} *)
 
+type source
+(** Where a resume was read from: the log's file identity and length if
+    its scan ended cleanly at its last byte, and whether a run has
+    adopted it. *)
+
 type resume = {
   r_strategy : string;
   r_query : string;
@@ -144,16 +153,22 @@ type resume = {
   r_counters : int * int * int * int * int;
       (** facts_derived, firings, probes, scanned, iterations *)
   r_db : Database.t;
+      (** the replayed database; the run that resumes adopts its
+          relations ({!adopt}) *)
   r_delta : Database.t option;
   r_tables : table list;
+  r_source : source;
 }
 
 val load :
   ?mode:Snapshot.mode ->
   string ->
   (resume * Snapshot.warning list, Snapshot.corruption) result
-(** Replay a checkpoint log: the state of the last complete frame.
-    Under {!Snapshot.Strict} a damaged complete frame fails the load
+(** Replay a checkpoint log in one pass: the state of the last complete
+    frame.  Each frame is decoded whole by {!Datalog_storage.Wal}'s
+    streaming decoder before its [db:] facts go, one relation lookup
+    per run, into the replayed database.  Under {!Snapshot.Strict} a
+    damaged complete frame fails the load
     ([Checksum_mismatch] or [Malformed], naming the frame's byte
     offset); under {!Snapshot.Lenient} it ends the replay with one
     {!Snapshot.warning}, and the frames before it are resumed.  A
@@ -161,10 +176,20 @@ val load :
     frame is not damage: the previous frame is resumed without a
     warning. *)
 
-val restore_counters : resume -> Counters.t -> unit
+val adopt : t -> resume -> db:Database.t -> counters:Counters.t -> unit
+(** Start a resumed run over [db]: restore [counters] and the save
+    cadence, and give [db] the replayed relations
+    ({!Datalog_storage.Database.adopt}: no copy of a relation [db]
+    lacks, no write into one it has).  A resume is adopted once; its
+    relations then belong to the run.
 
-val resume_rounds : t -> resume -> unit
-(** Continue the save cadence from the resumed round count. *)
+    When [t] writes the very log the resume was read from (same device,
+    inode and length), that log was read cleanly to its last byte, and
+    it holds exactly [db]'s facts, the log is {e continued}: the next
+    save appends a round frame to it instead of installing a new base.
+    A torn or damaged tail, a [Lenient] recovery or another path keeps
+    the base install.
+    @raise Invalid_argument if the resume was already adopted. *)
 
 val verify_context :
   resume -> strategy:string -> query:string -> (unit, string) result

@@ -66,7 +66,9 @@ let saturate program =
   in
   Result.map
     (fun outcome -> { db = outcome.Stratified.db; order })
-    (Stratified.run ~on_new program)
+    (Stratified.run ~on_new
+       (Program.make ~facts:(Program.facts program)
+          (List.map Datalog_analysis.Safety.cdi_order (Program.rules program))))
 
 (* The insertion number of a fact of the model; [-1] (before every derived
    fact) for a fact of the program. *)
@@ -80,14 +82,18 @@ exception Found of Subst.t
 
 (* The first instance of [rule] that concludes [atom], the fact numbered
    [n], and whose positive premises were all inserted before it.  The
-   rule is specialised to [atom] and compiled under a head that lists the
-   variables of its body, so every tuple the plan emits completes the
-   grounding substitution. *)
+   rule is specialised to [atom] and compiled, in the body order it was
+   evaluated in ({!Datalog_analysis.Safety.cdi_order}), under a head that
+   lists the variables of its body, so every tuple the plan emits
+   completes the grounding substitution. *)
 let justify model rule atom n =
   match Unify.matches ~pattern:(Rule.head rule) ~ground:atom with
   | None -> None
   | Some head_subst -> (
-    let body = List.map (Subst.apply_literal head_subst) (Rule.body rule) in
+    let body =
+      List.map (Subst.apply_literal head_subst)
+        (Rule.body (Datalog_analysis.Safety.cdi_order rule))
+    in
     let vars = Rule.body_vars (Rule.make atom body) in
     let head = Pred.make "%instance" (List.length vars) in
     let capture =

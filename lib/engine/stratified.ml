@@ -32,11 +32,9 @@ let run ?(limits = Limits.none) ?(profile = Profile.none)
       | Some r ->
         (* strata below [r_stratum] were complete when the checkpoint was
            taken (the invariant of stratified evaluation), so resume
-           reinstalls the saved facts, skips those strata entirely, and
+           adopts the replayed relations, skips those strata entirely, and
            warm-starts the saved one with its delta *)
-        Checkpoint.restore_counters r counters;
-        ignore (Database.union_into ~src:r.Checkpoint.r_db ~dst:db);
-        Checkpoint.resume_rounds checkpoint r;
+        Checkpoint.adopt checkpoint r ~db ~counters;
         (r.Checkpoint.r_stratum, r.Checkpoint.r_delta)
     in
     Checkpoint.set_counters checkpoint counters;

@@ -462,9 +462,7 @@ let run ?(limits = Limits.none) ?(profile = Profile.none)
          call (ensure_call marks each dirty) saturates to exactly the
          answers of an uninterrupted run; the checkpoint's bound patterns
          are values — re-encode them into this process's codes *)
-      Checkpoint.restore_counters r counters;
-      ignore (Database.union_into ~src:r.Checkpoint.r_db ~dst:edb);
-      Checkpoint.resume_rounds checkpoint r;
+      Checkpoint.adopt checkpoint r ~db:edb ~counters;
       List.iter
         (fun (pred, bound, tuples) ->
           let c =

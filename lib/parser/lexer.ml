@@ -73,6 +73,25 @@ let read_while lx pred =
   go ();
   String.sub lx.src start (lx.pos - start)
 
+(* An integer literal read in place, negated digit by digit (so [min_int],
+   whose magnitude is no int, reads too); [pos] is the literal's
+   position, a leading '-' included. *)
+let read_int lx ~negative pos =
+  let rec go v =
+    match peek_char lx with
+    | Some c when is_digit c ->
+      let d = Char.code c - Char.code '0' in
+      if v < (min_int + d) / 10 then
+        raise (Error ("integer literal out of range", pos));
+      advance lx;
+      go ((v * 10) - d)
+    | None | Some _ -> v
+  in
+  let v = go 0 in
+  if negative then v
+  else if v = min_int then raise (Error ("integer literal out of range", pos))
+  else -v
+
 let read_string lx =
   let pos = position lx in
   advance lx;
@@ -110,7 +129,7 @@ let next lx =
         let word = read_while lx is_ident_char in
         if String.equal word "not" then NOT else IDENT word
       else if is_upper c then VAR (read_while lx is_ident_char)
-      else if is_digit c then INT (int_of_string (read_while lx is_digit))
+      else if is_digit c then INT (read_int lx ~negative:false pos)
       else
         match c with
         | '"' -> STRING (read_string lx)
@@ -129,8 +148,7 @@ let next lx =
         | '-' ->
           advance lx;
           (match peek_char lx with
-          | Some d when is_digit d ->
-            INT (-int_of_string (read_while lx is_digit))
+          | Some d when is_digit d -> INT (read_int lx ~negative:true pos)
           | _ -> raise (Error ("stray '-'", pos)))
         | ':' ->
           advance lx;

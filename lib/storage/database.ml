@@ -86,6 +86,20 @@ let union_into ~src ~dst =
     src;
   !added
 
+let adopt ~src ~dst =
+  Pred.Tbl.iter
+    (fun p r ->
+      match find dst p with
+      | None -> Pred.Tbl.add dst p r
+      | Some d ->
+        let missing t acc = acc || not (Relation.mem d t) in
+        if Relation.fold missing r false then begin
+          let d' = Relation.copy d in
+          ignore (Relation.union_into ~src:r ~dst:d');
+          Pred.Tbl.replace dst p d'
+        end)
+    src
+
 let tuples db pred =
   match find db pred with None -> [] | Some r -> Relation.to_list r
 

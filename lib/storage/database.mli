@@ -73,6 +73,15 @@ val since : t -> marks -> t
 val union_into : src:t -> dst:t -> int
 (** Insert every tuple of [src] into [dst]; returns how many were new. *)
 
+val adopt : src:t -> dst:t -> unit
+(** [adopt ~src ~dst] gives [dst] every tuple of [src] without copying
+    what it need not: a predicate [dst] lacks takes [src]'s relation
+    itself, and one [dst] has keeps its relation when that already holds
+    [src]'s tuples and otherwise gets a fresh copy holding both.  No
+    relation [dst] had before is written, so an {!overlay}'s base stays
+    untouched.  The adopted relations are shared afterwards: [src] is
+    the caller's to give away. *)
+
 val tuples : t -> Pred.t -> Tuple.t list
 
 val iter : (Pred.t -> Relation.t -> unit) -> t -> unit

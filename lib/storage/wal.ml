@@ -88,45 +88,82 @@ let escape s =
     s;
   Buffer.contents buf
 
+exception Bad of string
+
+let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
+
+(* Readers over a slice [s.[a..b)] of a frame body: they cut out nothing
+   the result does not keep, and raise [Bad] on malformed input. *)
+
+let unescape_sub s a b =
+  let rec plain i = i >= b || (s.[i] <> '\\' && plain (i + 1)) in
+  if plain a then String.sub s a (b - a)
+  else begin
+    let buf = Buffer.create (b - a) in
+    let rec go i =
+      if i < b then
+        if s.[i] <> '\\' then begin
+          Buffer.add_char buf s.[i];
+          go (i + 1)
+        end
+        else if i + 1 >= b then bad "dangling escape"
+        else begin
+          (match s.[i + 1] with
+          | '\\' -> Buffer.add_char buf '\\'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'n' -> Buffer.add_char buf '\n'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 's' -> Buffer.add_char buf ' '
+          | c -> bad "bad escape '\\%c'" c);
+          go (i + 2)
+        end
+    in
+    go a;
+    Buffer.contents buf
+  end
+
 let unescape s =
-  let len = String.length s in
-  let buf = Buffer.create len in
-  let rec go i =
-    if i >= len then Ok (Buffer.contents buf)
-    else if s.[i] = '\\' then
-      if i + 1 >= len then Error "dangling escape"
-      else begin
-        match s.[i + 1] with
-        | '\\' -> Buffer.add_char buf '\\'; go (i + 2)
-        | 't' -> Buffer.add_char buf '\t'; go (i + 2)
-        | 'n' -> Buffer.add_char buf '\n'; go (i + 2)
-        | 'r' -> Buffer.add_char buf '\r'; go (i + 2)
-        | 's' -> Buffer.add_char buf ' '; go (i + 2)
-        | c -> Error (Printf.sprintf "bad escape '\\%c'" c)
-      end
-    else begin
-      Buffer.add_char buf s.[i];
-      go (i + 1)
-    end
-  in
-  go 0
+  match unescape_sub s 0 (String.length s) with
+  | v -> Ok v
+  | exception Bad reason -> Error reason
+
+(* A decimal of at most 18 digits cannot overflow: read it in place.
+   Anything else ([+], [0x], [_], a longer or malformed field) goes to
+   [int_of_string_opt], so a field reads exactly as the format has
+   always read it. *)
+let rec digits s i b v =
+  if i = b then v
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> digits s (i + 1) b ((v * 10) + Char.code c - 48)
+    | _ -> -1
+
+let int_sub ~what s a b =
+  let d = if a < b && s.[a] = '-' then a + 1 else a in
+  let v = if b - d >= 1 && b - d <= 18 then digits s d b 0 else -1 in
+  if v >= 0 then if d > a then -v else v
+  else
+    match int_of_string_opt (String.sub s a (b - a)) with
+    | Some v -> v
+    | None -> bad "bad %s %S" what (String.sub s a (b - a))
 
 let encode_value = function
   | Value.Int i -> "i:" ^ string_of_int i
   | Value.Sym s -> "s:" ^ escape (Symbol.name s)
 
-let decode_value s =
-  if String.length s < 2 || s.[1] <> ':' then
-    Error (Printf.sprintf "value %S lacks a type tag" s)
+let value_sub s a b =
+  if b - a < 2 || s.[a + 1] <> ':' then
+    bad "value %S lacks a type tag" (String.sub s a (b - a))
   else
-    let payload = String.sub s 2 (String.length s - 2) in
-    match s.[0] with
-    | 'i' -> (
-      match int_of_string_opt payload with
-      | Some i -> Ok (Value.int i)
-      | None -> Error (Printf.sprintf "bad integer %S" payload))
-    | 's' -> Result.map Value.sym (unescape payload)
-    | c -> Error (Printf.sprintf "unknown value tag '%c'" c)
+    match s.[a] with
+    | 'i' -> Value.int (int_sub ~what:"integer" s (a + 2) b)
+    | 's' -> Value.sym (unescape_sub s (a + 2) b)
+    | c -> bad "unknown value tag '%c'" c
+
+let decode_value s =
+  match value_sub s 0 (String.length s) with
+  | v -> Ok v
+  | exception Bad reason -> Error reason
 
 (* ---------------------------------------------------------------- *)
 (* Atomic install *)
@@ -169,6 +206,8 @@ let install path body =
 
 type stop = End | Stopped of { at : int; damage : damage }
 
+type span = { at : int; pos : int; len : int }
+
 let scan data =
   let len = String.length data in
   let hlen = String.length header in
@@ -188,13 +227,13 @@ let scan data =
               let bstart = nl + 1 in
               if n > len - bstart then stopped (Cut_short "truncated frame body")
               else
-                let body = String.sub data bstart n in
-                let actual = Crc32.string body in
+                let actual = Crc32.update Crc32.empty data ~pos:bstart ~len:n in
                 if actual <> crc then
                   stopped
                     (Checksum
                        { expected = Crc32.to_hex crc; actual = Crc32.to_hex actual })
-                else frames (bstart + n) ((pos, body) :: acc)
+                else
+                  frames (bstart + n) ({ at = pos; pos = bstart; len = n } :: acc)
             | _ -> malformed ())
           | _ -> malformed ())
     in
@@ -264,84 +303,189 @@ let fact_lines ~emitted iter =
     fresh = List.rev !fresh
   }
 
-exception Bad of string
+(* ---------------------------------------------------------------- *)
+(* Decoding: one cursor over a CRC-verified body
 
-let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
+   The reader walks the body once.  Fields are read in place
+   ({!int_sub}, {!unescape_sub}); a fact's codes go straight into its
+   tuple, and a frame's tuples into one array cut into runs of one name
+   and arity, so the caller resolves a relation once per run.  Nothing
+   is handed out before the whole body has decoded, so a frame that
+   fails half-way leaves the caller's state at the previous frame; the
+   [d] lines are folded into [dict] as they are read (a failed frame
+   ends a replay, so its half-folded dictionary is never used). *)
 
-let strip_prefix ~tag field =
-  let n = String.length tag in
-  if String.length field >= n && String.sub field 0 n = tag then
-    String.sub field n (String.length field - n)
-  else bad "expected a %S line" (String.trim tag)
+type cursor = { s : string; mutable next : int; stop : int }
 
-let decode_code ~dict s : Code.t =
-  match int_of_string_opt s with
-  | None -> bad "bad code %S" s
-  | Some c ->
-    if c land 1 = 1 then c
-    else (
-      (* even codes are process-local: resolve through the running
-         dictionary, which later [d] lines may have overridden *)
-      match Hashtbl.find_opt dict c with
-      | Some c' -> c'
-      | None -> bad "code %d not in dictionary" c)
+let cursor s ~pos ~len =
+  if len = 0 then bad "empty frame body";
+  if s.[pos + len - 1] <> '\n' then
+    bad "frame body does not end with a newline";
+  { s; next = pos; stop = pos + len }
 
-(* the first [n] lines, and the rest *)
-let split_at n lines =
-  let rec go n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> bad "frame line count mismatch"
-    | l :: rest -> go (n - 1) (l :: acc) rest
+(* the index of the '\n' ending the line at the cursor: the body ends
+   with one, so a line starting before [stop] has one *)
+let line_end c =
+  if c.next >= c.stop then bad "frame line count mismatch";
+  String.index_from c.s c.next '\n'
+
+(* the first '\t' in [s.[a..b)], or [b] *)
+let rec next_tab s a b =
+  if a >= b || s.[a] = '\t' then a else next_tab s (a + 1) b
+
+(* the line's space-separated words (a frame head) *)
+let head_words c =
+  let s = c.s and nl = line_end c in
+  let rec go i stop acc =
+    if i < c.next then String.sub s c.next (stop - c.next) :: acc
+    else if s.[i] = ' ' then
+      go (i - 1) i (String.sub s (i + 1) (stop - i - 1) :: acc)
+    else go (i - 1) stop acc
   in
-  go n [] lines
+  let words = go (nl - 1) nl [] in
+  c.next <- nl + 1;
+  words
 
-let decode_facts_exn ~dict ~ndict ~nfacts lines =
-  if List.length lines <> ndict + nfacts then
-    bad "frame line count mismatch (expected %d+%d, got %d)" ndict nfacts
-      (List.length lines);
-  let dict_lines, fact_lines = split_at ndict lines in
-  List.iter
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | [ code_field; tagged ] -> (
-        let code_s = strip_prefix ~tag:"d " code_field in
-        match int_of_string_opt code_s with
-        | None -> bad "bad dictionary code %S" code_s
-        | Some stored -> (
-          match decode_value tagged with
-          | Ok v -> Hashtbl.replace dict stored (Code.of_value v)
-          | Error reason -> bad "bad dictionary value: %s" reason))
-      | _ -> bad "malformed dictionary line %S" line)
-    dict_lines;
-  let last = ref ("", "") in
-  List.map
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | name_field :: arity_s :: code_fields -> (
-        let name_esc = strip_prefix ~tag:"f " name_field in
-        let name =
-          if fst !last = name_esc then snd !last
-          else
-            match unescape name_esc with
-            | Ok n ->
-              last := (name_esc, n);
-              n
-            | Error reason -> bad "bad predicate name: %s" reason
-        in
-        match int_of_string_opt arity_s with
-        | None -> bad "bad arity %S" arity_s
-        | Some arity ->
-          if List.length code_fields <> arity then
-            bad "fact %s/%d with %d fields" name arity (List.length code_fields);
-          (name, arity, Array.of_list (List.map (decode_code ~dict) code_fields)))
-      | _ -> bad "malformed fact line %S" line)
-    fact_lines
+let count ~what w =
+  let n = int_sub ~what w 0 (String.length w) in
+  if n < 0 then bad "negative %s" what;
+  n
 
-let body_lines body =
-  match List.rev (String.split_on_char '\n' body) with
-  (* the body ends with a newline, so the split has a trailing "" *)
-  | "" :: rest -> List.rev rest
-  | _ -> bad "frame body does not end with a newline"
+(* [tag] (two characters) starts the field [s.[a..b)] *)
+let expect_tag s a b tag =
+  if b - a < 2 || s.[a] <> tag.[0] || s.[a + 1] <> tag.[1] then
+    bad "expected a %S line" (String.trim tag)
+
+(* m <escaped key><TAB><escaped value> *)
+let read_meta c =
+  let s = c.s and nl = line_end c in
+  let tab = next_tab s c.next nl in
+  if tab = nl || next_tab s (tab + 1) nl <> nl then bad "malformed meta line";
+  expect_tag s c.next tab "m ";
+  let kv = (unescape_sub s (c.next + 2) tab, unescape_sub s (tab + 1) nl) in
+  c.next <- nl + 1;
+  kv
+
+(* d <code><TAB><tagged value> *)
+let read_dict ~dict c =
+  let s = c.s and nl = line_end c in
+  let tab = next_tab s c.next nl in
+  if tab = nl || next_tab s (tab + 1) nl <> nl then
+    bad "malformed dictionary line";
+  expect_tag s c.next tab "d ";
+  let stored = int_sub ~what:"dictionary code" s (c.next + 2) tab in
+  let v =
+    try value_sub s (tab + 1) nl
+    with Bad reason -> bad "bad dictionary value: %s" reason
+  in
+  Hashtbl.replace dict stored (Code.of_value v);
+  c.next <- nl + 1
+
+let code ~dict s a b : Code.t =
+  let c = int_sub ~what:"code" s a b in
+  if c land 1 = 1 then c
+  else
+    (* even codes are process-local: resolve through the running
+       dictionary, which later [d] lines may have overridden *)
+    try Hashtbl.find dict c with Not_found -> bad "code %d not in dictionary" c
+
+type facts = {
+  tuples : Tuple.t array;
+  runs : (string * int * int) list;  (* name, arity, index of the first tuple *)
+}
+
+let iter_runs facts f =
+  let rec go = function
+    | [] -> ()
+    | (name, arity, first) :: rest ->
+      let stop =
+        match rest with
+        | (_, _, next) :: _ -> next
+        | [] -> Array.length facts.tuples
+      in
+      f name arity facts.tuples first (stop - first);
+      go rest
+  in
+  go facts.runs
+
+(* [s.[a .. a + n)] and [s.[a' .. a' + n)] are the same bytes *)
+let rec same_bytes s a a' n =
+  n = 0 || (s.[a] = s.[a'] && same_bytes s (a + 1) (a' + 1) (n - 1))
+
+(* [ndict] dictionary lines, then [nfacts] fact lines
+   [f <escaped name><TAB><arity>[<TAB><code>...]] *)
+let read_facts ~dict c ~ndict ~nfacts =
+  for _ = 1 to ndict do
+    read_dict ~dict c
+  done;
+  (* no more lines than bytes are left: a damaged count cannot size the
+     array *)
+  if nfacts > c.stop - c.next then bad "frame line count mismatch";
+  let s = c.s in
+  let tuples = Array.make nfacts [||] in
+  let runs = ref [] in
+  (* the current run: its escaped name as a slice of [s], and its arity *)
+  let ra = ref 0 and rb = ref (-1) and rarity = ref (-1) in
+  for i = 0 to nfacts - 1 do
+    let nl = line_end c in
+    let tab = next_tab s c.next nl in
+    if tab = nl then bad "malformed fact line";
+    expect_tag s c.next tab "f ";
+    let na = c.next + 2 in
+    let atab = next_tab s (tab + 1) nl in
+    let arity = int_sub ~what:"arity" s (tab + 1) atab in
+    if arity < 0 || arity > nl - atab then bad "fact with %d fields" arity;
+    if
+      arity <> !rarity
+      || tab - na <> !rb - !ra
+      || not (same_bytes s na !ra (tab - na))
+    then begin
+      runs := (unescape_sub s na tab, arity, i) :: !runs;
+      ra := na;
+      rb := tab;
+      rarity := arity
+    end;
+    let tuple = Array.make arity 0 in
+    let p = ref atab in
+    for j = 0 to arity - 1 do
+      if !p >= nl then bad "fact with fewer than %d fields" arity;
+      let e = next_tab s (!p + 1) nl in
+      tuple.(j) <- code ~dict s (!p + 1) e;
+      p := e
+    done;
+    if !p <> nl then bad "fact with more than %d fields" arity;
+    tuples.(i) <- tuple;
+    c.next <- nl + 1
+  done;
+  { tuples; runs = List.rev !runs }
+
+(* [v], once the cursor has read the whole body *)
+let consumed c v =
+  if c.next <> c.stop then bad "frame line count mismatch";
+  v
+
+let decode_meta_exn ~dict s ~pos ~len =
+  let c = cursor s ~pos ~len in
+  let kind, nmeta, ndict, nfacts =
+    match List.rev (head_words c) with
+    | nf :: nd :: nm :: words ->
+      ( String.concat " " (List.rev words),
+        count ~what:"meta count" nm,
+        count ~what:"dictionary count" nd,
+        count ~what:"fact count" nf )
+    | _ -> bad "malformed frame head"
+  in
+  let rec metas n acc =
+    if n = 0 then List.rev acc else metas (n - 1) (read_meta c :: acc)
+  in
+  let meta = metas nmeta [] in
+  let facts = read_facts ~dict c ~ndict ~nfacts in
+  consumed c (kind, meta, facts)
+
+let decode_meta_body ~dict s ~pos ~len =
+  match decode_meta_exn ~dict s ~pos ~len with
+  | frame -> Ok frame
+  | exception Bad reason -> Error reason
 
 (* ---------------------------------------------------------------- *)
 (* Meta frames: a head line, key/value lines, then fact lines *)
@@ -354,40 +498,6 @@ let meta_body head meta lines =
          (fun (k, v) -> Printf.sprintf "m %s\t%s\n" (escape k) (escape v))
          meta
     @ [ lines.text ])
-
-let unescape_exn s =
-  match unescape s with Ok v -> v | Error reason -> bad "%s" reason
-
-let decode_meta_body_exn ~dict body =
-  let head, rest =
-    match body_lines body with
-    | [] -> bad "empty frame body"
-    | head :: rest -> (head, rest)
-  in
-  let words, nmeta, ndict, nfacts =
-    match List.rev (String.split_on_char ' ' head) with
-    | nf :: nd :: nm :: words -> (
-      match (int_of_string_opt nm, int_of_string_opt nd, int_of_string_opt nf) with
-      | Some nm, Some nd, Some nf when nm >= 0 && nd >= 0 && nf >= 0 ->
-        (List.rev words, nm, nd, nf)
-      | _ -> bad "malformed frame head %S" head)
-    | _ -> bad "malformed frame head %S" head
-  in
-  let meta_lines, rest = split_at nmeta rest in
-  let meta =
-    List.map
-      (fun line ->
-        match String.split_on_char '\t' line with
-        | [ k; v ] -> (unescape_exn (strip_prefix ~tag:"m " k), unescape_exn v)
-        | _ -> bad "malformed meta line %S" line)
-      meta_lines
-  in
-  (words, meta, decode_facts_exn ~dict ~ndict ~nfacts rest)
-
-let decode_meta_body ~dict body =
-  match decode_meta_body_exn ~dict body with
-  | frame -> Ok frame
-  | exception Bad reason -> Error reason
 
 (* ---------------------------------------------------------------- *)
 (* Base frames *)
@@ -402,16 +512,20 @@ let base_body meta db =
   in
   (meta_body "base" meta lines, lines.fresh)
 
-let is_base body = String.starts_with ~prefix:"base " body
+let is_base data (span : span) =
+  span.len >= 5 && String.sub data span.pos 5 = "base "
 
-let decode_base ~dict body =
-  let words, meta, facts = decode_meta_body_exn ~dict body in
-  if words <> [ "base" ] then bad "malformed base frame head";
+let decode_base ~dict data (span : span) =
+  let kind, meta, facts =
+    decode_meta_exn ~dict data ~pos:span.pos ~len:span.len
+  in
+  if kind <> "base" then bad "malformed base frame head";
   let db = Database.create () in
-  List.iter
-    (fun (name, arity, tuple) ->
-      ignore (Database.add db (Pred.make name arity) tuple))
-    facts;
+  iter_runs facts (fun name arity tuples first n ->
+      let rel = Database.rel db (Pred.make name arity) in
+      for i = first to first + n - 1 do
+        ignore (Relation.insert rel tuples.(i))
+      done);
   (meta, db)
 
 (* the frame may be partially on disk: cut it back off, so the log still
@@ -459,44 +573,39 @@ let frame_body ~written ~txn ~op ~key facts =
     ^ lines.text,
     lines.fresh )
 
-(* Decode one CRC-verified body; folds its [d] lines into [dict] with
-   replace semantics (a restart's writer re-emits codes the dead process
-   already defined, overriding them for every later frame). *)
-let decode_frame ~dict body =
+(* Decode one CRC-verified transaction body; its [d] lines fold into
+   [dict] with replace semantics (a restart's writer re-emits codes the
+   dead process already defined, overriding them for every later
+   frame). *)
+let decode_txn ~dict s ~pos ~len =
   match
-    let head, rest =
-      match body_lines body with [] -> bad "empty frame body" | h :: r -> (h, r)
-    in
-    let txn, op, nfacts, ndict, key =
-      match String.split_on_char ' ' head with
-      | [ "txn"; id; opn; nf; nd; key ] -> (
-        match
-          ( int_of_string_opt id,
-            op_of_name opn,
-            int_of_string_opt nf,
-            int_of_string_opt nd )
-        with
-        | Some txn, Some op, Some nfacts, Some ndict
-          when nfacts >= 0 && ndict >= 0 ->
-          let key =
-            match key with
-            | "-" -> None
-            | k when String.length k >= 2 && String.sub k 0 2 = "k:" -> (
-              match unescape (String.sub k 2 (String.length k - 2)) with
-              | Ok k -> Some k
-              | Error reason -> bad "bad idempotency key: %s" reason)
-            | _ -> bad "bad idempotency key field"
-          in
-          (txn, op, nfacts, ndict, key)
-        | _ -> bad "malformed txn line %S" head)
-      | _ -> bad "malformed txn line %S" head
-    in
-    let facts =
-      List.map
-        (fun (name, arity, tuple) -> Tuple.to_atom (Pred.make name arity) tuple)
-        (decode_facts_exn ~dict ~ndict ~nfacts rest)
-    in
-    { e_txn = txn; e_op = op; e_key = key; e_facts = facts }
+    let c = cursor s ~pos ~len in
+    match head_words c with
+    | [ "txn"; id; opn; nf; nd; key ] -> (
+      match op_of_name opn with
+      | None -> bad "malformed txn line"
+      | Some op ->
+        let txn = int_sub ~what:"transaction id" id 0 (String.length id) in
+        let nfacts = count ~what:"fact count" nf in
+        let ndict = count ~what:"dictionary count" nd in
+        let key =
+          match key with
+          | "-" -> None
+          | k when String.length k >= 2 && String.sub k 0 2 = "k:" -> (
+            try Some (unescape_sub k 2 (String.length k))
+            with Bad reason -> bad "bad idempotency key: %s" reason)
+          | _ -> bad "bad idempotency key field"
+        in
+        let facts = read_facts ~dict c ~ndict ~nfacts in
+        let atoms = ref [] in
+        iter_runs facts (fun name arity tuples first n ->
+            let pred = Pred.make name arity in
+            for i = first to first + n - 1 do
+              atoms := Tuple.to_atom pred tuples.(i) :: !atoms
+            done);
+        consumed c
+          { e_txn = txn; e_op = op; e_key = key; e_facts = List.rev !atoms })
+    | _ -> bad "malformed txn line"
   with
   | entry -> Ok entry
   | exception Bad reason -> Error reason
@@ -544,14 +653,11 @@ let load ?(mode = Strict) path =
         in
         let based =
           match frames with
-          | (at, body) :: rest when is_base body -> (
-            match decode_base ~dict body with
-            | base ->
-              (* the frame header line, then the body *)
-              let base_end = String.index_from data at '\n' + 1 + String.length body in
-              Ok (Some base, base_end, rest)
+          | span :: rest when is_base data span -> (
+            match decode_base ~dict data span with
+            | base -> Ok (Some base, span.pos + span.len, rest)
             | exception Bad reason ->
-              Error (Damaged { offset = at; damage = Unparsable reason }))
+              Error (Damaged { offset = span.at; damage = Unparsable reason }))
           | _ -> Ok (None, hlen, frames)
         in
         match based with
@@ -570,8 +676,8 @@ let load ?(mode = Strict) path =
               match stop with
               | End -> finish acc len Clean
               | Stopped { at; damage } -> stopped acc ~at damage)
-            | (at, body) :: rest -> (
-              match decode_frame ~dict body with
+            | { at; pos; len } :: rest -> (
+              match decode_txn ~dict data ~pos ~len with
               | Ok entry -> decode (entry :: acc) rest
               | Error reason -> stopped acc ~at (Unparsable reason))
           in

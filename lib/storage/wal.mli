@@ -154,11 +154,17 @@ type stop =
       (** the frame starting at byte [at] is damaged; [Cut_short] is the
           mark a crash mid-append leaves *)
 
-val scan : string -> ((int * string) list * stop, corruption) result
-(** [scan data] checks a log's header and splits off its CRC-verified
-    frame bodies, each with its byte offset, up to the first frame that
-    is truncated or damaged ([stop] says which).  [Error] is a missing,
-    torn or foreign header ([Not_a_log], [Unsupported_version]). *)
+type span = {
+  at : int;  (** byte offset of the frame's header line *)
+  pos : int;  (** byte offset of its body *)
+  len : int;  (** body length *)
+}
+
+val scan : string -> (span list * stop, corruption) result
+(** [scan data] checks a log's header and finds its CRC-verified frame
+    bodies, up to the first frame that is truncated or damaged ([stop]
+    says which).  No body is copied.  [Error] is a missing, torn or
+    foreign header ([Not_a_log], [Unsupported_version]). *)
 
 type lines = {
   ndict : int;
@@ -180,14 +186,43 @@ val meta_body : string -> (string * string) list -> lines -> string
 (** [meta_body head meta lines] is the body [<head> <nmeta> <ndict>
     <nfacts>], one [m] line per meta entry, then [lines.text]. *)
 
+(** {1 Decoding}
+
+    One streaming decoder reads every frame body: a single cursor over
+    the log's bytes, codes read in place into each tuple.  A frame's
+    facts are handed out only once its whole body has decoded, so a
+    frame that fails half-way leaves the caller at the previous frame.
+    [d] lines fold into the caller's [dict] (stored code -> current
+    code) with replace semantics as they are read. *)
+
+type facts
+(** The fact lines of one decoded frame, in order, in runs of one name
+    and arity. *)
+
+val iter_runs :
+  facts -> (string -> int -> Tuple.t array -> int -> int -> unit) -> unit
+(** [iter_runs facts f] calls [f name arity tuples first n] once per
+    run, in order: the run's facts are [tuples.(first)] to
+    [tuples.(first + n - 1)]. *)
+
 val decode_meta_body :
   dict:(int, Code.t) Hashtbl.t ->
   string ->
-  (string list * (string * string) list * (string * int * Tuple.t) list, string)
-  result
-(** Inverse of {!meta_body}: the head's words before the counts, the
-    meta entries and the facts.  The [d] lines are folded into [dict]
-    (stored code -> current code) with replace semantics. *)
+  pos:int ->
+  len:int ->
+  (string * (string * string) list * facts, string) result
+(** Inverse of {!meta_body} on the body at [s.[pos .. pos + len)]: the
+    head's words before the counts (["ckpt round"]), the meta entries
+    and the facts. *)
+
+val decode_txn :
+  dict:(int, Code.t) Hashtbl.t ->
+  string ->
+  pos:int ->
+  len:int ->
+  (entry, string) result
+(** Decode the transaction body at [s.[pos .. pos + len)] ({!load} reads
+    every [txn] frame with it). *)
 
 val base_body : (string * string) list -> Database.t -> string * int list
 (** A base frame body holding [meta] and every fact of the database,

@@ -143,6 +143,120 @@ let test_resume_twice_midround () =
   rm path
 
 (* -------------------------------------------------------------------- *)
+(* Continued logs: a run that resumes from the log its checkpoint writes
+   appends round frames to that log instead of installing a new base *)
+
+module Wal = Datalog_storage.Wal
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* a log's frame bodies, in order *)
+let bodies data =
+  match Wal.scan data with
+  | Ok (spans, Wal.End) ->
+    List.map (fun (s : Wal.span) -> String.sub data s.pos s.len) spans
+  | _ -> Alcotest.fail "a checkpoint log scans clean"
+
+let base_frames path =
+  List.length
+    (List.filter (String.starts_with ~prefix:"ckpt base") (bodies (read_file path)))
+
+(* Interrupt, resume onto the same path and interrupt again, resume to
+   the end: each leg extends the log the previous leg left, under its
+   one base frame, and the answers are an uninterrupted run's.
+   [prepare] may rewrite the first leg's log before it is resumed. *)
+let continued_legs ?(prepare = ignore) program query =
+  let seminaive = { O.default with O.strategy = O.Seminaive } in
+  let full = run_exn ~options:seminaive program query in
+  let path = ckpt_path () in
+  let leg ?resume limits =
+    run_exn
+      ~options:{ seminaive with O.limits; checkpoint = Ck.create ~path () }
+      ?resume_from:(Option.map load_exn resume) program query
+  in
+  let r1 = leg (L.make ~max_iterations:3 ()) in
+  check tbool "first leg interrupted" true (S.incomplete r1);
+  prepare path;
+  let log1 = read_file path in
+  let r2 = leg ~resume:path (L.make ~max_iterations:6 ()) in
+  check tbool "second leg interrupted" true (S.incomplete r2);
+  let log2 = read_file path in
+  check tbool "the second leg appended to the first leg's log" true
+    (String.length log2 > String.length log1
+    && String.sub log2 0 (String.length log1) = log1);
+  check tbool "one base frame after a continued leg" true (base_frames path = 1);
+  let r3 = leg ~resume:path L.none in
+  check tbool "the third leg completes" true (not (S.incomplete r3));
+  check tbool "the third leg appended too" true
+    (String.starts_with ~prefix:log2 (read_file path));
+  check tbool "still one base frame" true (base_frames path = 1);
+  check tbool "the answers of an uninterrupted run" true
+    (r3.S.answers = full.S.answers);
+  rm path
+
+let test_continued_log () =
+  continued_legs (W.ancestor_chain 16) (atom "anc(X, Y)")
+
+(* Rotate the meanings of the log's even codes: every [d] line and fact
+   field names its code's successor among them, so each code means what
+   the next one means in this process (the log decodes to the same
+   facts).  A continued leg must define each even code it writes again,
+   or its facts would decode under the log's meanings. *)
+let rotate_even_codes path =
+  let data = read_file path in
+  let frames = bodies data in
+  let field_codes line =
+    match String.split_on_char '\t' line with
+    | d :: _ when String.starts_with ~prefix:"d " d ->
+      [ int_of_string (String.sub d 2 (String.length d - 2)) ]
+    | _ -> []
+  in
+  let codes =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun b -> List.concat_map field_codes (String.split_on_char '\n' b))
+         frames)
+  in
+  check tbool "the log defines several even codes" true (List.length codes > 2);
+  let next = Hashtbl.create 16 in
+  List.iteri
+    (fun i c -> Hashtbl.replace next c (List.nth codes ((i + 1) mod List.length codes)))
+    codes;
+  let map s =
+    match int_of_string_opt s with
+    | Some c when Hashtbl.mem next c -> string_of_int (Hashtbl.find next c)
+    | _ -> s
+  in
+  let line l =
+    match String.split_on_char '\t' l with
+    | d :: rest when String.starts_with ~prefix:"d " d ->
+      String.concat "\t" (("d " ^ map (String.sub d 2 (String.length d - 2))) :: rest)
+    | f :: arity :: fields when String.starts_with ~prefix:"f " f ->
+      String.concat "\t" (f :: arity :: List.map map fields)
+    | _ -> l
+  in
+  let before = load_exn path in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc Wal.header;
+      List.iter
+        (fun b ->
+          output_string oc
+            (Wal.frame (String.concat "\n" (List.map line (String.split_on_char '\n' b)))))
+        frames);
+  let after = load_exn path in
+  let facts r = Gen.db_facts_of (Database.preds r.Ck.r_db) r.Ck.r_db in
+  check tbool "the rotated log decodes to the same facts" true (facts before = facts after)
+
+let test_continued_log_foreign_codes () =
+  let program =
+    Datalog_parser.Parser.program_of_string
+      (String.concat "\n"
+         ("anc(X, Y) :- par(X, Y). anc(X, Y) :- par(X, Z), anc(Z, Y)."
+         :: List.init 12 (fun i -> Printf.sprintf "par(n%d, n%d)." i (i + 1))))
+  in
+  continued_legs ~prepare:rotate_even_codes program (atom "anc(X, Y)")
+
+(* -------------------------------------------------------------------- *)
 (* Simulated kills: a crash after the n-th save leaves a valid
    checkpoint, and resuming it completes to the full answers *)
 
@@ -219,32 +333,29 @@ let session ?resume_from ?kill ~naive ~every ~path program =
 
 let logged_states_match ~naive ~resumed program =
   let path = ckpt_path () in
-  let resume_from =
-    if not resumed then None
-    else begin
-      (* interrupt a first session after its second save, then resume
-         it with a checkpoint at a different path *)
-      let first = ckpt_path () in
-      ignore (session ~kill:2 ~naive ~every:1 ~path:first program);
-      let r = load_exn first in
-      rm first;
-      Some r
-    end
+  (* interrupt a first session after its second save; every later
+     session resumes it afresh (a run adopts its resume's relations)
+     with a checkpoint at a different path *)
+  let first = ckpt_path () in
+  if resumed then ignore (session ~kill:2 ~naive ~every:1 ~path:first program);
+  let resume_from () = if resumed then Some (load_exn first) else None in
+  let session ?kill ~every () =
+    session ?resume_from:(resume_from ()) ?kill ~naive ~every ~path program
   in
-  let rounds0 = match resume_from with Some r -> r.Ck.r_rounds | None -> 0 in
+  let rounds0 = match resume_from () with Some r -> r.Ck.r_rounds | None -> 0 in
   let before_first_round =
     let db = Database.create () in
     List.iter (fun a -> ignore (Database.add_atom db a)) (Datalog_ast.Program.facts program);
     Option.iter (fun r -> ignore (Database.union_into ~src:r.Ck.r_db ~dst:db))
-      resume_from;
+      (resume_from ());
     facts db
   in
-  let rounds = snd (session ?resume_from ~naive ~every:1 ~path program) in
+  let rounds = snd (session ~every:1 ()) in
   (* db_j for every session round j: index 0 is the state before round 1 *)
   let db_at =
     Array.init (rounds + 1) (fun j ->
         if j = 0 then before_first_round
-        else facts (fst (session ?resume_from ~kill:j ~naive ~every:1 ~path program)))
+        else facts (fst (session ~kill:j ~every:1 ())))
   in
   let ok =
     List.for_all
@@ -258,9 +369,7 @@ let logged_states_match ~naive ~resumed program =
         in
         List.for_all
           (fun (n, j) ->
-            let db, _ =
-              session ?resume_from ~kill:n ~naive ~every ~path program
-            in
+            let db, _ = session ~kill:n ~every () in
             let r = load_exn path in
             let expected_delta =
               if naive then None
@@ -278,6 +387,7 @@ let logged_states_match ~naive ~resumed program =
       [ 1; 3 ]
   in
   rm path;
+  rm first;
   ok
 
 (* the generated programs finish in a few rounds; a chain gives every
@@ -428,6 +538,9 @@ let suite =
         Alcotest.test_case "resume twice, mid-round both times" `Quick
           test_resume_twice_midround;
         Alcotest.test_case "sparse save cadence" `Quick test_save_cadence;
+        Alcotest.test_case "continued log" `Quick test_continued_log;
+        Alcotest.test_case "continued log, foreign codes" `Quick
+          test_continued_log_foreign_codes;
         Alcotest.test_case "logged state on a chain" `Quick
           test_logged_state_chain;
         Alcotest.test_case "refuses wrong strategy" `Quick

@@ -112,6 +112,28 @@ let test_bad_query_reports_error () =
   let code, _ = run_cli [ "run"; sample "ancestor.dl"; "-q"; "anc(" ] in
   check tbool "non-zero exit" true (code <> 0)
 
+(* an integer literal outside the int range is a parse error (exit 1)
+   in a file and in a query, never an uncaught exception *)
+let test_int_literal_range () =
+  let path = Filename.temp_file "alexint" ".dl" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "p(99999999999999999999).\np(-4611686018427387904).\n");
+  let code, out = run_cli [ "run"; path; "-q"; "p(X)" ] in
+  check tint "exit 1 on a file literal" 1 code;
+  check tbool "named and placed" true
+    (contains ~sub:"line 1, column 3: integer literal out of range" out);
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "p(-4611686018427387904).\n");
+  let code, out = run_cli [ "run"; path; "-q"; "p(99999999999999999999)" ] in
+  check tint "exit 1 on a query literal" 1 code;
+  check tbool "query literal named" true
+    (contains ~sub:"integer literal out of range" out);
+  let code, out = run_cli [ "run"; path; "-q"; "p(X)" ] in
+  check tint "min_int parses" 0 code;
+  check tbool "min_int answered" true
+    (contains ~sub:"p(-4611686018427387904)" out);
+  Sys.remove path
+
 let test_fact_cap_exit_code () =
   let code, out =
     run_cli [ "run"; sample "explosive.dl"; "--max-facts"; "100" ]
@@ -291,6 +313,7 @@ let suite =
           test_explain_rejects_unstratified_programs;
         Alcotest.test_case "wellfounded flag" `Quick test_wellfounded_flag;
         Alcotest.test_case "bad query" `Quick test_bad_query_reports_error;
+        Alcotest.test_case "integer literal range" `Quick test_int_literal_range;
         Alcotest.test_case "fact-cap exit code" `Quick test_fact_cap_exit_code;
         Alcotest.test_case "timeout exit code" `Quick test_timeout_exit_code;
         Alcotest.test_case "non-binding limits" `Quick

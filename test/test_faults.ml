@@ -509,7 +509,7 @@ let test_checkpoint_append_seed_matrix () =
 let frames_of path =
   let data = In_channel.with_open_bin path In_channel.input_all in
   match Wal.scan data with
-  | Ok (frames, Wal.End) -> (data, List.map fst frames)
+  | Ok (frames, Wal.End) -> (data, List.map (fun f -> f.Wal.at) frames)
   | _ -> Alcotest.fail "an unfaulted checkpoint scans clean"
 
 let write_bytes path data =
@@ -552,6 +552,48 @@ let test_checkpoint_torn_tail () =
   done;
   check tbool "the cut log resumes to the full answers" true
     (ck_resumes_fully ~full path);
+  rm path
+
+(* A run resumed onto its own log continues it.  A kill right after the
+   resumed run's first appended frame leaves the interrupted log plus
+   that frame, which loads as the next save's state; cut anywhere inside
+   that frame, the log loads as the interrupted run's last save.  Every
+   outcome resumes to the full answers. *)
+let test_checkpoint_kill_after_continued_append () =
+  let program, query = ck_problem () in
+  let full, states = ck_reference () in
+  let path, data, offsets = five_saves () in
+  let continue_and_kill () =
+    let ck = Ck.create ~path ~kill_after_save:1 () in
+    match S.run ~options:(seminaive ck) ~resume_from:(ck_load_exn path) program query with
+    | exception F.Crashed _ -> ()
+    | _ -> Alcotest.fail "the simulated kill must fire"
+  in
+  continue_and_kill ();
+  let continued, offsets' = frames_of path in
+  check tbool "one frame appended to the five" true
+    (List.length offsets' = 6
+    && String.sub continued 0 (String.length data) = data
+    && List.filteri (fun i _ -> i < 5) offsets' = offsets);
+  check tbool "the continued log holds the sixth save" true
+    (ck_state (ck_load_exn ~mode:Sn.Strict path) = states.(5));
+  check tbool "and resumes to the full answers" true (ck_resumes_fully ~full path);
+  for cut = String.length data to String.length continued - 1 do
+    write_bytes path (String.sub continued 0 cut);
+    check tbool
+      (Printf.sprintf "cut at %d resumes the fifth save" cut)
+      true
+      (ck_state (ck_load_exn ~mode:Sn.Strict path) = states.(4))
+  done;
+  check tbool "the cut log resumes to the full answers" true
+    (ck_resumes_fully ~full path);
+  (* a torn log is not continued: the resumed run installs a new base *)
+  write_bytes path (String.sub continued 0 (String.length continued - 1));
+  continue_and_kill ();
+  let _, offsets'' = frames_of path in
+  check tbool "a torn log is re-imaged" true (List.length offsets'' = 1);
+  check tbool "as the sixth save" true
+    (ck_state (ck_load_exn ~mode:Sn.Strict path) = states.(5));
   rm path
 
 let test_checkpoint_flipped_byte () =
@@ -615,6 +657,8 @@ let suite =
         Alcotest.test_case "checkpoint torn tail" `Quick
           test_checkpoint_torn_tail;
         Alcotest.test_case "checkpoint flipped byte" `Quick
-          test_checkpoint_flipped_byte
+          test_checkpoint_flipped_byte;
+        Alcotest.test_case "checkpoint kill after a continued append" `Quick
+          test_checkpoint_kill_after_continued_append
       ] )
   ]

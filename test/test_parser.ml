@@ -54,6 +54,27 @@ let test_lexer_positions () =
   check tint "line 2" 2 p2.L.line;
   check tint "col 3" 3 p2.L.col
 
+let test_lexer_int_range () =
+  check tbool "max_int and min_int" true
+    (tokens_of "4611686018427387903 -4611686018427387904"
+    = [ L.INT max_int; L.INT min_int ]);
+  let out_of_range src col =
+    Alcotest.check_raises src
+      (L.Error ("integer literal out of range", { L.line = 1; col }))
+      (fun () -> ignore (tokens_of src))
+  in
+  out_of_range "4611686018427387904" 1;
+  out_of_range "  -4611686018427387905" 3;
+  out_of_range "p(99999999999999999999)" 3;
+  (match P.parse_string "p(1).\nq(99999999999999999999)." with
+  | Ok _ -> Alcotest.fail "an out-of-range literal must not parse"
+  | Error msg ->
+    check tbool "reported at the literal" true
+      (contains ~sub:"line 2, column 3: integer literal out of range" msg));
+  match P.parse_string "p(-4611686018427387904)." with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg
+
 let test_lexer_error () =
   let lx = L.of_string "p(x) @ q" in
   let rec exhaust () = match L.next lx with L.EOF, _ -> () | _ -> exhaust () in
@@ -133,6 +154,7 @@ let suite =
         Alcotest.test_case "lexer strings" `Quick test_lexer_strings;
         Alcotest.test_case "lexer positions" `Quick test_lexer_positions;
         Alcotest.test_case "lexer error" `Quick test_lexer_error;
+        Alcotest.test_case "integer literal range" `Quick test_lexer_int_range;
         Alcotest.test_case "fact/rule/query" `Quick test_parse_fact_rule_query;
         Alcotest.test_case "negation and builtins" `Quick
           test_parse_negation_and_builtins;

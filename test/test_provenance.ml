@@ -17,8 +17,9 @@ let explain program a =
   | Ok proof -> proof
   | Error msg -> Alcotest.failf "explain %a: %s" Atom.pp a msg
 
+(* the model [run] answers from: bodies in the order they are evaluated *)
 let saturated_db program =
-  match Datalog_engine.Stratified.run program with
+  match Datalog_engine.Stratified.run (Alexander.Preprocess.reorder_bodies program) with
   | Ok outcome -> outcome.Datalog_engine.Stratified.db
   | Error msg -> Alcotest.fail msg
 
@@ -134,8 +135,6 @@ let test_rejected_programs () =
     (rejected "p(X) :- q(X), not r(Y). q(1)." "p(1)");
   check tbool "unlimited head variable" true
     (rejected "p(X, Y) :- q(X). q(1)." "p(1, 2)");
-  check tbool "negative literal before its binding literal" true
-    (rejected "p(X) :- not r(X), q(X). q(1)." "p(1)");
   check tbool "not stratified" true
     (rejected
        "win(X) :- move(X, Y), not win(Y).\n\
@@ -264,6 +263,19 @@ let test_same_round_premise () =
   | Error msg -> Alcotest.fail msg);
   check tint "proof height" 3 (P.depth proof)
 
+(* A negation written before the literal that binds its variable is
+   evaluated after it, as [run] evaluates it; the proof cites the rule
+   as written, premises in its written order. *)
+let test_negation_before_binding () =
+  let program = prog "p(X) :- not r(X), q(X). q(1). q(2). r(2)." in
+  (match first_bad_proof program with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg);
+  (match explain program (atom "p(1)") with
+  | Some (P.Derived { premises = [ P.Absent _; P.Proved _ ]; _ }) -> ()
+  | _ -> Alcotest.fail "p(1): not r(1), then q(1)");
+  check tbool "p(2) is not derivable" true (explain program (atom "p(2)") = None)
+
 let test_mutual_recursion_proofs () =
   let program =
     prog
@@ -318,6 +330,8 @@ let suite =
         Alcotest.test_case "all derived facts" `Quick
           test_proofs_exist_for_every_derived_fact;
         Alcotest.test_case "same-round premise" `Quick test_same_round_premise;
+        Alcotest.test_case "negation before its binding literal" `Quick
+          test_negation_before_binding;
         Alcotest.test_case "mutual recursion" `Quick
           test_mutual_recursion_proofs;
         Alcotest.test_case "max depth exceeded" `Quick test_max_depth_exceeded;

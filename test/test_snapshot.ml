@@ -256,7 +256,7 @@ let foreign_codes path =
   let data = read_file path in
   let body =
     match Wal.scan data with
-    | Ok ([ (_, body) ], Wal.End) -> body
+    | Ok ([ { Wal.pos; len; _ } ], Wal.End) -> String.sub data pos len
     | _ -> Alcotest.fail "an image is one clean frame"
   in
   let lines =

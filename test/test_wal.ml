@@ -494,6 +494,211 @@ let test_fsync_policy_parsing () =
     (Result.is_error (W.fsync_policy_of_string "interval:-1"));
   check tbool "unknown" true (Result.is_error (W.fsync_policy_of_string "nope"))
 
+(* ------------------------------------------------------------------ *)
+(* The streaming decoder against the split-based oracle (frame_oracle.ml)
+
+   A random log holds meta frames (checkpoint and base heads) and
+   transaction frames written line by line, not through the encoder:
+   escaped names, symbols, keys and meta entries, dictionary ints beyond
+   the small range, arities 0 to 3, empty frames, and [d] lines that
+   redefine an even code a previous line or frame defined.  Each frame is
+   decoded in place from the scanned log by [Wal] and from a copy of its
+   body by the oracle, each decoder with its own dictionary carried
+   across frames. *)
+
+module Oracle = Frame_oracle
+
+let names = [| "p"; "edge"; "db:anc"; "tbl:0"; "a b"; "back\\slash"; "t\tn\nr\r"; "" |]
+let sym_names = [| "ann"; "with space"; "back\\"; "t\tab"; ""; "x:y"; "-1" |]
+let big_ints = [| max_int; min_int; (max_int asr 1) + 1; (min_int asr 1) - 1; 1 lsl 61 |]
+let stored_codes = [| 0; 2; 4; -2; -8; 1 lsl 40 |]
+
+type frame_kind = Meta | Txn
+
+let pick rng a = a.(Random.State.int rng (Array.length a))
+
+(* one frame body; [defined] holds the even codes the log has defined *)
+let gen_body rng ~defined =
+  let b = Buffer.create 256 in
+  let line fmt = Printf.bprintf b fmt in
+  let dict =
+    List.init (Random.State.int rng 4) (fun _ ->
+        let code = pick rng stored_codes in
+        defined := code :: !defined;
+        let v =
+          match Random.State.int rng 3 with
+          | 0 -> Value.int (pick rng big_ints)
+          | 1 -> Value.int (Random.State.int rng 100)
+          | _ -> Value.sym (pick rng sym_names)
+        in
+        Printf.sprintf "d %d\t%s\n" code (W.encode_value v))
+  in
+  let facts =
+    List.init (Random.State.int rng 6) (fun _ ->
+        let arity = Random.State.int rng 4 in
+        let code () =
+          match !defined with
+          | _ :: _ as ds when Random.State.int rng 3 = 0 ->
+            List.nth ds (Random.State.int rng (List.length ds))
+          | _ ->
+            if Random.State.bool rng then (2 * Random.State.int rng 50) + 1
+            else max_int
+        in
+        String.concat ""
+          ([ "f "; W.escape (pick rng names); "\t"; string_of_int arity ]
+          @ List.init arity (fun _ -> "\t" ^ string_of_int (code ()))
+          @ [ "\n" ]))
+  in
+  let kind = if Random.State.bool rng then Meta else Txn in
+  (match kind with
+  | Meta ->
+    let meta =
+      List.init (Random.State.int rng 3) (fun _ ->
+          (pick rng sym_names, pick rng names))
+    in
+    line "%s %d %d %d\n"
+      (pick rng [| "ckpt base"; "ckpt round"; "base" |])
+      (List.length meta) (List.length dict) (List.length facts);
+    List.iter (fun (k, v) -> line "m %s\t%s\n" (W.escape k) (W.escape v)) meta
+  | Txn ->
+    line "txn %d %s %d %d %s\n" (Random.State.int rng 1000)
+      (if Random.State.bool rng then "add" else "remove")
+      (List.length facts) (List.length dict)
+      (if Random.State.bool rng then "-" else "k:" ^ W.escape (pick rng sym_names)));
+  List.iter (Buffer.add_string b) dict;
+  List.iter (Buffer.add_string b) facts;
+  (kind, Buffer.contents b)
+
+let gen_log rng =
+  let defined = ref [] in
+  List.init (1 + Random.State.int rng 4) (fun _ -> gen_body rng ~defined)
+
+(* byte edits that keep the body's CRC honest (the frame is re-framed) *)
+let mutate rng body =
+  (* structural bytes, escape bytes and digits, weighted towards the
+     backslash so escapes break often enough to be compared *)
+  let alphabet = "\t\n \\\\\\-+_0123456789dfmnrstix:k\000" in
+  let edit s =
+    let n = String.length s in
+    let c = String.make 1 alphabet.[Random.State.int rng (String.length alphabet)] in
+    let i = Random.State.int rng (n + 1) in
+    match Random.State.int rng 3 with
+    | 0 when i < n -> String.sub s 0 i ^ c ^ String.sub s (i + 1) (n - i - 1)
+    | 1 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | _ -> String.sub s 0 i ^ c ^ String.sub s i (n - i)
+  in
+  let rec go k s = if k = 0 then s else go (k - 1) (edit s) in
+  go (1 + Random.State.int rng 2) body
+
+let dict_contents d = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) d [])
+
+(* both decoders' results in one shape: a head (a meta frame's kind; a
+   transaction's id, op and key), the meta entries and the facts *)
+type decoded = {
+  head : string;
+  meta : (string * string) list;
+  facts : (string * int * Tuple.t) list;
+}
+
+let streamed_facts facts =
+  let out = ref [] in
+  W.iter_runs facts (fun name arity tuples first n ->
+      for i = first to first + n - 1 do
+        out := (name, arity, tuples.(i)) :: !out
+      done);
+  List.rev !out
+
+let txn_head txn op key =
+  Printf.sprintf "%d %s %s" txn
+    (match op with `Add -> "add" | `Remove -> "remove")
+    (Option.value key ~default:"-")
+
+let streamed ~dict data kind (span : W.span) =
+  match kind with
+  | Meta ->
+    Result.map
+      (fun (head, meta, facts) -> { head; meta; facts = streamed_facts facts })
+      (W.decode_meta_body ~dict data ~pos:span.pos ~len:span.len)
+  | Txn ->
+    Result.map
+      (fun e ->
+        { head = txn_head e.W.e_txn e.W.e_op e.W.e_key;
+          meta = [];
+          facts =
+            List.map
+              (fun a ->
+                let p = Atom.pred a in
+                (Pred.name p, Pred.arity p, Tuple.of_atom a))
+              e.W.e_facts
+        })
+      (W.decode_txn ~dict data ~pos:span.pos ~len:span.len)
+
+let oracle ~dict kind body =
+  match kind with
+  | Meta ->
+    Result.map
+      (fun (words, meta, facts) -> { head = String.concat " " words; meta; facts })
+      (Oracle.meta_body ~dict body)
+  | Txn ->
+    Result.map
+      (fun (txn, op, key, facts) -> { head = txn_head txn op key; meta = []; facts })
+      (Oracle.txn_body ~dict body)
+
+(* Decode every frame of [bodies] with both decoders, each with its own
+   dictionary, up to the first frame either refuses: both must refuse
+   that frame, and before it agree on every frame's head, meta entries,
+   facts and resulting dictionary.  [Ok n]: they agree, on [n] accepted
+   frames; [Error] names the first disagreement. *)
+let decoders_agree bodies =
+  let data =
+    W.header ^ String.concat "" (List.map (fun (_, b) -> W.frame b) bodies)
+  in
+  match W.scan data with
+  | Ok (spans, W.End) ->
+    let sdict = Hashtbl.create 16 and odict = Hashtbl.create 16 in
+    let rec go i = function
+      | [] -> Ok i
+      | ((kind, body), span) :: rest -> (
+        match (streamed ~dict:sdict data kind span, oracle ~dict:odict kind body) with
+        | Error _, Error _ -> Ok i
+        | Ok s, Ok o when s = o && dict_contents sdict = dict_contents odict ->
+          go (i + 1) rest
+        | Ok _, Ok _ -> Error (Printf.sprintf "frame %d decodes differently: %S" i body)
+        | Ok _, Error reason ->
+          Error (Printf.sprintf "frame %d: only the oracle refuses (%s): %S" i reason body)
+        | Error reason, Ok _ ->
+          Error (Printf.sprintf "frame %d: only the stream refuses (%s): %S" i reason body))
+    in
+    go 0 (List.combine bodies spans)
+  | _ -> Error "a framed log scans clean"
+
+let agree ?all bodies =
+  match decoders_agree bodies with
+  | Ok n when all = None || n = List.length bodies -> true
+  | Ok n -> QCheck.Test.fail_reportf "only %d of %d valid frames decode" n (List.length bodies)
+  | Error msg -> QCheck.Test.fail_report msg
+
+let prop_decoders_agree =
+  QCheck.Test.make ~name:"streaming decoder = split decoder on valid frames"
+    ~count:300
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed -> agree ~all:() (gen_log (Random.State.make [| 0xdec0; seed |])))
+
+let prop_decoders_agree_mutated =
+  QCheck.Test.make
+    ~name:"streaming and split decoders accept the same mutated frames"
+    ~count:2000
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| 0xbad; seed |] in
+      let bodies = gen_log rng in
+      let victim = Random.State.int rng (List.length bodies) in
+      agree
+        (List.mapi
+           (fun i (kind, body) ->
+             if i = victim then (kind, mutate rng body) else (kind, body))
+           bodies))
+
 let suite =
   [ ( "wal",
       [ Alcotest.test_case "empty + absent + foreign" `Quick
@@ -516,5 +721,10 @@ let suite =
           test_fsync_policy_parsing
       ]
       @ List.map QCheck_alcotest.to_alcotest
-          [ prop_roundtrip; prop_torn_tail; prop_replay_equals_direct ] )
+          [ prop_roundtrip;
+            prop_torn_tail;
+            prop_replay_equals_direct;
+            prop_decoders_agree;
+            prop_decoders_agree_mutated
+          ] )
   ]
