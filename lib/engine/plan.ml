@@ -673,22 +673,106 @@ let raise_unsafe_head (plan : t) regs =
 
 (* Match one tuple against a residual pattern, storing fresh bindings.
    Stores need no undo on failure: each register has exactly one static
-   binder, so any read is dominated by a (re-)store. *)
-let match_out (regs : Code.t array) (out : (int * action) array)
-    (tuple : Tuple.t) =
-  let n = Array.length out in
-  let rec go i =
-    i >= n
-    ||
-    let pos, act = out.(i) in
-    match act with
-    | Store r ->
-      regs.(r) <- tuple.(pos);
-      go (i + 1)
-    | Check r -> regs.(r) = tuple.(pos) && go (i + 1)
-    | Match c -> c = tuple.(pos) && go (i + 1)
-  in
-  go 0
+   binder, so any read is dominated by a (re-)store.  A top-level
+   recursion: a local one would build a closure per candidate tuple. *)
+let rec match_from (regs : Code.t array) (out : (int * action) array)
+    (tuple : Tuple.t) i =
+  i >= Array.length out
+  ||
+  let pos, act = out.(i) in
+  match act with
+  | Store r ->
+    regs.(r) <- tuple.(pos);
+    match_from regs out tuple (i + 1)
+  | Check r -> regs.(r) = tuple.(pos) && match_from regs out tuple (i + 1)
+  | Match c -> c = tuple.(pos) && match_from regs out tuple (i + 1)
+
+let match_out regs out tuple = match_from regs out tuple 0
+
+(* [Array.map (src_value regs) srcs], without the closure. *)
+let values regs (srcs : src array) : Code.t array =
+  let n = Array.length srcs in
+  if n = 0 then [||]
+  else begin
+    let a = Array.make n (src_value regs srcs.(0)) in
+    for i = 1 to n - 1 do
+      a.(i) <- src_value regs srcs.(i)
+    done;
+    a
+  end
+
+(* The galloping search of a merge join, over the sorted side's
+   column-major keys [keys] and the probe key, both as plain ints: [p0]
+   is the probe's first code, read once per outer row, and [probe] the
+   whole key, copied once per outer row (a one-column key, which every
+   binary chain has, never reads it).  Top-level recursions, so that a
+   search allocates nothing and no closure is built per application. *)
+let rec cmp_rest (keys : Code.t array array) (probe : Code.t array) i j =
+  if j >= Array.length probe then 0
+  else
+    let c = Code.compare keys.(j).(i) probe.(j) in
+    if c <> 0 then c else cmp_rest keys probe i (j + 1)
+
+(* The order of the key at sorted position [i] relative to the probe. *)
+let cmp_at keys (p0 : Code.t) probe i =
+  let k = keys.(0).(i) in
+  if k < p0 then -1 else if k > p0 then 1 else cmp_rest keys probe i 1
+
+(* [above strict i]: is the key at [i] past the probe key?  ([>] when
+   strict, [>=] otherwise.)  Monotone in [i]. *)
+let above keys p0 probe strict i =
+  let c = cmp_at keys p0 probe i in
+  if strict then c > 0 else c >= 0
+
+(* not (above lo); hi = n or above hi *)
+let rec bisect keys p0 probe strict lo hi =
+  if hi - lo <= 1 then hi
+  else
+    let mid = (lo + hi) / 2 in
+    if above keys p0 probe strict mid then bisect keys p0 probe strict lo mid
+    else bisect keys p0 probe strict mid hi
+
+let rec widen keys p0 probe n strict lo step =
+  if lo + step < n && not (above keys p0 probe strict (lo + step)) then
+    widen keys p0 probe n strict (lo + step) (2 * step)
+  else bisect keys p0 probe strict lo (min n (lo + step))
+
+(* The first index in [[base, n)] where [above strict] holds, by
+   exponential probing then bisection. *)
+let gallop keys p0 probe n strict base =
+  if base >= n then n
+  else if above keys p0 probe strict base then base
+  else widen keys p0 probe n strict base 1
+
+(* The group of sorted rows equal to the current probe key, [[lo, hi)],
+   and the number of gallops that found it so far. *)
+type group = {
+  mutable lo : int;
+  mutable hi : int;
+  mutable gallops : int;
+}
+
+(* Position [g] on the run of rows equal to the probe key.  Adaptivity:
+   an unchanged key reuses the group outright, and an ascended key
+   resumes the gallop from the previous group's end instead of from 0. *)
+let locate g keys p0 probe n =
+  if g.lo < g.hi && cmp_at keys p0 probe g.lo = 0 then ()
+  else begin
+    let base =
+      if g.hi > 0 && cmp_at keys p0 probe (g.hi - 1) < 0 then g.hi else 0
+    in
+    let lo = gallop keys p0 probe n false base in
+    g.gallops <- g.gallops + 1;
+    let hi =
+      if lo = n || cmp_at keys p0 probe lo > 0 then lo
+      else begin
+        g.gallops <- g.gallops + 1;
+        gallop keys p0 probe n true lo
+      end
+    in
+    g.lo <- lo;
+    g.hi <- hi
+  end
 
 let dummy_value : Code.t = Code.of_int 0
 
@@ -722,7 +806,7 @@ let run (plan : t) cnt ?(guard = Limits.no_guard) ?(profile = Profile.none) ~rel
       Limits.check_derived guard;
       cnt.Counters.firings <- cnt.Counters.firings + 1;
       if not plan.head_safe then raise_unsafe_head plan regs;
-      emit plan.head_pred (Array.map (src_value regs) plan.head)
+      emit plan.head_pred (values regs plan.head)
     end
     else
       match plan.ops.(k) with
@@ -731,7 +815,7 @@ let run (plan : t) cnt ?(guard = Limits.no_guard) ?(profile = Profile.none) ~rel
         | None -> ()
         | Some rel ->
           cnt.Counters.probes <- cnt.Counters.probes + 1;
-          let kv = Array.map (src_value regs) key in
+          let kv = values regs key in
           let candidates, width = Relation.probe rel access kv in
           if profiling then Profile.probe profile pred ~scanned:width;
           each k out candidates)
@@ -740,32 +824,35 @@ let run (plan : t) cnt ?(guard = Limits.no_guard) ?(profile = Profile.none) ~rel
         | None -> ()
         | Some rel ->
           cnt.Counters.probes <- cnt.Counters.probes + 1;
-          (* snapshot: tuples inserted during this scan are not visited,
-             exactly like the interpreter's [select rel []] *)
-          let candidates = Relation.to_list rel in
           if profiling then
             Profile.probe profile pred ~scanned:(Relation.cardinal rel);
-          each k out candidates)
-      | Mergejoin { l_pred; l_out; r_pred; r_cols; r_sorted; r_key; r_out; _ }
-        -> (
+          (* snapshot: [Relation.iter] does not visit tuples inserted
+             during this scan, exactly like the interpreter's
+             [select rel []] *)
+          Relation.iter
+            (fun tuple ->
+              Limits.check guard;
+              cnt.Counters.scanned <- cnt.Counters.scanned + 1;
+              if match_out regs out tuple then step (k + 1))
+            rel)
+      | Mergejoin { l_pred; l_out; r_pred; r_sorted; r_key; r_out; _ } -> (
         match rels.(k) with
         | None -> ()
         | Some lrel -> (
           cnt.Counters.probes <- cnt.Counters.probes + 1;
-          (* snapshot, exactly like the Scan this fuses *)
-          let candidates = Relation.to_list lrel in
           if profiling then
             Profile.probe profile l_pred ~scanned:(Relation.cardinal lrel);
+          (* the outer side is walked as the Scan this fuses walks it *)
           match rels2.(k) with
           | None ->
             (* missing sorted side: the candidates are still scanned (as
                the unfused pair would), nothing joins *)
-            List.iter
+            Relation.iter
               (fun tuple ->
                 Limits.check guard;
                 cnt.Counters.scanned <- cnt.Counters.scanned + 1;
                 ignore (match_out regs l_out tuple))
-              candidates
+              lrel
           | Some rrel ->
             cnt.Counters.probes <- cnt.Counters.probes + 1;
             cnt.Counters.merge_steps <- cnt.Counters.merge_steps + 1;
@@ -773,78 +860,18 @@ let run (plan : t) cnt ?(guard = Limits.no_guard) ?(profile = Profile.none) ~rel
             let rows = view.Relation.sv_rows in
             let keys = view.Relation.sv_keys in
             let n = view.Relation.sv_len in
-            let ncols = Array.length r_cols in
-            (* order of the key at sorted position [i] relative to the
-               probe key currently in the registers.  A flat two-parameter
-               recursion: an inner helper capturing [i] would allocate a
-               closure on every comparison, and this runs inside the
-               gallop's innermost loop *)
-            let rec cmp_from i j =
-              if j >= ncols then 0
-              else
-                let c = Code.compare keys.(j).(i) (src_value regs r_key.(j)) in
-                if c <> 0 then c else cmp_from i (j + 1)
-            in
-            let cmp_at i = cmp_from i 0 in
-            let gallops = ref 0 in
+            let probe = Array.make (Array.length r_key) dummy_value in
+            let g = { lo = 0; hi = 0; gallops = 0 } in
             let inspected = ref 0 in
-            (* [above strict i]: is the key at [i] past the probe key?
-               ([>] when strict, [>=] otherwise.)  Monotone in [i].  The
-               search loops below are tail-recursive over plain ints so a
-               gallop allocates nothing — this runs per left row. *)
-            let above strict i =
-              let c = cmp_at i in
-              if strict then c > 0 else c >= 0
-            in
-            let rec widen strict lo step =
-              if lo + step < n && not (above strict (lo + step)) then
-                widen strict (lo + step) (2 * step)
-              else bisect strict lo (min n (lo + step))
-            (* not (above lo); hi = n or above hi *)
-            and bisect strict lo hi =
-              if hi - lo <= 1 then hi
-              else
-                let mid = (lo + hi) / 2 in
-                if above strict mid then bisect strict lo mid
-                else bisect strict mid hi
-            in
-            (* first index in [[base, n)] where [above strict] holds, by
-               exponential probing then bisection *)
-            let gallop strict base =
-              incr gallops;
-              if base >= n then n
-              else if above strict base then base
-              else widen strict base 1
-            in
-            let grp_lo = ref 0 and grp_hi = ref 0 in
-            let have_grp = ref false in
-            (* position [grp_lo, grp_hi) on the run of rows equal to the
-               current probe key.  Adaptivity: an unchanged key reuses the
-               group outright, and an ascended key resumes the gallop from
-               the previous group's end instead of from 0. *)
-            let locate () =
-              if !have_grp && !grp_lo < !grp_hi && cmp_at !grp_lo = 0 then ()
-              else begin
-                let base =
-                  if !have_grp && !grp_hi > 0 && cmp_at (!grp_hi - 1) < 0 then
-                    !grp_hi
-                  else 0
-                in
-                let lo = gallop false base in
-                let hi =
-                  if lo = n || cmp_at lo > 0 then lo else gallop true lo
-                in
-                grp_lo := lo;
-                grp_hi := hi;
-                have_grp := true
-              end
-            in
             let each_left tuple =
               Limits.check guard;
               cnt.Counters.scanned <- cnt.Counters.scanned + 1;
               if match_out regs l_out tuple then begin
-                locate ();
-                for i = !grp_lo to !grp_hi - 1 do
+                for j = 0 to Array.length r_key - 1 do
+                  probe.(j) <- src_value regs r_key.(j)
+                done;
+                locate g keys probe.(0) probe n;
+                for i = g.lo to g.hi - 1 do
                   Limits.check guard;
                   cnt.Counters.scanned <- cnt.Counters.scanned + 1;
                   incr inspected;
@@ -855,20 +882,20 @@ let run (plan : t) cnt ?(guard = Limits.no_guard) ?(profile = Profile.none) ~rel
             (* the sorted-side profile entry is recorded once, on abort
                too, so per-pred probes/scanned still sum to the totals *)
             let record () =
-              cnt.Counters.gallops <- cnt.Counters.gallops + !gallops;
+              cnt.Counters.gallops <- cnt.Counters.gallops + g.gallops;
               if profiling then begin
                 Profile.probe profile r_pred ~scanned:!inspected;
-                Profile.merge profile r_pred ~gallops:!gallops
+                Profile.merge profile r_pred ~gallops:g.gallops
               end
             in
-            (match List.iter each_left candidates with
+            (match Relation.iter each_left lrel with
             | () -> record ()
             | exception e ->
               record ();
               raise e)))
       | Table _ -> assert false
       | Negtest { pred; args } ->
-        if neg pred (Array.map (src_value regs) args) then step (k + 1)
+        if neg pred (values regs args) then step (k + 1)
       | Cmptest { cmp; lhs; rhs } ->
         if Code.eval_cmp cmp (src_value regs lhs) (src_value regs rhs) then
           step (k + 1)

@@ -156,6 +156,11 @@ val run :
 (** {2 Building blocks for engine-specific executors} *)
 
 val src_value : Code.t array -> src -> Code.t
+
+val values : Code.t array -> src array -> Code.t array
+(** [values regs srcs] is [Array.map (src_value regs) srcs], built
+    without a closure. *)
+
 val match_out : Code.t array -> (int * action) array -> Tuple.t -> bool
 val make_regs : t -> Code.t array
 val raise_unsafe_neg : t -> Code.t array -> Pred.t -> src array -> 'a

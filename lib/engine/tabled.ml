@@ -237,7 +237,7 @@ and run_plan st ~consumer (init, (plan : Plan.t)) c emit_tuple =
       if k = nops then begin
         st.counters.Counters.firings <- st.counters.Counters.firings + 1;
         if not plan.Plan.head_safe then Plan.raise_unsafe_head plan regs;
-        emit_tuple (Array.map (Plan.src_value regs) plan.Plan.head)
+        emit_tuple (Plan.values regs plan.Plan.head)
       end
       else
         match plan.Plan.ops.(k) with
@@ -253,16 +253,15 @@ and run_plan st ~consumer (init, (plan : Plan.t)) c emit_tuple =
           let rel = ensure_call st sub in
           register_consumer st ~producer:sub ~consumer;
           st.counters.Counters.probes <- st.counters.Counters.probes + 1;
-          let candidates = Relation.to_list rel in
           if profiling then
             Profile.probe st.profile pred ~scanned:(Relation.cardinal rel);
-          each k out candidates
+          scan k out rel
         | Plan.Probe { pred; access; key; out; _ } -> (
           st.counters.Counters.probes <- st.counters.Counters.probes + 1;
           match Database.find st.edb pred with
           | None -> if profiling then Profile.probe st.profile pred ~scanned:0
           | Some rel ->
-            let kv = Array.map (Plan.src_value regs) key in
+            let kv = Plan.values regs key in
             let candidates, width = Relation.probe rel access kv in
             if profiling then Profile.probe st.profile pred ~scanned:width;
             each k out candidates)
@@ -271,12 +270,11 @@ and run_plan st ~consumer (init, (plan : Plan.t)) c emit_tuple =
           match Database.find st.edb pred with
           | None -> if profiling then Profile.probe st.profile pred ~scanned:0
           | Some rel ->
-            let candidates = Relation.to_list rel in
             if profiling then
               Profile.probe st.profile pred ~scanned:(Relation.cardinal rel);
-            each k out candidates)
+            scan k out rel)
         | Plan.Negtest { pred; args } ->
-          let tuple = Array.map (Plan.src_value regs) args in
+          let tuple = Plan.values regs args in
           let holds =
             if Program.is_idb st.program pred then
               decide_negation st pred tuple
@@ -298,13 +296,18 @@ and run_plan st ~consumer (init, (plan : Plan.t)) c emit_tuple =
           Plan.raise_unsafe_neg plan regs pred args
         | Plan.Unsafe_cmp { cmp; lhs; rhs } ->
           Plan.raise_unsafe_cmp plan regs cmp lhs rhs
+    and candidate k out tuple =
+      Limits.check st.guard;
+      st.counters.Counters.scanned <- st.counters.Counters.scanned + 1;
+      if Plan.match_out regs out tuple then step (k + 1)
     and each k out = function
       | [] -> ()
       | tuple :: rest ->
-        Limits.check st.guard;
-        st.counters.Counters.scanned <- st.counters.Counters.scanned + 1;
-        if Plan.match_out regs out tuple then step (k + 1);
+        candidate k out tuple;
         each k out rest
+    (* the snapshot of {!Relation.iter}: answers a nested call adds to
+       [rel] during the walk are not visited *)
+    and scan k out rel = Relation.iter (candidate k out) rel
     in
     step 0
   end

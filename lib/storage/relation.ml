@@ -290,8 +290,9 @@ let remove r tuple =
 
 let iter f r =
   let rows = r.rows in
+  (* the bound is read once, so the tuples [f] inserts are not visited;
+     [rows.order] is re-read, since [f] may grow the store *)
   for i = r.lo to limit r - 1 do
-    (* [rows.order] is re-read: [f] may grow the store *)
     let t = rows.order.(i) in
     if t != gone then f t
   done
@@ -460,18 +461,6 @@ let probe r a key =
 (* ------------------------------------------------------------------ *)
 (* Sorted columnar projections                                         *)
 
-(* Raw code order ([Code.compare] is [Int.compare] on the interned ids):
-   merge joins only need *some* total order shared by both sides, and
-   comparing ints beats decoding values.  Top-level recursion: a local
-   loop closure would be allocated on every comparison of every sort. *)
-let rec key_compare_from scols a b j =
-  if j >= Array.length scols then 0
-  else
-    let c = Code.compare a.(scols.(j)) b.(scols.(j)) in
-    if c <> 0 then c else key_compare_from scols a b (j + 1)
-
-let key_compare scols a b = key_compare_from scols a b 0
-
 (* Refill the column-major key arrays from [srows.(lo .. slen-1)];
    earlier slots are untouched rows whose keys are already in place.
    Pure writes — never allocates. *)
@@ -519,11 +508,11 @@ let newest_first r lo hi =
 let refresh_sorted r s =
   let hi = limit r in
   if s.stale then begin
-    (* removals are rare on the fixpoint path, so the rebuild allocates
-       exact-size buffers (the whole array must be sorted, and the stdlib
-       sort has no prefix variant) *)
+    (* a first read (each round's delta slice takes this path) or a
+       rebuild after a removal: exact-size buffers, as the sort takes a
+       whole array *)
     let rows = newest_first r r.lo hi in
-    Array.stable_sort (key_compare s.scols) rows;
+    Tuple.sort_by_codes s.scols rows;
     let n = Array.length rows in
     s.srows <- rows;
     s.slen <- n;
@@ -535,7 +524,7 @@ let refresh_sorted r s =
   else if s.supto < hi then begin
     let run = newest_first r s.supto hi in
     s.supto <- hi;
-    Array.stable_sort (key_compare s.scols) run;
+    Tuple.sort_by_codes s.scols run;
     let nb = s.slen and nr = Array.length run in
     let grew = sorted_ensure s (nb + nr) in
     (* in-place tail merge: walk base and run from their high ends, filling
@@ -548,7 +537,8 @@ let refresh_sorted r s =
     while !j >= 0 do
       (* base wins ties here: placed at the higher slot, it lands *after*
          the equal-keyed (younger) run row *)
-      if !i >= 0 && key_compare s.scols s.srows.(!i) run.(!j) >= 0 then begin
+      if !i >= 0 && Tuple.compare_codes s.scols s.srows.(!i) run.(!j) >= 0
+      then begin
         s.srows.(!m) <- s.srows.(!i);
         decr i
       end

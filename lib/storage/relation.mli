@@ -45,7 +45,14 @@ val cardinal : t -> int
 val is_empty : t -> bool
 
 val iter : (Tuple.t -> unit) -> t -> unit
-(** Iterate in insertion order (deterministic); does not allocate. *)
+(** Iterate in insertion order (deterministic); does not allocate.
+
+    Snapshot contract, which the plan executors' scans and merge joins
+    rely on instead of copying the relation: [f] may {!insert} into the
+    relation it iterates (the store may grow, and be reallocated, during
+    the iteration), and the tuples inserted while [iter] runs are not
+    visited — the iteration covers exactly the tuples present when it
+    started.  [f] must not {!remove} from or {!clear} the relation. *)
 
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold in insertion order, allocation-free (beyond what [f] allocates). *)
@@ -142,9 +149,10 @@ val prepare_sorted : int list -> sorted_access
 val sorted_view : t -> sorted_access -> sorted_view
 (** [sorted_view r a] is the up-to-date sorted projection of [r] on the
     prepared columns, building it lazily on first use.  Inserts since the
-    last view are absorbed as a sorted run merged in place into the
-    buffers (amortized O(run) allocation); removals of rows the
-    projection already covers force a full rebuild.
+    last view are absorbed as a run, sorted by {!Tuple.sort_by_codes}
+    and merged in place into the buffers (amortized O(run) allocation);
+    removals of rows the projection already covers force a full rebuild,
+    sorted the same way.
     The returned arrays are owned by the relation and must not be
     mutated; they are valid until the next mutation of [r]. *)
 

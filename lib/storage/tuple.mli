@@ -19,10 +19,23 @@ val sort : t array -> unit
     symbols first, by interning id, then ints numerically.  Arrays of
     a few hundred tuples or more, of one arity and without dictionary
     ints ({!Code}), take a stable LSD radix sort, in linear time for a
-    bounded key range: each column costs one 11-bit pass per 11 bits of
+    bounded key range: each column costs one counting pass per digit of
     its key range (the span from its least to its greatest value, a
-    symbol's value being [min_int + id]).  Other arrays take
+    symbol's value being [min_int + id]), a digit being at most 11 bits
+    and at most about [log2] of the array's length.  Other arrays take
     [Array.stable_sort compare]. *)
+
+val compare_codes : int array -> t -> t -> int
+(** [compare_codes cols a b] compares the raw codes of [a] and [b] at
+    [cols], lexicographically as ints: a fast total order that is not the
+    decoded value order ({!Code.compare}). *)
+
+val sort_by_codes : int array -> t array -> unit
+(** [sort_by_codes cols a] sorts [a] in place into exactly the order of
+    [Array.stable_sort (compare_codes cols)], the order of a relation's
+    sorted projections.  It takes the radix sort of {!sort} over raw codes,
+    which any code has, so it is linear for a bounded key range; arrays
+    of a handful of tuples are sorted by insertion. *)
 
 val hash : t -> int
 (** Allocation-free, and well spread in its low bits.  [Hashtbl] keeps a

@@ -538,6 +538,139 @@ let test_merge_reduces_probes () =
         (m.S.counters.C.probes < h.S.counters.C.probes))
     [ O.Seminaive; O.Magic; O.Supplementary; O.Supplementary_idb; O.Alexander ]
 
+(* ------------------------------------------------------------------ *)
+(* Unit: the merge-join kernel, pinned.  One application of a rule
+   whose outer side is a shuffled relation and whose sorted side holds
+   groups of one to four rows, probed with repeated keys (adjacent and
+   not), absent keys, and keys below and above the sorted side's range;
+   and the same outer side against an empty sorted side.  The counters
+   were recorded with an earlier implementation of the search (closures
+   over the registers), so a search that compares in another order, or
+   gallops another number of times, shows here. *)
+
+(* [facts] inserted in order, plus an empty relation for each of
+   [empty]; one application of [rule_text] compiled with [merge]: its
+   first step, its emissions (oldest first) and its counters. *)
+let apply_once ~merge ?(empty = []) rule_text facts =
+  let db = Database.create () in
+  List.iter (fun f -> ignore (Database.add_atom db (atom f))) facts;
+  List.iter (fun f -> ignore (Database.rel db (Atom.pred (atom f)))) empty;
+  let r = rule rule_text in
+  let plan =
+    Plan.compile (Plan.config ~merge ()) ~card:(Database.cardinal db) r
+  in
+  let cnt = Counters.create () in
+  let log = ref [] in
+  Plan.run plan cnt
+    ~rel_of:(fun _ pred -> Database.find db pred)
+    ~neg:(Eval.closed_world_neg db)
+    (fun _ t -> log := List.map Code.to_int (Array.to_list t) :: !log);
+  ( List.hd (Plan.info plan).Plan.i_steps,
+    List.rev !log,
+    C.(cnt.probes, cnt.scanned, cnt.firings, cnt.merge_steps, cnt.gallops) )
+
+let fact name args =
+  Printf.sprintf "%s(%s)" name (String.concat ", " (List.map string_of_int args))
+
+let test_merge_kernel_pinned () =
+  (* one-column key: groups 10:1, 12:3, 15:2, 20..28 step 2:1, 30:4 *)
+  let inner =
+    List.map (fun (z, y) -> fact "r" [ z; y ])
+      ([ (30, 1); (12, 1); (20, 1); (15, 1); (10, 1); (12, 2); (22, 1) ]
+      @ [ (30, 2); (24, 1); (15, 2); (26, 1); (12, 3); (28, 1); (30, 3) ]
+      @ [ (30, 4) ])
+  in
+  let probes_1 =
+    [ 12; 12; 5; 30; 13; 12; 99; 10; 15; 15; 21; 1; 30; 20; 24; 40; 11; 28;
+      12; 22; 26; 30; 0; 14 ]
+  in
+  let outer = List.mapi (fun x z -> fact "l" [ x; z ]) probes_1 in
+  let one = "j(X, Y) :- l(X, Z), r(Z, Y)." in
+  let expect_1 =
+    List.concat_map
+      (fun (x, z) ->
+        (* a group lists its rows newest first *)
+        List.rev
+          (List.filter_map
+             (fun (z', y) -> if z' = z then Some [ x; y ] else None)
+             [ (10, 1); (12, 1); (12, 2); (12, 3); (15, 1); (15, 2);
+               (20, 1); (22, 1); (24, 1); (26, 1); (28, 1); (30, 1); (30, 2);
+               (30, 3); (30, 4) ]))
+      (List.mapi (fun x z -> (x, z)) probes_1)
+  in
+  (* two-column key: (Z, W) groups (1,1):2, (1,3):1, (2,0):3, (2,2):1,
+     (4,1):2 *)
+  let inner_2 =
+    List.map (fun (z, w, y) -> fact "r2" [ z; w; y ])
+      [ (2, 0, 1); (1, 1, 1); (4, 1, 1); (2, 2, 1); (2, 0, 2); (1, 3, 1);
+        (1, 1, 2); (4, 1, 2); (2, 0, 3) ]
+  in
+  let probes_2 =
+    [ (2, 0); (1, 1); (1, 2); (0, 5); (9, 9); (2, 0); (2, 0); (1, 3); (2, 1);
+      (4, 1); (4, 2); (1, 1); (2, 2); (3, 0) ]
+  in
+  let outer_2 = List.mapi (fun x (z, w) -> fact "l2" [ x; z; w ]) probes_2 in
+  let two = "j2(X, Y) :- l2(X, Z, W), r2(Z, W, Y)." in
+  let cases =
+    [ ("one column", one, outer @ inner, [], (2, 58, 34, 1, 35));
+      ("two columns", two, outer_2 @ inner_2, [], (2, 31, 17, 1, 20));
+      ("empty inner", one, outer, [ "r(0, 0)" ], (2, 24, 0, 1, 24))
+    ]
+  in
+  List.iter
+    (fun (name, rule_text, facts, empty, counters) ->
+      let step, merged, got = apply_once ~merge:true ~empty rule_text facts in
+      let _, hashed, _ = apply_once ~merge:false ~empty rule_text facts in
+      check tbool (name ^ ": a merge join") true
+        (String.length step > 6 && String.sub step 0 6 = "merge ");
+      check
+        Alcotest.(list (list int))
+        (name ^ ": the hash join's emissions, in its order")
+        hashed merged;
+      let probes, scanned, firings, steps, gallops = counters in
+      check
+        Alcotest.(list int)
+        (name ^ ": probes, scanned, firings, merge steps, gallops")
+        [ probes; scanned; firings; steps; gallops ]
+        (let p, s, f, m, g = got in
+         [ p; s; f; m; g ]))
+    cases;
+  let _, emitted, _ = apply_once ~merge:true one (outer @ inner) in
+  check Alcotest.(list (list int)) "one column: the answers" expect_1 emitted
+
+(* An application walks its outer side in place: over a frozen 400-row
+   relation, a merge join (whose sorted side is already built) and a
+   plain scan allocate a constant amount, far below the three words per
+   row a copy of the outer side as a list takes. *)
+let test_outer_side_not_copied () =
+  let db = Database.create () in
+  for x = 0 to 399 do
+    ignore (Database.add_atom db (atom (fact "l" [ x; 1000 + (x * 7 mod 400) ])))
+  done;
+  for z = 0 to 99 do
+    ignore (Database.add_atom db (atom (fact "r" [ 1000 + (4 * z) + 1; z ])))
+  done;
+  List.iter
+    (fun (name, rule_text) ->
+      let plan =
+        Plan.compile (Plan.config ()) ~card:(Database.cardinal db)
+          (rule rule_text)
+      in
+      let apply () =
+        Plan.run plan (Counters.create ())
+          ~rel_of:(fun _ pred -> Database.find db pred)
+          ~neg:(Eval.closed_world_neg db)
+          (fun _ _ -> ())
+      in
+      apply ();
+      let words = Test_storage.minor_words_of apply in
+      if words >= 400. then
+        Alcotest.failf "%s: %.0f minor words over a 400-row outer side" name
+          words)
+    [ ("merge join", "j(X, Y) :- l(X, Z), r(Z, Y).");
+      ("scan", "s(X) :- l(X, X).")
+    ]
+
 let suite =
   [ ( "plan",
       [ Alcotest.test_case "cmp parity" `Quick test_cmp_parity;
@@ -554,7 +687,11 @@ let suite =
         Alcotest.test_case "cost sip reduces work" `Quick
           test_cost_reduces_work;
         Alcotest.test_case "merge join reduces probes" `Quick
-          test_merge_reduces_probes
+          test_merge_reduces_probes;
+        Alcotest.test_case "merge kernel pinned" `Quick
+          test_merge_kernel_pinned;
+        Alcotest.test_case "outer side not copied" `Quick
+          test_outer_side_not_copied
       ]
       @ List.map QCheck_alcotest.to_alcotest
           (prop_parity ~sip:Plan.Ltr Gen.arb_positive_program_query
