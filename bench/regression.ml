@@ -13,6 +13,13 @@
    gauge (minor_words, GC-reported) is close to deterministic but moves
    with compiler/runtime details, so it gets its own laxer tolerance
    (default 25%); baselines predating the gauge simply don't gate on it.
+
+   Seki's theorem is gated too: in the candidate, every workload that
+   runs both [alexander] and [supplementary-idb] must report the same
+   value for each of the eight [totals] counters — the two rewritings
+   are isomorphic under the call_/m_, ans_/plain, cont/supi renaming, so
+   they do identical join work.
+
    Exit code 1 on any regression, 2 on unreadable/mismatched inputs. *)
 
 module J = Datalog_engine.Json
@@ -77,6 +84,37 @@ let cells path doc =
     (as_list path (member_exn path "workloads" doc));
   tbl
 
+let totals_names =
+  [ "facts_derived"; "firings"; "probes"; "scanned"; "iterations";
+    "merge_steps"; "gallops"; "subsumed" ]
+
+(* The workloads whose [alexander] and [supplementary-idb] cells differ,
+   with the first differing counter, and the number of workloads that
+   run both. *)
+let seki_mismatches path doc =
+  List.fold_left
+    (fun (bad, paired) workload ->
+      let wname = as_string path (member_exn path "workload" workload) in
+      let totals sname =
+        List.find_map
+          (fun report ->
+            if as_string path (member_exn path "strategy" report) = sname then
+              Some (member_exn path "totals" report)
+            else None)
+          (as_list path (member_exn path "strategies" workload))
+      in
+      match totals "alexander", totals "supplementary-idb" with
+      | Some a, Some s -> (
+        let differs c =
+          Option.bind (J.member c a) as_int <> Option.bind (J.member c s) as_int
+        in
+        match List.find_opt differs totals_names with
+        | Some c -> ((wname, c) :: bad, paired + 1)
+        | None -> (bad, paired + 1))
+      | _ -> (bad, paired))
+    ([], 0)
+    (as_list path (member_exn path "workloads" doc))
+
 let () =
   let positional = ref [] in
   let rec parse_args = function
@@ -105,7 +143,8 @@ let () =
          [--alloc-tolerance PCT]"
   in
   let base = cells baseline_path (read_json baseline_path) in
-  let cand = cells candidate_path (read_json candidate_path) in
+  let cand_doc = read_json candidate_path in
+  let cand = cells candidate_path cand_doc in
   let rows = ref [] in
   let regressions = ref 0 in
   Hashtbl.iter
@@ -176,12 +215,21 @@ let () =
   print_row header;
   print_row (List.map (fun w -> String.make w '-') (Array.to_list widths));
   List.iter print_row rows;
-  if !regressions > 0 then begin
-    Printf.printf
-      "\n%d cell(s) regressed beyond %.1f%% - investigate before merging\n"
-      !regressions !tolerance;
+  let seki_bad, paired = seki_mismatches candidate_path cand_doc in
+  List.iter
+    (fun (w, c) ->
+      Printf.printf "\nSeki: %s: alexander and supplementary-idb differ in %s\n"
+        w c)
+    (List.rev seki_bad);
+  if !regressions > 0 || seki_bad <> [] then begin
+    if !regressions > 0 then
+      Printf.printf
+        "\n%d cell(s) regressed beyond %.1f%% - investigate before merging\n"
+        !regressions !tolerance;
     exit 1
   end
   else
-    Printf.printf "\nall %d cells within %.1f%% of the committed baseline\n"
-      (List.length rows) !tolerance
+    Printf.printf
+      "\nall %d cells within %.1f%% of the committed baseline; alexander = \
+       supplementary-idb on all %d totals of %d workload(s)\n"
+      (List.length rows) !tolerance (List.length totals_names) paired

@@ -1,8 +1,6 @@
 open Datalog_ast
 open Datalog_storage
-open Datalog_engine
 open Datalog_rewrite
-module Analysis = Datalog_analysis
 
 type row = {
   source_pred : Pred.t;
@@ -33,21 +31,6 @@ type outcome = {
 
 let ( let* ) r f = Result.bind r f
 
-let eval_rewritten program (rw : Rewritten.t) =
-  let full =
-    Program.make
-      ~facts:(Program.facts program @ rw.Rewritten.seeds)
-      rw.Rewritten.rules
-  in
-  if
-    (not
-       (List.exists (fun r -> Rule.negative_body r <> []) (Program.rules full)))
-    || Analysis.Stratify.is_stratified full
-  then
-    let* outcome = Stratified.run full in
-    Ok outcome.Stratified.db
-  else Ok (Conditional.run full).Conditional.true_db
-
 let tuples_set db pred_name arity =
   let pred = Pred.make pred_name arity in
   match Database.find db pred with
@@ -55,17 +38,25 @@ let tuples_set db pred_name arity =
   | Some rel -> Relation.fold Tuple.Set.add rel Tuple.Set.empty
 
 let check ?(sips = Sips.Left_to_right) program query =
-  let program = Preprocess.split_idb_facts program in
-  match Adorn.adorn ~strategy:sips program query with
-  | exception Adorn.Unbound_negation a ->
-    Error (Format.asprintf "unbound negated call %a" Atom.pp a)
-  | adorned ->
-    let rw_sup = Supplementary.transform adorned in
-    let rw_supidb = Supplementary_idb.transform adorned in
-    let rw_alex = Alexander_templates.transform adorned in
-    let* db_sup = eval_rewritten program rw_sup in
-    let* db_supidb = eval_rewritten program rw_supidb in
-    let* db_alex = eval_rewritten program rw_alex in
+  (* subsumption off: with the filter on, dropped calls live in sub_
+     companions, not in the call relations compared here *)
+  let prepared = Solve.prepare program in
+  let run strategy =
+    Result.map_error Errors.message
+      (Solve.run_prepared
+         ~options:
+           { Options.default with Options.strategy; sips; subsume = false }
+         prepared query)
+  in
+  let* sup = run Options.Supplementary in
+  let* supidb = run Options.Supplementary_idb in
+  let* alex = run Options.Alexander in
+  let answers_match_query = sup.Solve.answers = alex.Solve.answers in
+  match sup.Solve.rewritten, supidb.Solve.rewritten, alex.Solve.rewritten with
+  | Some _, Some rw_supidb, Some rw_alex ->
+    let db_sup = sup.Solve.db
+    and db_supidb = supidb.Solve.db
+    and db_alex = alex.Solve.db in
     (* one row per reachable adorned predicate *)
     let adorned_preds =
       Registry.fold
@@ -73,7 +64,7 @@ let check ?(sips = Sips.Left_to_right) program query =
           match kind with
           | Registry.Adorned (src, b) -> (p, src, b) :: acc
           | _ -> acc)
-        adorned.Adorn.registry []
+        rw_alex.Rewritten.registry []
       |> List.sort (fun (a, _, _) (b, _, _) -> Pred.compare a b)
     in
     let rows =
@@ -111,9 +102,14 @@ let check ?(sips = Sips.Left_to_right) program query =
         (fun p kind acc ->
           match kind with
           | Registry.Cont (r, j) -> ((r, j), `Cont p) :: acc
-          | Registry.SupIdb (r, j) -> ((r, j), `Sup p) :: acc
           | _ -> acc)
-        adorned.Adorn.registry []
+        rw_alex.Rewritten.registry
+        (Registry.fold
+           (fun p kind acc ->
+             match kind with
+             | Registry.SupIdb (r, j) -> ((r, j), `Sup p) :: acc
+             | _ -> acc)
+           rw_supidb.Rewritten.registry [])
     in
     let keys =
       List.sort_uniq compare (List.map fst cont_pairs)
@@ -147,21 +143,17 @@ let check ?(sips = Sips.Left_to_right) program query =
         keys
     in
     let conts_equivalent = List.for_all (fun c -> c.cont_equal) cont_rows in
-    let query_answers db (rw : Rewritten.t) =
-      let pattern = rw.Rewritten.answer_atom in
-      let pred = Atom.pred pattern in
-      match Database.find db pred with
-      | None -> Tuple.Set.empty
-      | Some rel ->
-        Relation.fold
-          (fun t acc ->
-            if Tuple.matches pattern t then Tuple.Set.add t acc else acc)
-          rel Tuple.Set.empty
-    in
-    let answers_match_query =
-      Tuple.Set.equal (query_answers db_sup rw_sup) (query_answers db_alex rw_alex)
-    in
     Ok { rows; cont_rows; equivalent; conts_equivalent; answers_match_query }
+  | _ ->
+    (* an extensional or unknown query is answered by lookup: no
+       rewriting ran, so there is nothing to pair *)
+    Ok
+      { rows = [];
+        cont_rows = [];
+        equivalent = true;
+        conts_equivalent = true;
+        answers_match_query
+      }
 
 let pp_outcome ppf outcome =
   Format.fprintf ppf "%-16s %-6s %12s %12s %12s %12s@." "pred" "ad"

@@ -8,9 +8,11 @@
     states (continuations vs the supplementary relations at intensional
     cut points).
 
-    This module runs both rewritings on a program and query, evaluates
-    both, and compares the corresponding relations {e tuple by tuple}
-    (after the renaming bijection), not just by cardinality. *)
+    This module runs both rewritings (and the IDB-cut supplementary
+    variant) on a program and query through {!Solve.run_prepared}, with
+    the subsumption filter off, and compares the corresponding relations
+    {e tuple by tuple} (after the renaming bijection), not just by
+    cardinality. *)
 
 open Datalog_ast
 
@@ -50,6 +52,8 @@ val check :
   Atom.t ->
   (outcome, string) result
 (** Run supplementary magic and Alexander templates on the same adorned
-    program and compare. *)
+    program and compare.  [Error] carries {!Solve.run}'s message.  A
+    query over an extensional or unknown predicate is answered by lookup
+    and yields no rows. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -243,6 +243,42 @@ let own_db prepared =
   List.iter (fun a -> ignore (Database.add_atom db a)) (Program.facts own);
   db
 
+(* A magic-family goal: adorn [representative] under the options' SIP,
+   rewrite it, and evaluate the rewriting seeded once per goal of
+   [goals] — goals sharing [representative]'s predicate and constant
+   positions, whose constants each seed carries.  The answers returned
+   are [representative]'s. *)
+let run_rewritten ?resume_from ~plan ~options profile split representative
+    goals =
+  match
+    Adorn.adorn ~strategy:options.Options.sips ~card:split.s_card
+      split.s_program representative
+  with
+  | exception Adorn.Unbound_negation a ->
+    Error
+      (Errors.Unbound_negation
+         (Format.asprintf
+            "negated call %a has unbound arguments under this SIP; use the \
+             seminaive strategy or bind the variables earlier in the rule"
+            Atom.pp a))
+  | adorned ->
+    let rw = rewrite options adorned in
+    let seed_pred = Atom.pred (List.hd rw.Rewritten.seeds) in
+    let seed goal =
+      Atom.make seed_pred
+        (Array.of_list
+           (List.filter
+              (function Term.Const _ -> true | Term.Var _ -> false)
+              (Array.to_list (Atom.args goal))))
+    in
+    let goal = Program.make ~facts:(List.map seed goals) rw.Rewritten.rules in
+    let* result =
+      evaluate ?resume_from ~plan ~subsume:(subsume_of options rw)
+        ~db:(goal_db split.s_base goal) options profile goal
+        (Rewritten.answer_pred rw) rw.Rewritten.answer_atom
+    in
+    Ok (rw, result)
+
 let run_uncaught ~options ?resume_from prepared query =
   let start = Unix.gettimeofday () in
   let minor0 = Gc.minor_words () in
@@ -336,29 +372,12 @@ let run_uncaught ~options ?resume_from prepared query =
              "tabled",
              outcome.Tabled.status ))
     | Options.Magic | Options.Supplementary | Options.Supplementary_idb
-    | Options.Alexander -> (
-      let split = Lazy.force prepared.split in
-      match
-        Adorn.adorn ~strategy:options.Options.sips ~card:split.s_card
-          split.s_program query
-      with
-      | exception Adorn.Unbound_negation a ->
-        Error
-          (Errors.Unbound_negation
-             (Format.asprintf
-                "negated call %a has unbound arguments under this SIP; use \
-                 the seminaive strategy or bind the variables earlier in the \
-                 rule"
-                Atom.pp a))
-      | adorned ->
-        let rw = rewrite options adorned in
-        let goal = Program.make ~facts:rw.Rewritten.seeds rw.Rewritten.rules in
-        let* result =
-          evaluate ?resume_from ~plan ~subsume:(subsume_of options rw)
-            ~db:(goal_db split.s_base goal) options profile goal
-            (Rewritten.answer_pred rw) rw.Rewritten.answer_atom
-        in
-        Ok (finish (Some rw) result))
+    | Options.Alexander ->
+      let* rw, result =
+        run_rewritten ?resume_from ~plan ~options profile
+          (Lazy.force prepared.split) query [ query ]
+      in
+      Ok (finish (Some rw) result)
 
 (* A failed checkpoint save and a rule no body order can run surface as
    typed errors; a simulated kill (Faults.Crashed) deliberately
@@ -369,7 +388,7 @@ let typed_errors f =
   | r -> r
   | exception Checkpoint.Save_error msg ->
     Error (Errors.Evaluation ("checkpoint save failed: " ^ msg))
-  | exception Eval.Unsafe_rule msg -> Error (Errors.Evaluation msg)
+  | exception Plan.Unsafe_rule msg -> Error (Errors.Evaluation msg)
 
 let run_prepared ?(options = Options.default) ?resume_from prepared query =
   typed_errors (fun () -> run_uncaught ~options ?resume_from prepared query)
@@ -422,56 +441,20 @@ let run_many_uncaught ~options program queries =
       let group = List.rev group in
       match group with
       | [] -> Ok ()
-      | (_, representative) :: _ -> (
-        let split = Lazy.force prepared.split in
-        match
-          Adorn.adorn ~strategy:options.Options.sips ~card:split.s_card
-            split.s_program representative
-        with
-        | exception Adorn.Unbound_negation a ->
-          Error
-            (Errors.Unbound_negation
-               (Format.asprintf "unbound negated call %a" Atom.pp a))
-        | adorned ->
-          let rw = rewrite options adorned in
-          (* one seed per query of the group: replace the representative's
-             constants in the seed atom *)
-          let seed_pred =
-            Atom.pred (List.hd rw.Rewritten.seeds)
-          in
-          let seeds =
-            List.map
-              (fun (_, query) ->
-                let consts =
-                  Array.to_list (Atom.args query)
-                  |> List.filter (function
-                       | Term.Const _ -> true
-                       | Term.Var _ -> false)
+      | (_, representative) :: _ ->
+        Result.map
+          (fun (rw, (db, _, _, _, _, _)) ->
+            List.iter
+              (fun (i, query) ->
+                (* read this query's answers from the shared database *)
+                let answers =
+                  matching_tuples db (Rewritten.answer_pred rw)
+                    (Atom.make (Rewritten.answer_pred rw) (Atom.args query))
                 in
-                Atom.make seed_pred (Array.of_list consts))
-              group
-          in
-          let goal = Program.make ~facts:seeds rw.Rewritten.rules in
-          Result.map
-            (fun (db, _, _, _, _, _) ->
-              List.iter
-                (fun (i, query) ->
-                  (* read this query's answers from the shared database *)
-                  let pattern =
-                    Atom.make (Rewritten.answer_pred rw) (Atom.args query)
-                  in
-                  let answers =
-                    matching_tuples db (Rewritten.answer_pred rw) pattern
-                  in
-                  Hashtbl.replace results i (query, answers))
-                group)
-            (evaluate ~plan ~subsume:(subsume_of options rw)
-               ~db:(goal_db split.s_base goal) options profile goal
-               (Rewritten.answer_pred rw)
-               (Atom.make (Rewritten.answer_pred rw)
-                  (Array.mapi
-                     (fun i _ -> Term.var (Printf.sprintf "_Any%d" i))
-                     (Atom.args representative)))))
+                Hashtbl.replace results i (query, answers))
+              group)
+          (run_rewritten ~plan ~options profile (Lazy.force prepared.split)
+             representative (List.map snd group))
     in
     let rec eval_groups = function
       | [] -> Ok ()

@@ -308,7 +308,7 @@ let apply_conditional cnt ~guard ~profile store ~negation c emit =
         | Slot s when bound.(s) -> codes.(s)
         | Slot _ ->
           raise
-            (Eval.Unsafe_rule
+            (Plan.Unsafe_rule
                (Format.asprintf "%s %a" what Atom.pp
                   (apply_atom c codes bound atom))))
       args
@@ -377,7 +377,7 @@ let apply_conditional cnt ~guard ~profile store ~negation c emit =
         undo mark
       | _ ->
         raise
-          (Eval.Unsafe_rule
+          (Plan.Unsafe_rule
              (Format.asprintf "comparison with unbound variable in %a"
                 Literal.pp
                 (Literal.Cmp (op, term_of t1 a1, term_of t2 a2)))))

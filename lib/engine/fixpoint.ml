@@ -39,7 +39,7 @@ let no_new _ _ = ()
 let naive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
     ?(ckpt = Checkpoint.none) ?(plan = Plan.config ())
     ?(subsume = Subsume.none) ?(on_new = no_new) ~db ~neg rules =
-  let rel_of = Eval.db_rel_of db in
+  let rel_of _ pred = Database.find db pred in
   let card pred = Database.cardinal db pred in
   let apps =
     List.map
@@ -110,7 +110,7 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
     | None -> (
       (* First round: full evaluation; its delta is everything it added. *)
       let marks = Database.marks db in
-      let rel_of = Eval.db_rel_of db in
+      let rel_of _ pred = Database.find db pred in
       let apps =
         List.map
           (fun rule ->

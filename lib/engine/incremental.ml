@@ -60,8 +60,9 @@ let delta_rounds cnt guard profile rule_apps ~db ~into delta emit =
 let propagate cnt guard profile plan program db delta =
   let inserted = ref 0 in
   let rule_apps =
-    delta_apps cnt ~guard ~profile ~neg:(Eval.closed_world_neg db) plan
-      ~card:(Database.cardinal db) (Program.rules program)
+    delta_apps cnt ~guard ~profile
+      ~neg:(fun pred t -> not (Database.mem db pred t))
+      plan ~card:(Database.cardinal db) (Program.rules program)
   in
   delta_rounds cnt guard profile rule_apps ~db ~into:db delta
     (fun pred tuple ->
@@ -165,8 +166,8 @@ let remove_facts cnt ?(limits = Limits.none) ?(profile = Profile.none)
       facts;
     let over_delete_apps =
       delta_apps cnt ~guard ~profile:Profile.none
-        ~neg:(Eval.closed_world_neg db) plan ~card:(Database.cardinal db)
-        (Program.rules program)
+        ~neg:(fun pred t -> not (Database.mem db pred t))
+        plan ~card:(Database.cardinal db) (Program.rules program)
     in
     delta_rounds cnt guard Profile.none over_delete_apps ~db ~into:deleted
       (Database.since deleted marks) (fun pred tuple ->
@@ -180,6 +181,6 @@ let remove_facts cnt ?(limits = Limits.none) ?(profile = Profile.none)
     (* Phase 3: re-derive — anything with an alternative derivation from
        the remaining facts comes back (semi-naive to fixpoint). *)
     Fixpoint.seminaive cnt ~guard ~profile ~plan ~db
-      ~neg:(Eval.closed_world_neg db)
+      ~neg:(fun pred t -> not (Database.mem db pred t))
       (Program.rules program);
     Ok (before - Database.total_facts db)

@@ -73,17 +73,12 @@ type op =
   | Unsafe_neg of { pred : Pred.t; args : src array }
   | Unsafe_cmp of { cmp : Literal.cmp; lhs : src; rhs : src }
 
-(* Rule application and [Tabled]'s interpreter raise [Unsafe_rule] with
-   slightly different wording (and rules alias unbound [X = Y] while
-   [Tabled] rejects it); plans reproduce each dialect exactly so
-   differential tests can compare behaviour one-to-one. *)
-type dialect = Rule_eval | Call_eval
+exception Unsafe_rule of string
 
 type variant = Full | Delta of int | Call of string
 
 type t = {
   rule : Rule.t;
-  dialect : dialect;
   variant : variant;
   sip : sip;
   order : int list;  (* chosen literal order, as original positions *)
@@ -204,7 +199,7 @@ let order_cost ~card ?delta_pos body =
           go (bind bound lit) ((i, lit) :: acc) rest
         | None ->
           (* only unready filters remain; keep them as-is and let
-             evaluation raise the dialect's unsafe-rule error *)
+             evaluation raise the unsafe-rule error *)
           List.rev_append acc remaining))
   in
   go bound0 seed remaining
@@ -314,8 +309,8 @@ let compile_pos env lit_pos atom =
       }
 
 (* Compile one positive IDB literal for tabled evaluation: the bound
-   positions become the call pattern, and — because the interpreter scans
-   the whole answer table — the residual covers every position. *)
+   positions become the call pattern, and — because the tabled executor
+   scans the whole answer table — the residual covers every position. *)
 let compile_table env lit_pos atom =
   let args = Atom.args atom in
   let key = ref [] and out = ref [] in
@@ -353,7 +348,7 @@ let compile_neg env atom =
     Negtest { pred = Atom.pred atom; args }
   else Unsafe_neg { pred = Atom.pred atom; args }
 
-let compile_cmp env dialect cmp t1 t2 =
+let compile_cmp env cmp t1 t2 =
   let s1 = src_of_term env t1 and s2 = src_of_term env t2 in
   match cmp, s1, s2 with
   | _, (Sconst _ | Sreg _), (Sconst _ | Sreg _) ->
@@ -362,15 +357,10 @@ let compile_cmp env dialect cmp t1 t2 =
   | Literal.Eq, ((Sconst _ | Sreg _) as v), Sunbound r ->
     set_bound env r;
     [ Assign { reg = r; value = v } ]
-  | Literal.Eq, Sunbound r1, Sunbound r2 -> (
-    match dialect with
-    | Rule_eval ->
-      (* [Eval] aliases two unbound variables for [=] *)
-      if r1 <> r2 then alias env ~keep:r1 ~drop:r2;
-      []
-    | Call_eval ->
-      (* [Tabled] treats it as a safety violation *)
-      [ Unsafe_cmp { cmp; lhs = s1; rhs = s2 } ])
+  | Literal.Eq, Sunbound r1, Sunbound r2 ->
+    (* [=] aliases two unbound variables *)
+    if r1 <> r2 then alias env ~keep:r1 ~drop:r2;
+    []
   | _, _, _ -> [ Unsafe_cmp { cmp; lhs = s1; rhs = s2 } ]
 
 (* ------------------------------------------------------------------ *)
@@ -461,12 +451,11 @@ let info (plan : t) =
 (* Compiler entry points                                               *)
 (* ------------------------------------------------------------------ *)
 
-let finish cfg ~dialect ~variant ~env ~ops ~order rule =
+let finish cfg ~variant ~env ~ops ~order rule =
   let head = Rule.head rule in
   let hsrc = Array.map (src_of_term env) (Atom.args head) in
   let plan =
     { rule;
-      dialect;
       variant;
       sip = cfg.sip;
       order;
@@ -532,7 +521,7 @@ let compile cfg ~card ?delta_pos rule =
         match lit with
         | Literal.Pos a -> [ compile_pos env i a ]
         | Literal.Neg a -> [ compile_neg env a ]
-        | Literal.Cmp (c, t1, t2) -> compile_cmp env Rule_eval c t1 t2)
+        | Literal.Cmp (c, t1, t2) -> compile_cmp env c t1 t2)
       ordered
   in
   let variant =
@@ -543,13 +532,11 @@ let compile cfg ~card ?delta_pos rule =
       fuse_merge ~variant ~head_pred:(Atom.pred (Rule.head rule)) ops
     else ops
   in
-  finish cfg ~dialect:Rule_eval ~variant ~env ~ops
-    ~order:(List.map fst ordered) rule
+  finish cfg ~variant ~env ~ops ~order:(List.map fst ordered) rule
 
 (* Compile [rule] for tabled evaluation of calls with the given bound head
    positions: head variables at bound positions enter pre-bound (their
-   values come from the call), IDB body literals become [Table] ops, and
-   the [Call_eval] dialect applies. *)
+   values come from the call) and IDB body literals become [Table] ops. *)
 let compile_call cfg ~card ~is_idb ~bound_prefix rule =
   let env = cenv_of_rule rule in
   let head_args = Atom.args (Rule.head rule) in
@@ -578,7 +565,7 @@ let compile_call cfg ~card ~is_idb ~bound_prefix rule =
           if is_idb (Atom.pred a) then [ compile_table env i a ]
           else [ compile_pos env i a ]
         | Literal.Neg a -> [ compile_neg env a ]
-        | Literal.Cmp (c, t1, t2) -> compile_cmp env Call_eval c t1 t2)
+        | Literal.Cmp (c, t1, t2) -> compile_cmp env c t1 t2)
       ordered
   in
   let binding =
@@ -587,7 +574,7 @@ let compile_call cfg ~card ~is_idb ~bound_prefix rule =
       (fun i -> if List.mem i bound_prefix then 'b' else 'f')
   in
   let plan =
-    finish cfg ~dialect:Call_eval ~variant:(Call binding) ~env ~ops
+    finish cfg ~variant:(Call binding) ~env ~ops
       ~order:(List.map fst ordered) rule
   in
   (Array.of_list init, plan)
@@ -636,7 +623,7 @@ let unsafe_neg_atom (plan : t) regs pred args =
 
 let raise_unsafe_neg (plan : t) regs pred args =
   raise
-    (Eval.Unsafe_rule
+    (Unsafe_rule
        (Format.asprintf "negative literal %a not ground at evaluation time"
           Atom.pp
           (unsafe_neg_atom plan regs pred args)))
@@ -644,32 +631,19 @@ let raise_unsafe_neg (plan : t) regs pred args =
 let raise_unsafe_cmp (plan : t) regs cmp lhs rhs =
   let t1 = term_of_src plan.names regs lhs
   and t2 = term_of_src plan.names regs rhs in
-  let lit = Literal.Cmp (cmp, t1, t2) in
-  match plan.dialect with
-  | Rule_eval ->
-    raise
-      (Eval.Unsafe_rule
-         (Format.asprintf "comparison %a with unbound variable" Literal.pp lit))
-  | Call_eval ->
-    raise
-      (Eval.Unsafe_rule
-         (Format.asprintf "comparison with unbound variable: %a" Literal.pp
-            lit))
+  raise
+    (Unsafe_rule
+       (Format.asprintf "comparison %a with unbound variable" Literal.pp
+          (Literal.Cmp (cmp, t1, t2))))
 
 let raise_unsafe_head (plan : t) regs =
   let h =
     Atom.make plan.head_pred (Array.map (term_of_src plan.names regs) plan.head)
   in
-  match plan.dialect with
-  | Rule_eval ->
-    raise
-      (Eval.Unsafe_rule
-         (Format.asprintf "derived non-ground head %a in rule %a" Atom.pp h
-            Rule.pp plan.rule))
-  | Call_eval ->
-    raise
-      (Eval.Unsafe_rule
-         (Format.asprintf "derived non-ground answer %a" Atom.pp h))
+  raise
+    (Unsafe_rule
+       (Format.asprintf "derived non-ground head %a in rule %a" Atom.pp h
+          Rule.pp plan.rule))
 
 (* Match one tuple against a residual pattern, storing fresh bindings.
    Stores need no undo on failure: each register has exactly one static

@@ -10,13 +10,14 @@
 
     {!run} is the only join executor the fixpoint engines and
     {!Provenance} use.  It is counter-for-counter equivalent to
-    interpreting the same rule left to right with {!Eval.Cenv}
-    environments; that interpreter is the test suite's differential
-    oracle ([Interp], in [test/interp.ml]).
+    interpreting the same rule left to right over binding environments;
+    that interpreter is the test suite's differential oracle ([Interp],
+    in [test/interp.ml]).
 
-    The representation is exposed so that the tabled engine (whose probe
-    accounting and unsafe-rule dialect differ) can drive the ops with its
-    own executor. *)
+    The representation is exposed so that the tabled engine (whose
+    [Table] ops read call tables, not relations) can drive the ops with
+    its own executor.  Both executors raise the same {!Unsafe_rule}
+    errors. *)
 
 open Datalog_ast
 open Datalog_storage
@@ -76,13 +77,15 @@ type op =
   | Unsafe_neg of { pred : Pred.t; args : src array }
   | Unsafe_cmp of { cmp : Literal.cmp; lhs : src; rhs : src }
 
-type dialect = Rule_eval | Call_eval
+exception Unsafe_rule of string
+(** Raised when evaluation meets a negative literal or comparison with
+    unbound variables, or derives a non-ground head: the rule violates the
+    ordered safety condition (see {!Datalog_analysis.Safety}). *)
 
 type variant = Full | Delta of int | Call of string
 
 type t = {
   rule : Rule.t;
-  dialect : dialect;
   variant : variant;
   sip : sip;
   order : int list;  (** chosen literal order, as original positions *)

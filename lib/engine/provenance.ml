@@ -108,8 +108,10 @@ let justify model rule atom n =
         (Rule.positive_body rule)
     in
     match
-      Plan.run plan (Counters.create ()) ~rel_of:(Eval.db_rel_of model.db)
-        ~neg:(Eval.closed_world_neg model.db) (fun _ values ->
+      Plan.run plan (Counters.create ())
+        ~rel_of:(fun _ pred -> Database.find model.db pred)
+        ~neg:(fun pred t -> not (Database.mem model.db pred t))
+        (fun _ values ->
           let subst =
             List.fold_left2
               (fun s v c -> Subst.bind v (Term.const (Code.to_value c)) s)
@@ -183,7 +185,7 @@ let explain ?(max_depth = 10_000) program atom =
     prove model
   with
   | result -> result
-  | exception Eval.Unsafe_rule msg -> Error msg
+  | exception Plan.Unsafe_rule msg -> Error msg
 
 let rec pp ppf proof =
   match proof with

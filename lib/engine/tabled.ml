@@ -69,7 +69,7 @@ type state = {
   mutable order : call list;  (* reverse creation order *)
   neg_memo : bool GroundTbl.t;  (* shared across nested evaluations *)
   ckpt : Checkpoint.t;  (* inactive in nested negation states *)
-  plans : plan_store option;  (* None = interpreted evaluation *)
+  plans : plan_store;
 }
 
 (* Tables in the engine-independent shape {!Checkpoint} serializes; built
@@ -91,9 +91,6 @@ let schedule st c =
     CallTbl.add st.dirty c ();
     st.agenda <- c :: st.agenda
   end
-
-let call_of_atom env atom =
-  { call_pred = Atom.pred atom; bound = Eval.bound_positions env atom }
 
 let rec ensure_call st c =
   match CallTbl.find_opt st.tables c with
@@ -156,67 +153,11 @@ and decide_negation st pred (tuple : Tuple.t) =
     GroundTbl.add st.neg_memo (pred, tuple) holds;
     not holds
 
-and interpret_body st ~consumer body env emit =
-  match body with
-  | [] -> emit env
-  | Literal.Pos atom :: rest ->
-    let pred = Atom.pred atom in
-    let candidates, width =
-      if Program.is_idb st.program pred then begin
-        let c = call_of_atom env atom in
-        let rel = ensure_call st c in
-        register_consumer st ~producer:c ~consumer;
-        st.counters.Counters.probes <- st.counters.Counters.probes + 1;
-        (Relation.to_list rel, Relation.cardinal rel)
-      end
-      else begin
-        st.counters.Counters.probes <- st.counters.Counters.probes + 1;
-        match Database.find st.edb pred with
-        | None -> ([], 0)
-        | Some rel ->
-          Relation.select_count rel (Eval.bound_positions env atom)
-      end
-    in
-    if Profile.is_active st.profile then
-      Profile.probe st.profile pred ~scanned:width;
-    List.iter
-      (fun tuple ->
-        Limits.check st.guard;
-        st.counters.Counters.scanned <- st.counters.Counters.scanned + 1;
-        match Eval.match_tuple env atom tuple with
-        | Some env' -> interpret_body st ~consumer rest env' emit
-        | None -> ())
-      candidates
-  | Literal.Neg atom :: rest ->
-    let tuple = Eval.ground_tuple env atom in
-    let pred = Atom.pred atom in
-    let holds =
-      if Program.is_idb st.program pred then decide_negation st pred tuple
-      else not (Database.mem st.edb pred tuple)
-    in
-    if holds then interpret_body st ~consumer rest env emit
-  | Literal.Cmp (op, t1, t2) :: rest -> (
-    let r1 = Eval.Cenv.resolve_term env t1
-    and r2 = Eval.Cenv.resolve_term env t2 in
-    match op, r1, r2 with
-    | _, Eval.Cenv.Bound c1, Eval.Cenv.Bound c2 ->
-      if Code.eval_cmp op c1 c2 then interpret_body st ~consumer rest env emit
-    | Literal.Eq, Eval.Cenv.Free v, Eval.Cenv.Bound c
-    | Literal.Eq, Eval.Cenv.Bound c, Eval.Cenv.Free v ->
-      interpret_body st ~consumer rest (Eval.Cenv.bind v c env) emit
-    | _, _, _ ->
-      raise
-        (Eval.Unsafe_rule
-           (Format.asprintf "comparison with unbound variable: %a" Literal.pp
-              (Literal.Cmp
-                 (op, Eval.term_of_resolved r1, Eval.term_of_resolved r2)))))
-
-(* The compiled analogue of one [solve_call] rule: walk the plan's ops,
-   with [Table] ops doing exactly what the interpreter's IDB case does
-   (ensure the sub-call, register the consumer, scan the whole table) and
-   EDB probes keeping the interpreter's accounting (the probe counts even
-   when the relation is missing, and the profile records a 0-wide scan). *)
-and run_plan st ~consumer (init, (plan : Plan.t)) c emit_tuple =
+(* One rule of a call: walk the plan's ops.  A [Table] op ensures the
+   sub-call, registers the consumer and scans the sub-call's whole table;
+   an EDB probe counts even when the relation is missing, and the profile
+   then records a 0-wide scan. *)
+and run_plan st (init, (plan : Plan.t)) c emit_tuple =
   let regs = Plan.make_regs plan in
   (* unify the call's bound codes with the head pattern *)
   let rec init_ok i bound =
@@ -251,7 +192,7 @@ and run_plan st ~consumer (init, (plan : Plan.t)) c emit_tuple =
             }
           in
           let rel = ensure_call st sub in
-          register_consumer st ~producer:sub ~consumer;
+          register_consumer st ~producer:sub ~consumer:c;
           st.counters.Counters.probes <- st.counters.Counters.probes + 1;
           if profiling then
             Profile.probe st.profile pred ~scanned:(Relation.cardinal rel);
@@ -328,8 +269,8 @@ and solve_call st c =
   let rel = ensure_call st c in
   List.iter
     (fun src_rule ->
-      (* profile rows are keyed on the source rule, not its renamed copy,
-         so re-solvings of different calls aggregate onto one row *)
+      (* profile rows are keyed on the source rule, so re-solvings of
+         different calls aggregate onto one row *)
       Profile.with_rule st.profile st.counters src_rule @@ fun () ->
       let emit_tuple tuple =
         if Relation.insert rel tuple then begin
@@ -343,47 +284,7 @@ and solve_call st c =
           | Some bucket -> List.iter (schedule st) !bucket
         end
       in
-      match st.plans with
-      | Some ps -> run_plan st ~consumer:c (plan_for ps c src_rule) c emit_tuple
-      | None -> (
-        (* rename apart from any variables the call could mention (calls
-           are ground on their bound positions, so a plain fresh copy
-           suffices) *)
-        let rule = Rule.rename ~suffix:"#t" src_rule in
-        let head = Rule.head rule in
-        (* constrain the head by the call's bound codes *)
-        let env0 =
-          List.fold_left
-            (fun acc (i, cv) ->
-              match acc with
-              | None -> None
-              | Some env -> (
-                match Eval.Cenv.resolve_term env (Atom.args head).(i) with
-                | Eval.Cenv.Bound c0 ->
-                  if Code.equal c0 cv then Some env else None
-                | Eval.Cenv.Free v -> Some (Eval.Cenv.bind v cv env)))
-            (Some Eval.Cenv.empty) c.bound
-        in
-        match env0 with
-        | None -> ()
-        | Some env0 ->
-          interpret_body st ~consumer:c (Rule.body rule) env0 (fun env ->
-              st.counters.Counters.firings <-
-                st.counters.Counters.firings + 1;
-              let tuple =
-                Array.map
-                  (fun t ->
-                    match Eval.Cenv.resolve_term env t with
-                    | Eval.Cenv.Bound cv -> cv
-                    | Eval.Cenv.Free _ ->
-                      raise
-                        (Eval.Unsafe_rule
-                           (Format.asprintf "derived non-ground answer %a"
-                              Atom.pp
-                              (Eval.Cenv.apply_atom env head))))
-                  (Atom.args head)
-              in
-              emit_tuple tuple)))
+      run_plan st (plan_for st.plans c src_rule) c emit_tuple)
     (Program.rules_for st.program c.call_pred)
 
 and saturate st =
@@ -403,11 +304,11 @@ and saturate st =
 
 (* Read the query's answers and the accumulated tables out of a state —
    shared by the completed and the budget-exhausted paths. *)
-let collect st root query status =
+let collect st root pattern status =
   let answers =
     match CallTbl.find_opt st.tables root with
     | None -> []
-    | Some rel -> Relation.matching rel (Tuple.pattern query)
+    | Some rel -> Relation.matching rel pattern
   in
   let calls = List.rev st.order in
   let tables =
@@ -422,7 +323,8 @@ let collect st root query status =
   { answers; calls; tables; counters = st.counters; status }
 
 let run ?(limits = Limits.none) ?(profile = Profile.none)
-    ?(checkpoint = Checkpoint.none) ?resume_from ?db ?plan program query =
+    ?(checkpoint = Checkpoint.none) ?resume_from ?db ?(plan = Plan.config ())
+    program query =
   let has_negation =
     List.exists (fun r -> Rule.negative_body r <> []) (Program.rules program)
   in
@@ -446,14 +348,11 @@ let run ?(limits = Limits.none) ?(profile = Profile.none)
         neg_memo = GroundTbl.create 64;
         ckpt = checkpoint;
         plans =
-          Option.map
-            (fun cfg ->
-              { cfg;
-                cache = Hashtbl.create 64;
-                card = (fun p -> Database.cardinal edb p);
-                is_idb = (fun p -> Program.is_idb program p)
-              })
-            plan
+          { cfg = plan;
+            cache = Hashtbl.create 64;
+            card = (fun p -> Database.cardinal edb p);
+            is_idb = (fun p -> Program.is_idb program p)
+          }
       }
     in
     Checkpoint.set_counters checkpoint counters;
@@ -476,14 +375,15 @@ let run ?(limits = Limits.none) ?(profile = Profile.none)
           let rel = ensure_call st c in
           List.iter (fun t -> ignore (Relation.insert rel t)) tuples)
         r.Checkpoint.r_tables);
-    let root = call_of_atom Eval.Cenv.empty query in
     let qpred = Atom.pred query in
+    let pattern = Tuple.pattern query in
+    let root = { call_pred = qpred; bound = pattern.Tuple.consts } in
     if not (Program.is_idb program qpred) then begin
       (* extensional query: answer directly, no tables *)
       let answers =
         match Database.find edb qpred with
         | None -> []
-        | Some rel -> Relation.matching rel (Tuple.pattern query)
+        | Some rel -> Relation.matching rel pattern
       in
       Ok
         { answers;
@@ -498,14 +398,14 @@ let run ?(limits = Limits.none) ?(profile = Profile.none)
         ignore (ensure_call st root);
         saturate st
       with
-      | () -> Ok (collect st root query Limits.Complete)
+      | () -> Ok (collect st root pattern Limits.Complete)
       | exception Limits.Out_of_budget reason ->
         (* tables are monotone, so everything accumulated so far is a
            sound partial answer set *)
         Checkpoint.on_interrupt_tables st.ckpt ~db:st.edb
           ~tables:(dump_tables st);
-        Ok (collect st root query (Limits.Exhausted reason))
-      | exception Eval.Unsafe_rule msg -> Error msg
+        Ok (collect st root pattern (Limits.Exhausted reason))
+      | exception Plan.Unsafe_rule msg -> Error msg
   end
 
 let calls_for outcome pred binding =

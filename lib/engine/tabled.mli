@@ -63,11 +63,9 @@ val run :
     [resume_from] reinstalls saved tables and re-schedules every call,
     which re-saturates to exactly the uninterrupted run's answers.
 
-    With [plan], each rule runs through calls compiled by
-    {!Plan.compile_call}; without it, through this module's own body
-    interpreter, which is tangled with the tabling state and is kept as
-    the differential oracle of the compiled calls.  {!Solve} always
-    passes a plan, so only the test suite runs the interpreter. *)
+    Each rule runs through calls compiled by {!Plan.compile_call} under
+    [plan] (default {!Plan.config}[ ()]), one plan per rule and call
+    binding, shared by nested negation evaluations. *)
 
 val calls_for : outcome -> Pred.t -> string -> int
 (** Number of distinct tabled calls to a predicate under a given
