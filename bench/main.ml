@@ -84,7 +84,7 @@ let itoa = string_of_int
 
 let run_strategy ?(negation = O.Auto) ?(profile = false)
     ?(checkpoint = Datalog_engine.Checkpoint.none) ?(merge = true)
-    ?(subsume = true) ?(sips = Datalog_rewrite.Sips.Left_to_right)
+    ?(subsume = true) ?(sips = Datalog_analysis.Sips.Ltr)
     ?(limits = bench_limits) strategy program query =
   let options =
     { O.default with
@@ -631,10 +631,10 @@ let f4 () =
      by restricting queries to ranged (ordered) formulas."
 
 (* ------------------------------------------------------------------ *)
-(* T8: sideways-information-passing ablation - LTR vs greedy *)
+(* T8: sideways-information-passing ablation - LTR vs cost *)
 
 let t8 () =
-  (* a rule whose textual order is bad for the bound query: the greedy
+  (* a rule whose textual order is bad for the bound query: the cost
      SIP starts from the literal sharing the bound variable *)
   let program =
     Program.make
@@ -665,17 +665,17 @@ let t8 () =
               ms report.S.wall_time_s
             ])
           [ O.Magic; O.Alexander ])
-      [ ("ltr", Datalog_rewrite.Sips.Left_to_right);
-        ("greedy", Datalog_rewrite.Sips.Greedy_bound)
+      [ ("ltr", Datalog_analysis.Sips.Ltr);
+        ("cost", Datalog_analysis.Sips.Cost)
       ]
   in
   print_table
-    ~title:"T8: SIP ablation - left-to-right vs greedy body ordering"
+    ~title:"T8: SIP ablation - left-to-right vs cost body ordering"
     ~header:[ "sip"; "rewriting"; "answers"; "facts"; "scanned"; "time ms" ]
     rows;
   print_endline
     "Expectation: answers are identical under any SIP (and the Seki\n\
-     equivalence holds per SIP - tested); work differs because the greedy\n\
+     equivalence holds per SIP - tested); work differs because the cost\n\
      order joins through the bound variable first instead of starting\n\
      from an unconstrained literal."
 
@@ -803,14 +803,14 @@ let bechamel_tests () =
                ~facts:(W.random_graph ~pred:"edge" ~nodes:80 ~edges:120 ~seed:7)
                (W.ancestor_rules ()))
             "anc(0, X)"));
-    Test.make ~name:"T8/greedy-sip"
+    Test.make ~name:"T8/cost-sip"
       (Staged.stage (fun () ->
            (* [open Bechamel] shadows the S alias *)
            ignore
              (Alexander.Solve.run_exn
                 ~options:
                   { O.default with
-                    O.sips = Datalog_rewrite.Sips.Greedy_bound;
+                    O.sips = Datalog_analysis.Sips.Cost;
                     limits = bench_limits
                   }
                 sg (atom "sg(0, X)"))));
@@ -1137,7 +1137,7 @@ let json_baseline out =
             let compiled = run_strategy strategy program query in
             let hash = run_strategy ~merge:false strategy program query in
             let cost =
-              run_strategy ~sips:Datalog_rewrite.Sips.Cost_aware strategy
+              run_strategy ~sips:Datalog_analysis.Sips.Cost strategy
                 program query
             in
             J.Obj

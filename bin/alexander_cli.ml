@@ -37,14 +37,14 @@ let negation_conv =
 
 let sips_conv =
   let parse s =
-    match Datalog_rewrite.Sips.strategy_of_string s with
+    match Datalog_analysis.Sips.strategy_of_string s with
     | Some v -> Ok v
     | None -> Error (`Msg (Printf.sprintf "unknown SIP strategy %S" s))
   in
   Arg.conv
     ( parse,
       fun ppf s ->
-        Format.pp_print_string ppf (Datalog_rewrite.Sips.strategy_name s) )
+        Format.pp_print_string ppf (Datalog_analysis.Sips.strategy_name s) )
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Datalog program (.dl)")
@@ -77,9 +77,13 @@ let sips_arg =
     & opt sips_conv O.default.O.sips
     & info [ "sips" ] ~docv:"SIP"
         ~doc:
-          "ltr | greedy | cost.  'cost' breaks greedy's bound-ness ties by \
-           estimated relation cardinality (smallest first); the compiled \
-           engine then reorders each rule body accordingly")
+          "ltr | cost.  'ltr' keeps each rule body as written, with every \
+           negation and comparison moved to the first point where its \
+           variables are bound; 'cost' picks next the literal sharing the \
+           most bound variables, breaking ties by constant arguments, then \
+           by estimated relation cardinality (smallest first).  The \
+           rewritings, the compiled join plans and tabled calls (from the \
+           call's bound arguments) all use this order")
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print evaluation statistics")

@@ -1,6 +1,6 @@
 open Datalog_ast
 
-module SSet = Set.Make (String)
+module SSet = Sips.SSet
 
 (* Propagate limitedness: positive atoms limit their variables; [X = t]
    limits X when t is a constant or a limited variable (and symmetrically). *)
@@ -61,29 +61,6 @@ let range_restricted rule =
   in
   body_ok (Rule.body rule)
 
-(* A literal is evaluable once [bound] covers what it needs; evaluating it
-   extends [bound]. *)
-let evaluable bound = function
-  | Literal.Pos _ -> true
-  | Literal.Neg a -> List.for_all (fun v -> SSet.mem v bound) (Atom.var_set a)
-  | Literal.Cmp (op, t1, t2) -> (
-    let bound_term = function
-      | Term.Const _ -> true
-      | Term.Var v -> SSet.mem v bound
-    in
-    match op with
-    | Literal.Eq -> bound_term t1 || bound_term t2
-    | Literal.Neq | Literal.Lt | Literal.Leq | Literal.Gt | Literal.Geq ->
-      bound_term t1 && bound_term t2)
-
-let binds bound = function
-  | Literal.Pos a -> SSet.union bound (SSet.of_list (Atom.var_set a))
-  | Literal.Neg _ -> bound
-  | Literal.Cmp (Literal.Eq, t1, t2) ->
-    let add acc = function Term.Var v -> SSet.add v acc | Term.Const _ -> acc in
-    add (add bound t1) t2
-  | Literal.Cmp (_, _, _) -> bound
-
 let cdi rule =
   let rec go bound = function
     | [] ->
@@ -91,7 +68,7 @@ let cdi rule =
         Ok ()
       else Error (Format.asprintf "head of [%a] not fully bound" Rule.pp rule)
     | lit :: rest ->
-      if evaluable bound lit then go (binds bound lit) rest
+      if Sips.ready bound lit then go (Sips.bind bound lit) rest
       else
         Error
           (Format.asprintf "literal %a in [%a] is not bound by the literals before it"
@@ -99,31 +76,13 @@ let cdi rule =
   in
   go SSet.empty (Rule.body rule)
 
-let reorder_for_cdi rule =
-  (* Greedy: at each step take the first evaluable literal, preferring the
-     earliest positive atom (stable among positives). *)
-  let rec go bound acc remaining =
-    match remaining with
-    | [] -> Some (Rule.make (Rule.head rule) (List.rev acc))
-    | _ -> (
-      let rec pick seen = function
-        | [] -> None
-        | lit :: rest ->
-          if evaluable bound lit then Some (lit, List.rev_append seen rest)
-          else pick (lit :: seen) rest
-      in
-      match pick [] remaining with
-      | None -> None
-      | Some (lit, rest) -> go (binds bound lit) (lit :: acc) rest)
-  in
-  match go SSet.empty [] (Rule.body rule) with
-  | Some reordered when Result.is_ok (cdi reordered) -> Some reordered
-  | Some _ | None -> None
-
 let cdi_order rule =
   match cdi rule with
   | Ok () -> rule
-  | Error _ -> Option.value (reorder_for_cdi rule) ~default:rule
+  | Error _ ->
+    let body = Sips.order ~bound:(fun _ -> false) Sips.Ltr (Rule.body rule) in
+    let reordered = Rule.make (Rule.head rule) (List.map snd body) in
+    if Result.is_ok (cdi reordered) then reordered else rule
 
 let check_program program =
   let errors =

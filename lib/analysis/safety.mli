@@ -11,7 +11,10 @@
       the body left to right, each negative literal and each comparison must
       be fully bound by the literals {e before} it (ordered conjunction).
       This is the condition under which bottom-up evaluation never consults
-      the domain predicates. *)
+      the domain predicates.  What "bound" means, and the order a rule is
+      repaired into, come from {!Sips} ({!Sips.ready}, {!Sips.bind},
+      {!Sips.order}), the same definitions the rewritings and the join
+      plans use. *)
 
 open Datalog_ast
 
@@ -24,15 +27,11 @@ val range_restricted : Rule.t -> (unit, string) result
 val cdi : Rule.t -> (unit, string) result
 (** Check the ordered (left-to-right) condition. *)
 
-val reorder_for_cdi : Rule.t -> Rule.t option
-(** Greedily reorder the body so the rule becomes cdi, preserving the
-    relative order of positive atoms; [None] when impossible (the rule is
-    not range-restricted). *)
-
 val cdi_order : Rule.t -> Rule.t
 (** The body order a rule is evaluated in: the rule itself when it is
-    cdi, else its {!reorder_for_cdi} when one exists, else itself (for
-    the safety check to report). *)
+    cdi, else its {!Sips.order} under {!Sips.Ltr} (positive atoms as
+    written, each filter as soon as it is bound) when that order is cdi,
+    else the rule itself (for the safety check to report). *)
 
 val check_program : Program.t -> (unit, string list) result
 (** Range restriction of every rule; errors name the offending rules. *)

@@ -37,7 +37,7 @@ let tuples_set db pred_name arity =
   | None -> Tuple.Set.empty
   | Some rel -> Relation.fold Tuple.Set.add rel Tuple.Set.empty
 
-let check ?(sips = Sips.Left_to_right) program query =
+let check ?(sips = Datalog_analysis.Sips.Ltr) program query =
   (* subsumption off: with the filter on, dropped calls live in sub_
      companions, not in the call relations compared here *)
   let prepared = Solve.prepare program in

@@ -47,7 +47,7 @@ type outcome = {
 }
 
 val check :
-  ?sips:Datalog_rewrite.Sips.strategy ->
+  ?sips:Datalog_analysis.Sips.strategy ->
   Program.t ->
   Atom.t ->
   (outcome, string) result

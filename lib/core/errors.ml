@@ -3,20 +3,17 @@ module Limits = Datalog_engine.Limits
 type t =
   | Unsafe_program of string list
   | Not_stratified of string
-  | Unbound_negation of string
   | Evaluation of string
 
 let message = function
   | Unsafe_program msgs -> String.concat "\n" msgs
   | Not_stratified msg -> msg
-  | Unbound_negation msg -> msg
   | Evaluation msg -> msg
 
 let pp ppf e = Format.pp_print_string ppf (message e)
 
 let exit_code = function
-  | Unsafe_program _ | Not_stratified _ | Unbound_negation _ | Evaluation _ ->
-    1
+  | Unsafe_program _ | Not_stratified _ | Evaluation _ -> 1
 
 let exhaustion_exit_code = function
   | Limits.Timeout -> 3

@@ -14,9 +14,6 @@ type t =
   | Not_stratified of string
       (** negation is not stratified and the options demand stratified
           evaluation *)
-  | Unbound_negation of string
-      (** a magic-family rewriting reached a negated call with unbound
-          arguments under the chosen SIP *)
   | Evaluation of string
       (** runtime safety violation (non-ground negation/comparison/head
           reached during evaluation) or an engine precondition failure *)

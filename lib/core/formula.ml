@@ -60,19 +60,16 @@ let compile_formula formula =
   let emit_rule head body context =
     (* every auxiliary rule must satisfy the ordered-conjunction safety
        discipline, possibly after reordering *)
-    let rule = Rule.make head body in
+    let rule = Safety.cdi_order (Rule.make head body) in
     match Safety.cdi rule with
     | Ok () -> rules := rule :: !rules
-    | Error _ -> (
-      match Safety.reorder_for_cdi rule with
-      | Some rule -> rules := rule :: !rules
-      | None ->
-        raise
-          (Unranged
-             (Format.asprintf
-                "subformula %s is not constructively domain independent: no \
-                 ordering of [%a] binds every negated variable"
-                context Rule.pp rule)))
+    | Error _ ->
+      raise
+        (Unranged
+           (Format.asprintf
+              "subformula %s is not constructively domain independent: no \
+               ordering of [%a] binds every negated variable"
+              context Rule.pp rule))
   in
   let aux_atom prefix vars =
     let pred = Pred.fresh prefix (List.length vars) in

@@ -15,7 +15,7 @@ type negation =
 
 type t = {
   strategy : strategy;
-  sips : Datalog_rewrite.Sips.strategy;
+  sips : Datalog_analysis.Sips.strategy;
   negation : negation;
   limits : Datalog_engine.Limits.t;
   profile : bool;
@@ -28,7 +28,7 @@ type t = {
 
 let default =
   { strategy = Alexander;
-    sips = Datalog_rewrite.Sips.Left_to_right;
+    sips = Datalog_analysis.Sips.Ltr;
     negation = Auto;
     limits = Datalog_engine.Limits.none;
     profile = false;

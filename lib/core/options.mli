@@ -24,7 +24,7 @@ type negation =
 
 type t = {
   strategy : strategy;
-  sips : Datalog_rewrite.Sips.strategy;
+  sips : Datalog_analysis.Sips.strategy;
   negation : negation;
   limits : Datalog_engine.Limits.t;
       (** resource budgets for the evaluation; {!Datalog_engine.Limits.none}

@@ -32,12 +32,7 @@ let profile_of_options options =
    re-solved tabled calls) re-enter the compiler with the same rules.
    Otherwise no plan description is built at all. *)
 let plan_of_options options push =
-  let sip =
-    match options.Options.sips with
-    | Sips.Left_to_right -> Plan.Ltr
-    | Sips.Greedy_bound | Sips.Cost_aware -> Plan.Cost
-  in
-  Plan.config ~sip ~merge:options.Options.merge
+  Plan.config ~sip:options.Options.sips ~merge:options.Options.merge
     ?on_compile:(if options.Options.explain then Some push else None)
     ()
 
@@ -250,34 +245,26 @@ let own_db prepared =
    are [representative]'s. *)
 let run_rewritten ?resume_from ~plan ~options profile split representative
     goals =
-  match
+  let adorned =
     Adorn.adorn ~strategy:options.Options.sips ~card:split.s_card
       split.s_program representative
-  with
-  | exception Adorn.Unbound_negation a ->
-    Error
-      (Errors.Unbound_negation
-         (Format.asprintf
-            "negated call %a has unbound arguments under this SIP; use the \
-             seminaive strategy or bind the variables earlier in the rule"
-            Atom.pp a))
-  | adorned ->
-    let rw = rewrite options adorned in
-    let seed_pred = Atom.pred (List.hd rw.Rewritten.seeds) in
-    let seed goal =
-      Atom.make seed_pred
-        (Array.of_list
-           (List.filter
-              (function Term.Const _ -> true | Term.Var _ -> false)
-              (Array.to_list (Atom.args goal))))
-    in
-    let goal = Program.make ~facts:(List.map seed goals) rw.Rewritten.rules in
-    let* result =
-      evaluate ?resume_from ~plan ~subsume:(subsume_of options rw)
-        ~db:(goal_db split.s_base goal) options profile goal
-        (Rewritten.answer_pred rw) rw.Rewritten.answer_atom
-    in
-    Ok (rw, result)
+  in
+  let rw = rewrite options adorned in
+  let seed_pred = Atom.pred (List.hd rw.Rewritten.seeds) in
+  let seed goal =
+    Atom.make seed_pred
+      (Array.of_list
+         (List.filter
+            (function Term.Const _ -> true | Term.Var _ -> false)
+            (Array.to_list (Atom.args goal))))
+  in
+  let goal = Program.make ~facts:(List.map seed goals) rw.Rewritten.rules in
+  let* result =
+    evaluate ?resume_from ~plan ~subsume:(subsume_of options rw)
+      ~db:(goal_db split.s_base goal) options profile goal
+      (Rewritten.answer_pred rw) rw.Rewritten.answer_atom
+  in
+  Ok (rw, result)
 
 let run_uncaught ~options ?resume_from prepared query =
   let start = Unix.gettimeofday () in
@@ -508,7 +495,8 @@ let report_json ~query report =
   let plan_block =
     Json.Obj
       [ ( "sip",
-          Json.String (Sips.strategy_name report.options.Options.sips) );
+          Json.String
+            (Analysis.Sips.strategy_name report.options.Options.sips) );
         ( "rules",
           Json.List
             (List.map
@@ -533,7 +521,8 @@ let report_json ~query report =
       ( "strategy",
         Json.String (Options.strategy_name report.options.Options.strategy) );
       ( "sips",
-        Json.String (Sips.strategy_name report.options.Options.sips) );
+        Json.String (Analysis.Sips.strategy_name report.options.Options.sips)
+      );
       ( "negation",
         Json.String (Options.negation_name report.options.Options.negation) );
       ("subsume", Json.Bool report.options.Options.subsume);

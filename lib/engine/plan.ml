@@ -12,9 +12,9 @@ open Datalog_storage
    rule application from the empty substitution: a variable is ground at a
    program point iff some earlier literal in the chosen order binds it. *)
 
-type sip = Ltr | Cost
+module Sips = Datalog_analysis.Sips
 
-let sip_name = function Ltr -> "ltr" | Cost -> "cost"
+type sip = Sips.strategy = Ltr | Cost
 
 type src =
   | Sconst of Code.t
@@ -108,106 +108,17 @@ let config ?(sip = Ltr) ?(merge = true) ?on_compile () =
   { sip; merge; on_compile }
 
 (* ------------------------------------------------------------------ *)
-(* Cost-aware ordering                                                 *)
+(* Body order                                                          *)
 (* ------------------------------------------------------------------ *)
 
-module SSet = Set.Make (String)
-
-(* Mirrors Datalog_rewrite.Sips (the engine library sits below the
-   rewriting library, so the definitions cannot be shared): a negation is
-   ready when ground, a comparison when its sides are ground (one side
-   suffices for [=]). *)
-let ready bound = function
-  | Literal.Pos _ -> true
-  | Literal.Neg a -> List.for_all (fun v -> SSet.mem v bound) (Atom.var_set a)
-  | Literal.Cmp (op, t1, t2) -> (
-    let b = function Term.Const _ -> true | Term.Var v -> SSet.mem v bound in
-    match op with Literal.Eq -> b t1 || b t2 | _ -> b t1 && b t2)
-
-let bind bound = function
-  | Literal.Pos a -> SSet.union bound (SSet.of_list (Atom.var_set a))
-  | Literal.Neg _ -> bound
-  | Literal.Cmp (Literal.Eq, t1, t2) ->
-    let add acc = function Term.Var v -> SSet.add v acc | Term.Const _ -> acc in
-    add (add bound t1) t2
-  | Literal.Cmp (_, _, _) -> bound
-
-(* Greedy pick: most bound argument positions first, then the smaller
-   relation, then the earlier original position. *)
-let score bound card atom =
-  let args = Atom.args atom in
-  let bound_args =
-    Array.fold_left
-      (fun acc t ->
-        match t with
-        | Term.Const _ -> acc + 1
-        | Term.Var v -> if SSet.mem v bound then acc + 1 else acc)
-      0 args
-  in
-  (bound_args, card (Atom.pred atom))
-
-let better (b1, c1, i1) (b2, c2, i2) =
-  b1 > b2 || (b1 = b2 && (c1 < c2 || (c1 = c2 && i1 < i2)))
-
-let order_cost ~card ?delta_pos body =
-  let indexed = List.mapi (fun i l -> (i, l)) body in
-  let seed, remaining =
-    match delta_pos with
-    | None -> ([], indexed)
-    | Some d ->
-      (* the delta literal drives the join: it goes first unconditionally *)
-      let dl = List.filter (fun (i, _) -> i = d) indexed in
-      (dl, List.filter (fun (i, _) -> i <> d) indexed)
-  in
-  let bound0 =
-    List.fold_left
-      (fun acc (_, l) -> SSet.union acc (SSet.of_list (Literal.vars l)))
-      SSet.empty seed
-  in
-  let rec go bound acc remaining =
-    match remaining with
-    | [] -> List.rev acc
-    | _ -> (
-      (* 1. flush any ready filter (negation/comparison), original order *)
-      let rec find_filter seen = function
-        | [] -> None
-        | (i, lit) :: rest ->
-          if (not (Literal.is_positive lit)) && ready bound lit then
-            Some ((i, lit), List.rev_append seen rest)
-          else find_filter ((i, lit) :: seen) rest
-      in
-      match find_filter [] remaining with
-      | Some ((i, lit), rest) -> go (bind bound lit) ((i, lit) :: acc) rest
-      | None -> (
-        (* 2. pick the cheapest positive literal *)
-        let best = ref None in
-        List.iter
-          (fun (i, lit) ->
-            match lit with
-            | Literal.Pos a ->
-              let b, c = score bound card a in
-              let cand = (b, c, i) in
-              (match !best with
-              | Some (b', c', i', _, _) when not (better cand (b', c', i')) ->
-                ()
-              | _ -> best := Some (b, c, i, i, lit))
-            | Literal.Neg _ | Literal.Cmp _ -> ())
-          remaining;
-        match !best with
-        | Some (_, _, _, i, lit) ->
-          let rest = List.filter (fun (j, _) -> j <> i) remaining in
-          go (bind bound lit) ((i, lit) :: acc) rest
-        | None ->
-          (* only unready filters remain; keep them as-is and let
-             evaluation raise the unsafe-rule error *)
-          List.rev_append acc remaining))
-  in
-  go bound0 seed remaining
-
-let order_body sip ~card ?delta_pos body =
+(* Under [Ltr] the body is taken as given: the rewriter or [Preprocess]
+   already ordered it, and hoisting a filter between a [Scan] and its
+   [Probe] would only break merge-join fusion.  Under [Cost] the shared
+   orderer decides, from the variables bound on entry. *)
+let order_body sip ~card ?delta_pos ~bound body =
   match sip with
   | Ltr -> List.mapi (fun i l -> (i, l)) body
-  | Cost -> order_cost ~card ?delta_pos body
+  | Cost -> Sips.order ~card ?first:delta_pos ~bound Cost body
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -442,7 +353,7 @@ let info (plan : t) =
   in
   { i_rule = Format.asprintf "%a" Rule.pp plan.rule;
     i_variant = variant_str plan.variant;
-    i_sip = sip_name plan.sip;
+    i_sip = Sips.strategy_name plan.sip;
     i_order = plan.order;
     i_steps = steps
   }
@@ -513,7 +424,10 @@ let fuse_merge ~variant ~head_pred ops =
    relation cardinalities for the cost SIP; [delta_pos] compiles the semi-naive specialization whose literal at
    that original position reads the delta. *)
 let compile cfg ~card ?delta_pos rule =
-  let ordered = order_body cfg.sip ~card ?delta_pos (Rule.body rule) in
+  let ordered =
+    order_body cfg.sip ~card ?delta_pos ~bound:(fun _ -> false)
+      (Rule.body rule)
+  in
   let env = cenv_of_rule rule in
   let ops =
     List.concat_map
@@ -556,7 +470,12 @@ let compile_call cfg ~card ~is_idb ~bound_prefix rule =
           end)
       bound_prefix
   in
-  let ordered = order_body cfg.sip ~card (Rule.body rule) in
+  (* the call's bound head variables are bound on entry *)
+  let ordered =
+    order_body cfg.sip ~card
+      ~bound:(fun v -> is_bound env (reg_of env v))
+      (Rule.body rule)
+  in
   let ops =
     List.concat_map
       (fun (i, lit) ->
@@ -585,7 +504,9 @@ let reorder cfg ~card rule =
   match cfg.sip with
   | Ltr -> rule
   | Cost ->
-    let ordered = order_body Cost ~card (Rule.body rule) in
+    let ordered =
+      Sips.order ~card ~bound:(fun _ -> false) Cost (Rule.body rule)
+    in
     let order = List.map fst ordered in
     let rule' = Rule.make (Rule.head rule) (List.map snd ordered) in
     Option.iter
@@ -593,7 +514,7 @@ let reorder cfg ~card rule =
         f
           { i_rule = Format.asprintf "%a" Rule.pp rule;
             i_variant = "reorder";
-            i_sip = sip_name Cost;
+            i_sip = Sips.strategy_name Cost;
             i_order = order;
             i_steps =
               [ Printf.sprintf "body order [%s]"

@@ -1,7 +1,8 @@
 (** Compiled join plans: one-time, per-rule compilation of rule bodies.
 
-    A plan fixes the literal order (left-to-right, or greedily by
-    bound-ness then relation cardinality), numbers the rule's variables
+    A plan fixes the literal order (the body as given, or
+    {!Datalog_analysis.Sips.order}'s cost order from the variables bound
+    on entry), numbers the rule's variables
     into a flat {!Datalog_ast.Code.t} (int) register file (replacing the
     persistent-map {!Datalog_ast.Subst} on the hot path), and pre-resolves a
     {!Datalog_storage.Relation.access} index handle for every positive
@@ -22,9 +23,10 @@
 open Datalog_ast
 open Datalog_storage
 
-type sip = Ltr | Cost
-
-val sip_name : sip -> string
+type sip = Datalog_analysis.Sips.strategy = Ltr | Cost
+(** The body order of a plan, decided by {!Datalog_analysis.Sips}: under
+    [Ltr] the body as given (the rewriter or [Preprocess] already ordered
+    it), under [Cost] {!Datalog_analysis.Sips.order}'s cost order. *)
 
 type src =
   | Sconst of Code.t
@@ -133,7 +135,9 @@ val compile_call :
 (** Compile a rule for tabled evaluation of calls whose bound head
     positions are [bound_prefix] (ascending).  The returned init steps
     bind or check one register per bound position against the call's
-    values, in order; IDB body literals compile to {!Table} ops. *)
+    values, in order; IDB body literals compile to {!Table} ops.  Under
+    [Cost] the body is ordered with the variables of the bound head
+    positions bound on entry. *)
 
 val reorder : config -> card:(Pred.t -> int) -> Rule.t -> Rule.t
 (** Reorder a rule body under the configured SIP without compiling it

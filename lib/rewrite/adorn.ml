@@ -1,4 +1,5 @@
 open Datalog_ast
+open Datalog_analysis
 
 type adorned_rule = {
   index : int;
@@ -20,7 +21,7 @@ type t = {
 
 exception Unbound_negation of Atom.t
 
-module SSet = Set.Make (String)
+module SSet = Sips.SSet
 
 let adorned_pred pred binding =
   Pred.make
@@ -41,20 +42,8 @@ let adorn_rule program strategy card source head_binding registry =
       (Binding.bound_positions head_binding)
   in
   let ordered =
-    Sips.order ~card strategy
-      ~bound:(fun v -> SSet.mem v bound0)
+    Sips.order ~card ~bound:(fun v -> SSet.mem v bound0) strategy
       (Rule.body source)
-  in
-  let bind bound = function
-    | Literal.Pos a -> SSet.union bound (SSet.of_list (Atom.var_set a))
-    | Literal.Neg _ -> bound
-    | Literal.Cmp (Literal.Eq, t1, t2) ->
-      let add acc = function
-        | Term.Var v -> SSet.add v acc
-        | Term.Const _ -> acc
-      in
-      add (add bound t1) t2
-    | Literal.Cmp (_, _, _) -> bound
   in
   let calls = ref [] in
   let adorn_atom bound a =
@@ -70,15 +59,15 @@ let adorn_rule program strategy card source head_binding registry =
         match lit with
         | Literal.Pos a when Program.is_idb program (Atom.pred a) ->
           let a', _ = adorn_atom bound a in
-          (bind bound lit, Literal.Pos a' :: acc)
+          (Sips.bind bound lit, Literal.Pos a' :: acc)
         | Literal.Neg a when Program.is_idb program (Atom.pred a) ->
           let a', binding = adorn_atom bound a in
           if Binding.bound_count binding <> Atom.arity a then
             raise (Unbound_negation a);
-          (bind bound lit, Literal.Neg a' :: acc)
+          (Sips.bind bound lit, Literal.Neg a' :: acc)
         | Literal.Pos _ | Literal.Neg _ | Literal.Cmp _ ->
-          (bind bound lit, lit :: acc))
-      (bound0, []) ordered
+          (Sips.bind bound lit, lit :: acc))
+      (bound0, []) (List.map snd ordered)
     |> snd
     |> List.rev
   in
@@ -106,7 +95,7 @@ let fact_card program =
     (Program.facts program);
   fun p -> Option.value ~default:0 (Hashtbl.find_opt counts p)
 
-let adorn ?(strategy = Sips.Left_to_right) ?card program query =
+let adorn ?(strategy = Sips.Ltr) ?card program query =
   let card =
     match card with Some f -> f | None -> fact_card program
   in

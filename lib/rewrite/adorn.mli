@@ -31,7 +31,8 @@ type t = {
 exception Unbound_negation of Atom.t
 (** Raised when a negated intensional atom still has free variables at its
     position in the SIP order; magic-style rewritings require negated calls
-    to be fully bound. *)
+    to be fully bound.  Only a program that is not range-restricted can
+    raise it (the solver rejects those before adorning). *)
 
 val adorned_pred : Pred.t -> Binding.t -> Pred.t
 (** The (deterministic) adorned name, e.g. [anc__bf]. *)
@@ -42,10 +43,14 @@ val fact_card : Program.t -> Pred.t -> int
     applied, it counts once and answers from the table. *)
 
 val adorn :
-  ?strategy:Sips.strategy -> ?card:(Pred.t -> int) -> Program.t -> Atom.t -> t
+  ?strategy:Datalog_analysis.Sips.strategy ->
+  ?card:(Pred.t -> int) ->
+  Program.t ->
+  Atom.t ->
+  t
 (** [adorn program query] runs the transformation from the binding pattern
     the query's constants induce.  [card] supplies relation-cardinality
-    estimates to the {!Sips.Cost_aware} strategy (default:
+    estimates to the {!Datalog_analysis.Sips.Cost} strategy (default:
     [fact_card program]).  @raise Unbound_negation *)
 
 val rules_as_program : t -> Program.t

@@ -292,19 +292,176 @@ let test_cdi_order_sensitivity () =
   check tbool "q before not r is cdi" true (Result.is_ok (Safety.cdi ok));
   check tbool "not r before q is not cdi" true (Result.is_error (Safety.cdi bad))
 
-let test_reorder_for_cdi () =
+let test_cdi_order_repair () =
   let bad = rule "p(X) :- not r(X), q(X)." in
-  (match Safety.reorder_for_cdi bad with
-  | Some fixed -> check tbool "reordered is cdi" true (Result.is_ok (Safety.cdi fixed))
-  | None -> Alcotest.fail "reorderable");
+  check tbool "reordered is cdi" true
+    (Result.is_ok (Safety.cdi (Safety.cdi_order bad)));
   let hopeless = rule "p(X) :- not r(X, Y)." in
-  check tbool "unfixable stays None" true (Safety.reorder_for_cdi hopeless = None)
+  check tbool "unfixable stays as written" true
+    (Safety.cdi_order hopeless == hopeless)
 
 let test_check_program_collects_errors () =
   let p = prog "p(X, Y) :- e(X). q(X) :- not r(X)." in
   match Safety.check_program p with
   | Error errs -> check tint "two errors" 2 (List.length errs)
   | Ok () -> Alcotest.fail "both rules unsafe"
+
+(* -------------------------------------------------------------------- *)
+(* SIP: the shared body orderer *)
+
+let positions ordered = List.map fst ordered
+let literals ordered = List.map snd ordered
+
+let test_sips_ltr_keeps_order () =
+  let r = rule "p(X, Y) :- e(X, Z), f(Z, Y)." in
+  let ordered = Sips.order ~bound:(String.equal "X") Sips.Ltr (Rule.body r) in
+  check tbool "unchanged" true
+    (List.equal Literal.equal (literals ordered) (Rule.body r));
+  check (Alcotest.list tint) "positions" [ 0; 1 ] (positions ordered)
+
+let test_sips_postpones_negation () =
+  let r = rule "p(X) :- not q(Y), e(X, Y)." in
+  match
+    literals (Sips.order ~bound:(String.equal "X") Sips.Ltr (Rule.body r))
+  with
+  | [ Literal.Pos _; Literal.Neg _ ] -> ()
+  | _ -> Alcotest.fail "negation must be postponed until bound"
+
+let test_sips_cost_prefers_bound () =
+  (* with X bound, cost picks e(X, Z) before f(W, Y) *)
+  let r = rule "p(X, Y) :- f(W, Y), e(X, Z), g(Z, W)." in
+  match
+    literals (Sips.order ~bound:(String.equal "X") Sips.Cost (Rule.body r))
+  with
+  | Literal.Pos first :: _ ->
+    check Alcotest.string "e first" "e" (Pred.name (Atom.pred first))
+  | _ -> Alcotest.fail "positive first"
+
+let test_sips_flushes_ready_comparisons () =
+  let r = rule "p(X) :- e(X, Y), Y < 5, f(Y, Z)." in
+  match
+    literals (Sips.order ~bound:(fun _ -> false) Sips.Ltr (Rule.body r))
+  with
+  | [ Literal.Pos _; Literal.Cmp _; Literal.Pos _ ] -> ()
+  | _ -> Alcotest.fail "comparison right after its variables bind"
+
+let test_sips_first_goes_first () =
+  (* the delta literal leads; the rest is ordered from its bindings *)
+  let r = rule "p(X, Y) :- e(X, Z), f(Z, W), g(W, Y)." in
+  let ordered =
+    Sips.order ~first:2 ~bound:(fun _ -> false) Sips.Cost (Rule.body r)
+  in
+  check (Alcotest.list tint) "g, then f through W, then e" [ 2; 1; 0 ]
+    (positions ordered)
+
+(* A rule of the stratified generator with its body shuffled and, half
+   the time, a comparison over its variables appended first; a random set
+   of entry-bound variables; and, a third of the time, a positive body
+   position to put first.  Every such rule is range-restricted. *)
+let sip_case_gen =
+  let open QCheck.Gen in
+  let* program = Gen.stratified_program_gen in
+  let* r = oneofl (Program.rules program) in
+  let vars = Rule.body_vars r in
+  let term = oneof [ map Term.var (oneofl vars); Gen.const_gen ] in
+  let cmp =
+    let* op = oneofl Literal.[ Eq; Neq; Lt; Leq; Gt; Geq ] in
+    let* t1 = term in
+    let* t2 = term in
+    return [ Literal.cmp op t1 t2 ]
+  in
+  let* extra = oneof [ return []; cmp ] in
+  let* body = shuffle_l (Rule.body r @ extra) in
+  let* keep = list_repeat (List.length vars) bool in
+  let bound = List.filteri (fun i _ -> List.nth keep i) vars in
+  let positive =
+    List.filter_map
+      (fun (i, l) -> if Literal.is_positive l then Some i else None)
+      (List.mapi (fun i l -> (i, l)) body)
+  in
+  let* first =
+    frequency [ (2, return None); (1, map Option.some (oneofl positive)) ]
+  in
+  return (Rule.make (Rule.head r) body, bound, first)
+
+let arb_sip_case =
+  QCheck.make
+    ~print:(fun (r, bound, first) ->
+      Format.asprintf "%a  bound=[%s] first=%s" Rule.pp r
+        (String.concat "," bound)
+        (Option.fold ~none:"-" ~some:string_of_int first))
+    sip_case_gen
+
+(* Filters meet bound variables: a negation or comparison is reached only
+   once ground (one ground side suffices for [=], which binds the other). *)
+let filters_bound bound ordered =
+  let ground bound = function
+    | Term.Const _ -> true
+    | Term.Var v -> List.mem v bound
+  in
+  let rec go bound = function
+    | [] -> true
+    | Literal.Pos a :: rest -> go (Atom.var_set a @ bound) rest
+    | Literal.Neg a :: rest ->
+      List.for_all (fun v -> List.mem v bound) (Atom.var_set a) && go bound rest
+    | Literal.Cmp (Literal.Eq, t1, t2) :: rest ->
+      (ground bound t1 || ground bound t2)
+      && go (Term.vars t1 @ Term.vars t2 @ bound) rest
+    | Literal.Cmp (_, t1, t2) :: rest ->
+      ground bound t1 && ground bound t2 && go bound rest
+  in
+  go bound ordered
+
+let prop_sips_order strategy =
+  QCheck.Test.make ~count:300
+    ~name:
+      (Printf.sprintf "order: permutation, first, bound filters (%s)"
+         (Sips.strategy_name strategy))
+    arb_sip_case
+    (fun (r, bound, first) ->
+      QCheck.assume (Result.is_ok (Safety.range_restricted r));
+      let body = Rule.body r in
+      let ordered =
+        Sips.order ?first ~bound:(fun v -> List.mem v bound) strategy body
+      in
+      let permutation =
+        List.sort compare (positions ordered)
+        = List.init (List.length body) Fun.id
+        && List.for_all
+             (fun (i, lit) -> Literal.equal lit (List.nth body i))
+             ordered
+      in
+      let first_first =
+        match first with
+        | None -> true
+        | Some d -> List.hd (positions ordered) = d
+      in
+      (* under Ltr the positive literals after [first] keep their order *)
+      let written_order =
+        match strategy with
+        | Sips.Cost -> true
+        | Sips.Ltr ->
+          let pos =
+            List.filter_map
+              (fun (i, lit) ->
+                if Literal.is_positive lit && Some i <> first then Some i
+                else None)
+              ordered
+          in
+          pos = List.sort compare pos
+      in
+      permutation && first_first
+      && filters_bound bound (literals ordered)
+      && written_order)
+
+let prop_cdi_order =
+  QCheck.Test.make ~count:300
+    ~name:"cdi_order: identity on cdi rules, cdi on range-restricted ones"
+    arb_sip_case
+    (fun (r, _, _) ->
+      let r' = Safety.cdi_order r in
+      Result.is_ok (Safety.cdi r')
+      && (Result.is_error (Safety.cdi r) || r' == r))
 
 let suite =
   [ ( "analysis:depgraph",
@@ -347,7 +504,19 @@ let suite =
         Alcotest.test_case "= propagation" `Quick
           test_range_restricted_eq_propagation;
         Alcotest.test_case "cdi order sensitivity" `Quick test_cdi_order_sensitivity;
-        Alcotest.test_case "reorder for cdi" `Quick test_reorder_for_cdi;
+        Alcotest.test_case "reorder for cdi" `Quick test_cdi_order_repair;
         Alcotest.test_case "program check" `Quick test_check_program_collects_errors
-      ] )
+      ] );
+    ( "analysis:sips",
+      [ Alcotest.test_case "ltr keeps order" `Quick test_sips_ltr_keeps_order;
+        Alcotest.test_case "postpones negation" `Quick test_sips_postpones_negation;
+        Alcotest.test_case "cost prefers bound" `Quick
+          test_sips_cost_prefers_bound;
+        Alcotest.test_case "flushes comparisons" `Quick
+          test_sips_flushes_ready_comparisons;
+        Alcotest.test_case "first goes first" `Quick test_sips_first_goes_first
+      ]
+      @ List.map QCheck_alcotest.to_alcotest
+          [ prop_sips_order Sips.Ltr; prop_sips_order Sips.Cost; prop_cdi_order ]
+    )
   ]

@@ -225,16 +225,16 @@ let test_sips_option_respected () =
   let query = atom "sg(0, X)" in
   let ltr =
     S.run_exn
-      ~options:{ O.default with O.sips = Datalog_rewrite.Sips.Left_to_right }
+      ~options:{ O.default with O.sips = Datalog_analysis.Sips.Ltr }
       program query
   in
-  let greedy =
+  let cost =
     S.run_exn
-      ~options:{ O.default with O.sips = Datalog_rewrite.Sips.Greedy_bound }
+      ~options:{ O.default with O.sips = Datalog_analysis.Sips.Cost }
       program query
   in
   check tbool "same answers under both SIPs" true
-    (ltr.S.answers = greedy.S.answers)
+    (ltr.S.answers = cost.S.answers)
 
 let test_zero_arity_program () =
   let program = prog "alarm :- smoke, not drill. smoke." in

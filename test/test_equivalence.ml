@@ -66,20 +66,20 @@ let test_tc_on_cycle () =
 let test_both_sips () =
   let program = W.same_generation ~layers:3 ~width:3 in
   ignore
-    (assert_equivalent ~sips:Datalog_rewrite.Sips.Left_to_right "sg ltr" program
+    (assert_equivalent ~sips:Datalog_analysis.Sips.Ltr "sg ltr" program
        "sg(0, X)");
   ignore
-    (assert_equivalent ~sips:Datalog_rewrite.Sips.Greedy_bound "sg greedy"
+    (assert_equivalent ~sips:Datalog_analysis.Sips.Cost "sg cost"
        program "sg(0, X)")
 
-let test_greedy_sip_everywhere () =
+let test_cost_sip_everywhere () =
   (* the theorem holds for ANY common SIP; run the whole workload battery
-     under the greedy strategy too *)
+     under the cost strategy too *)
   List.iter
     (fun (name, program, q) ->
       ignore
-        (assert_equivalent ~sips:Datalog_rewrite.Sips.Greedy_bound
-           ("greedy " ^ name) program q))
+        (assert_equivalent ~sips:Datalog_analysis.Sips.Cost
+           ("cost " ^ name) program q))
     [ ("anc chain", W.ancestor_chain 12, "anc(4, X)");
       ("anc bound-second", W.ancestor_chain 12, "anc(X, 8)");
       ("sg", W.same_generation ~layers:4 ~width:3, "sg(0, X)");
@@ -145,7 +145,7 @@ let suite =
         Alcotest.test_case "nonlinear tc" `Quick test_nonlinear_tc;
         Alcotest.test_case "tc on cycle" `Quick test_tc_on_cycle;
         Alcotest.test_case "both SIP strategies" `Quick test_both_sips;
-        Alcotest.test_case "greedy SIP battery" `Quick test_greedy_sip_everywhere;
+        Alcotest.test_case "cost SIP battery" `Quick test_cost_sip_everywhere;
         Alcotest.test_case "multi-predicate" `Quick test_multi_predicate_program;
         Alcotest.test_case "counts reported" `Quick test_counts_reported
       ] );

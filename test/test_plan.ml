@@ -28,7 +28,7 @@ let prog = Datalog_parser.Parser.program_of_string
 let atom = Datalog_parser.Parser.atom_of_string
 let rule = Datalog_parser.Parser.rule_of_string
 
-let opts ?(merge = true) ?(sips = Datalog_rewrite.Sips.Left_to_right)
+let opts ?(merge = true) ?(sips = Datalog_analysis.Sips.Ltr)
     ?(negation = O.Auto) strategy =
   { O.default with O.strategy; merge; sips; negation }
 
@@ -202,22 +202,22 @@ let strategies_under_test =
     O.Alexander; O.Tabled ]
 
 let prop_parity ~sip arb tag count =
-  let sips, cfg =
+  let cfg =
     match sip with
-    | Plan.Ltr ->
-      (Datalog_rewrite.Sips.Left_to_right, Plan.config ~merge:false ())
-    | Plan.Cost ->
-      (Datalog_rewrite.Sips.Cost_aware, Plan.config ~sip:Plan.Cost ())
+    | Plan.Ltr -> Plan.config ~merge:false ()
+    | Plan.Cost -> Plan.config ~sip:Plan.Cost ()
   in
   List.map
     (fun strategy ->
       QCheck.Test.make
         ~name:
           (Printf.sprintf "plan = interpreter (%s, %s, %s)"
-             (O.strategy_name strategy) (Plan.sip_name sip) tag)
+             (O.strategy_name strategy)
+             (Datalog_analysis.Sips.strategy_name sip)
+             tag)
         ~count (QCheck.pair arb QCheck.small_nat)
         (fun ((program, query), seed) ->
-          let options = opts ~merge:false ~sips strategy in
+          let options = opts ~merge:false ~sips:sip strategy in
           match S.run ~options program query with
           | Error _ -> true
           | Ok r ->
@@ -435,8 +435,8 @@ let test_equivalence_under_sips () =
             Alexander.Workloads.same_generation ~layers:5 ~width:6,
             "sg(0, X)" )
         ])
-    [ ("ltr", Datalog_rewrite.Sips.Left_to_right);
-      ("cost", Datalog_rewrite.Sips.Cost_aware)
+    [ ("ltr", Datalog_analysis.Sips.Ltr);
+      ("cost", Datalog_analysis.Sips.Cost)
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -449,7 +449,7 @@ let test_cost_reduces_work () =
   let ltr = S.run_exn ~options:(opts O.Seminaive) program query in
   let cost =
     S.run_exn
-      ~options:(opts ~sips:Datalog_rewrite.Sips.Cost_aware O.Seminaive)
+      ~options:(opts ~sips:Datalog_analysis.Sips.Cost O.Seminaive)
       program query
   in
   check tbool "same answers" true (ltr.S.answers = cost.S.answers);

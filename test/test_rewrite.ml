@@ -1,4 +1,4 @@
-(* Rewrite tests: binding patterns, SIP strategies, adornment, and the
+(* Rewrite tests: binding patterns, adornment, and the
    three rewritings (generalized magic, supplementary magic, Alexander
    templates) — structure and, most importantly, answer correctness
    against direct semi-naive evaluation. *)
@@ -35,47 +35,6 @@ let test_binding_of_atom () =
 let test_binding_invalid () =
   Alcotest.check_raises "bad char" (Invalid_argument "Binding.of_string: 'x'")
     (fun () -> ignore (Binding.of_string "bx"))
-
-(* -------------------------------------------------------------------- *)
-(* SIP strategies *)
-
-let body_of r = Rule.body r
-
-let test_sips_ltr_keeps_order () =
-  let r = rule "p(X, Y) :- e(X, Z), f(Z, Y)." in
-  let ordered =
-    Sips.order Sips.Left_to_right ~bound:(String.equal "X") (body_of r)
-  in
-  check tbool "unchanged" true (List.equal Literal.equal ordered (body_of r))
-
-let test_sips_postpones_negation () =
-  let r = rule "p(X) :- not q(Y), e(X, Y)." in
-  let ordered =
-    Sips.order Sips.Left_to_right ~bound:(String.equal "X") (body_of r)
-  in
-  match ordered with
-  | [ Literal.Pos _; Literal.Neg _ ] -> ()
-  | _ -> Alcotest.fail "negation must be postponed until bound"
-
-let test_sips_greedy_prefers_bound () =
-  (* with X bound, greedy should pick e(X, Z) before f(W, Y) *)
-  let r = rule "p(X, Y) :- f(W, Y), e(X, Z), g(Z, W)." in
-  let ordered =
-    Sips.order Sips.Greedy_bound ~bound:(String.equal "X") (body_of r)
-  in
-  match ordered with
-  | Literal.Pos first :: _ ->
-    check tstring "e first" "e" (Pred.name (Atom.pred first))
-  | _ -> Alcotest.fail "positive first"
-
-let test_sips_flushes_ready_comparisons () =
-  let r = rule "p(X) :- e(X, Y), Y < 5, f(Y, Z)." in
-  let ordered =
-    Sips.order Sips.Left_to_right ~bound:(fun _ -> false) (body_of r)
-  in
-  match ordered with
-  | [ Literal.Pos _; Literal.Cmp _; Literal.Pos _ ] -> ()
-  | _ -> Alcotest.fail "comparison right after its variables bind"
 
 (* -------------------------------------------------------------------- *)
 (* Adornment *)
@@ -350,14 +309,6 @@ let suite =
       [ Alcotest.test_case "round-trip" `Quick test_binding_roundtrip;
         Alcotest.test_case "of_atom" `Quick test_binding_of_atom;
         Alcotest.test_case "invalid" `Quick test_binding_invalid
-      ] );
-    ( "rewrite:sips",
-      [ Alcotest.test_case "ltr keeps order" `Quick test_sips_ltr_keeps_order;
-        Alcotest.test_case "postpones negation" `Quick test_sips_postpones_negation;
-        Alcotest.test_case "greedy prefers bound" `Quick
-          test_sips_greedy_prefers_bound;
-        Alcotest.test_case "flushes comparisons" `Quick
-          test_sips_flushes_ready_comparisons
       ] );
     ( "rewrite:adorn",
       [ Alcotest.test_case "ancestor" `Quick test_adorn_ancestor;

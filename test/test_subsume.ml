@@ -19,7 +19,7 @@ let tint = Alcotest.int
 
 let atom = Datalog_parser.Parser.atom_of_string
 
-let run ?(subsume = true) ?(sips = Datalog_rewrite.Sips.Left_to_right)
+let run ?(subsume = true) ?(sips = Datalog_analysis.Sips.Ltr)
     strategy program query =
   S.run_exn ~options:{ O.default with O.strategy; sips; subsume } program query
 
@@ -140,7 +140,7 @@ let prop_subsume_preserves_answers =
               let off = run ~subsume:false ~sips strategy program query in
               same_answers (answers on) (answers off))
             O.all_strategies)
-        [ Datalog_rewrite.Sips.Left_to_right; Datalog_rewrite.Sips.Greedy_bound ])
+        [ Datalog_analysis.Sips.Ltr; Datalog_analysis.Sips.Cost ])
 
 (* same equality on stratified programs with negation (the rewritten
    program may lose stratification and fall back to the conditional

@@ -262,7 +262,9 @@ let test_slices_not_vacuous () =
 
 (* The join work of [Tabled.run] on the fixed programs above, pinned:
    (probes, scanned, firings, facts_derived, iterations) under the
-   left-to-right and the cost SIP. *)
+   left-to-right and the cost SIP.  A call's bound head variables are
+   bound on entry to its cost order, so on these bound queries the cost
+   order starts from the bound argument, as the written order does. *)
 let test_golden_counters () =
   List.iter
     (fun (name, program, query, expected) ->
@@ -277,13 +279,13 @@ let test_golden_counters () =
               [ c.probes; c.scanned; c.firings; c.facts_derived; c.iterations ])
         sips expected)
     [ ( "ancestor", (fun () -> W.ancestor_chain 15), "anc(5, X)",
-        [ [ 59; 83; 64; 55; 20 ]; [ 1394; 2716; 1356; 130; 17 ] ] );
+        [ [ 59; 83; 64; 55; 20 ]; [ 59; 83; 64; 55; 20 ] ] );
       ( "same generation", (fun () -> W.same_generation ~layers:4 ~width:3),
-        "sg(0, X)", [ [ 112; 161; 87; 21; 19 ]; [ 228; 468; 252; 33; 6 ] ] );
+        "sg(0, X)", [ [ 112; 161; 87; 21; 19 ]; [ 112; 161; 87; 21; 19 ] ] );
       ( "nonlinear tc", nonlinear_tc, "tc(3, X)",
         [ [ 80; 136; 96; 28; 20 ]; [ 80; 136; 96; 28; 20 ] ] );
       ( "multi-predicate", multipred, "buys(1, X)",
-        [ [ 58; 44; 24; 14; 21 ]; [ 99; 114; 55; 17; 22 ] ] );
+        [ [ 58; 44; 24; 14; 21 ]; [ 58; 44; 24; 14; 21 ] ] );
       ( "stratified negation", negation, "broken(1, Y)",
         [ [ 20; 9; 3; 3; 8 ]; [ 22; 15; 7; 5; 8 ] ] ) ]
 
