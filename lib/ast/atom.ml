@@ -29,7 +29,12 @@ let var_set a =
       end)
     (vars a)
 
-let is_ground a = Array.for_all Term.is_ground a.args
+(* A top-level recursion: [Array.for_all] allocates a closure per call,
+   and every parsed fact and every fact [Program.make] sees is tested. *)
+let rec ground_from args i =
+  i = Array.length args || (Term.is_ground args.(i) && ground_from args (i + 1))
+
+let is_ground a = ground_from a.args 0
 
 let to_tuple a =
   Array.map

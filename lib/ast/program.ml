@@ -2,6 +2,7 @@ type t = {
   rules : Rule.t list;
   facts : Atom.t list;
   (* caches, derived from [rules]/[facts] at construction *)
+  groups : (Pred.t * Atom.t list) list;
   idb : Pred.Set.t;
   preds : Pred.Set.t;
   by_head : Rule.t list Pred.Map.t;
@@ -16,21 +17,28 @@ let index_rules rules =
       Pred.Map.add p (r :: existing) m)
     rules Pred.Map.empty
 
-let index_facts facts =
-  List.fold_right
-    (fun a m ->
-      let p = Atom.pred a in
-      let existing = Option.value ~default:[] (Pred.Map.find_opt p m) in
-      Pred.Map.add p (a :: existing) m)
-    facts Pred.Map.empty
-
-let make ?(facts = []) rules =
+(* One pass: every fact checked ground and consed onto its predicate's
+   cell; the cells are kept in the order of their first facts. *)
+let group_facts facts =
+  let cells = Pred.Tbl.create 16 in
+  let order = ref [] in
   List.iter
     (fun a ->
       if not (Atom.is_ground a) then
         invalid_arg
-          (Format.asprintf "Program.make: non-ground fact %a" Atom.pp a))
+          (Format.asprintf "Program.make: non-ground fact %a" Atom.pp a);
+      let p = Atom.pred a in
+      match Pred.Tbl.find_opt cells p with
+      | Some cell -> cell := a :: !cell
+      | None ->
+        let cell = ref [ a ] in
+        Pred.Tbl.add cells p cell;
+        order := (p, cell) :: !order)
     facts;
+  List.rev_map (fun (p, cell) -> (p, List.rev !cell)) !order
+
+let make ?(facts = []) rules =
+  let groups = group_facts facts in
   let idb =
     List.fold_left
       (fun acc r -> Pred.Set.add (Atom.pred (Rule.head r)) acc)
@@ -42,22 +50,25 @@ let make ?(facts = []) rules =
         (fun acc r -> Pred.Set.union acc (Rule.body_preds r))
         idb rules
     in
-    List.fold_left
-      (fun acc a -> Pred.Set.add (Atom.pred a) acc)
-      from_rules facts
+    List.fold_left (fun acc (p, _) -> Pred.Set.add p acc) from_rules groups
   in
   { rules;
     facts;
+    groups;
     idb;
     preds;
     by_head = index_rules rules;
-    facts_by_pred = index_facts facts
+    facts_by_pred =
+      List.fold_left
+        (fun m (p, atoms) -> Pred.Map.add p atoms m)
+        Pred.Map.empty groups
   }
 
 let empty = make []
 
 let rules p = p.rules
 let facts p = p.facts
+let fact_groups p = p.groups
 
 let add_rule p r = make ~facts:p.facts (p.rules @ [ r ])
 let add_fact p a = make ~facts:(p.facts @ [ a ]) p.rules

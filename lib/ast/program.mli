@@ -2,7 +2,12 @@
 
     A predicate is {e intensional} (IDB) if it appears in some rule head,
     and {e extensional} (EDB) otherwise.  Facts may also be stated for IDB
-    predicates; evaluation seeds them into the fixpoint. *)
+    predicates; evaluation seeds them into the fixpoint.
+
+    {!make} groups the facts by predicate once, in one pass
+    ({!fact_groups}); loading a database, counting facts per predicate
+    and splitting IDB from EDB facts read the groups instead of walking
+    and hashing every fact again. *)
 
 type t
 
@@ -13,6 +18,11 @@ val empty : t
 
 val rules : t -> Rule.t list
 val facts : t -> Atom.t list
+
+val fact_groups : t -> (Pred.t * Atom.t list) list
+(** The facts grouped by predicate: one group per predicate with a fact,
+    in the order of the predicates' first facts, each holding its facts
+    in program order.  Every fact of {!facts} is in exactly one group. *)
 
 val add_rule : t -> Rule.t -> t
 val add_fact : t -> Atom.t -> t

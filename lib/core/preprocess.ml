@@ -2,10 +2,12 @@ open Datalog_ast
 
 let split_idb_facts program =
   let idb = Program.idb program in
-  let offending =
-    List.filter (fun a -> Pred.Set.mem (Atom.pred a) idb) (Program.facts program)
-  in
-  if offending = [] then program
+  if
+    not
+      (List.exists
+         (fun (p, _) -> Pred.Set.mem p idb)
+         (Program.fact_groups program))
+  then program
   else begin
     let moved = Hashtbl.create 8 in
     let base_pred p =

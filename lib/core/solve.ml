@@ -195,12 +195,20 @@ and split = {
 }
 
 let prepare program =
-  let idb_facts, edb_facts =
+  let idb_groups, edb_groups =
     List.partition
-      (fun a -> Program.is_idb program (Atom.pred a))
-      (Program.facts program)
+      (fun (p, _) -> Program.is_idb program p)
+      (Program.fact_groups program)
   in
-  let base = lazy (Database.of_facts edb_facts) in
+  (* in program order, not group by group: the order a goal seeds them *)
+  let idb_facts =
+    if idb_groups = [] then []
+    else
+      List.filter
+        (fun a -> Program.is_idb program (Atom.pred a))
+        (Program.facts program)
+  in
+  let base = lazy (Database.of_groups edb_groups) in
   { program;
     own =
       lazy
@@ -213,7 +221,7 @@ let prepare program =
          { s_program;
            s_base =
              (if s_program == program then Lazy.force base
-              else Database.of_facts (Program.facts s_program));
+              else Database.of_groups (Program.fact_groups s_program));
            s_card = Adorn.fact_card s_program
          })
   }

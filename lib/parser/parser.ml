@@ -10,20 +10,18 @@ exception Parse_error of string * Lexer.position
 type state = {
   lexer : Lexer.t;
   mutable tok : Lexer.token;
-  mutable pos : Lexer.position;
+  mutable pred : Pred.t option;
+      (* the last atom's predicate, reused while name and arity repeat *)
 }
 
 let init src =
   let lexer = Lexer.of_string src in
-  let tok, pos = Lexer.next lexer in
-  { lexer; tok; pos }
+  let tok = Lexer.next lexer in
+  { lexer; tok; pred = None }
 
-let advance st =
-  let tok, pos = Lexer.next st.lexer in
-  st.tok <- tok;
-  st.pos <- pos
+let advance st = st.tok <- Lexer.next st.lexer
 
-let fail st msg = raise (Parse_error (msg, st.pos))
+let fail st msg = raise (Parse_error (msg, Lexer.position st.lexer))
 
 let expect st token msg =
   if st.tok = token then advance st else fail st msg
@@ -44,21 +42,35 @@ let parse_term st =
     Term.sym s
   | t -> fail st (Format.asprintf "expected a term, found %a" Lexer.pp_token t)
 
-let parse_args st =
-  (* caller consumed LPAREN *)
-  let rec go acc =
-    let t = parse_term st in
-    match st.tok with
-    | Lexer.COMMA ->
-      advance st;
-      go (t :: acc)
-    | Lexer.RPAREN ->
-      advance st;
-      List.rev (t :: acc)
-    | tok ->
-      fail st (Format.asprintf "expected ',' or ')', found %a" Lexer.pp_token tok)
-  in
-  go []
+(* [name/n], interned after the arguments, as [Atom.app] would. *)
+let pred_of st name n =
+  match st.pred with
+  | Some p when Pred.arity p = n && String.equal (Pred.name p) name -> p
+  | Some _ | None ->
+    let p = Pred.make name n in
+    st.pred <- Some p;
+    p
+
+(* The arguments from the [i]th on, each held on the stack until the
+   closing parenthesis sizes the array they go into. *)
+let rec parse_args st i =
+  let t = parse_term st in
+  match st.tok with
+  | Lexer.COMMA ->
+    advance st;
+    let args = parse_args st (i + 1) in
+    args.(i) <- t;
+    args
+  | Lexer.RPAREN ->
+    advance st;
+    Array.make (i + 1) t
+  | tok ->
+    fail st (Format.asprintf "expected ',' or ')', found %a" Lexer.pp_token tok)
+
+(* The atom [name(...)]; the caller consumed LPAREN. *)
+let parse_app st name =
+  let args = parse_args st 0 in
+  Atom.make (pred_of st name (Array.length args)) args
 
 let parse_atom st =
   match st.tok with
@@ -67,8 +79,8 @@ let parse_atom st =
     (match st.tok with
     | Lexer.LPAREN ->
       advance st;
-      Atom.app name (parse_args st)
-    | _ -> Atom.app name [])
+      parse_app st name
+    | _ -> Atom.make (pred_of st name 0) [||])
   | t -> fail st (Format.asprintf "expected an atom, found %a" Lexer.pp_token t)
 
 let cmp_of_token = function
@@ -101,13 +113,13 @@ let parse_literal st =
     (match st.tok with
     | Lexer.LPAREN ->
       advance st;
-      Literal.pos (Atom.app name (parse_args st))
+      Literal.pos (parse_app st name)
     | tok ->
       (match cmp_of_token tok with
       | Some op ->
         advance st;
         Literal.cmp op (Term.sym name) (parse_term st)
-      | None -> Literal.pos (Atom.app name [])))
+      | None -> Literal.pos (Atom.make (pred_of st name 0) [||])))
   | t ->
     fail st (Format.asprintf "expected a body literal, found %a" Lexer.pp_token t)
 
@@ -166,9 +178,12 @@ let parse_all st =
   in
   go [] [] []
 
-let parse_string_exn src =
-  let st = init src in
-  try parse_all st with Lexer.Error (msg, pos) -> raise (Parse_error (msg, pos))
+(* [f] over a fresh parser state, with lexer errors (the first token's
+   too) raised as [Parse_error]. *)
+let parsing src f =
+  try f (init src) with Lexer.Error (msg, pos) -> raise (Parse_error (msg, pos))
+
+let parse_string_exn src = parsing src parse_all
 
 let report msg (pos : Lexer.position) =
   Printf.sprintf "parse error at line %d, column %d: %s" pos.line pos.col msg
@@ -186,17 +201,18 @@ let parse_file path =
 let program_of_string src = (parse_string_exn src).program
 
 let rule_of_string src =
-  let st = init src in
-  let item = try parse_item st with Lexer.Error (m, p) -> raise (Parse_error (m, p)) in
-  match item, st.tok with
-  | Item_rule r, Lexer.EOF -> r
-  | Item_fact f, Lexer.EOF -> Rule.fact f
-  | Item_query _, _ -> fail st "expected a clause, found a query"
-  | _, _ -> fail st "trailing input after clause"
+  parsing src (fun st ->
+      match parse_item st, st.tok with
+      | Item_rule r, Lexer.EOF -> r
+      | Item_fact f, Lexer.EOF -> Rule.fact f
+      | Item_query _, _ -> fail st "expected a clause, found a query"
+      | _, _ -> fail st "trailing input after clause")
 
 let atom_of_string src =
-  let st = init src in
-  let atom = try parse_atom st with Lexer.Error (m, p) -> raise (Parse_error (m, p)) in
-  match st.tok with
-  | Lexer.EOF | Lexer.DOT -> atom
-  | t -> fail st (Format.asprintf "trailing input after atom: %a" Lexer.pp_token t)
+  parsing src (fun st ->
+      let atom = parse_atom st in
+      if st.tok = Lexer.DOT then advance st;
+      match st.tok with
+      | Lexer.EOF -> atom
+      | t ->
+        fail st (Format.asprintf "trailing input after atom: %a" Lexer.pp_token t))

@@ -36,4 +36,5 @@ val rule_of_string : string -> Rule.t
 (** Parse exactly one clause. @raise Parse_error *)
 
 val atom_of_string : string -> Atom.t
-(** Parse one atom (no trailing dot required). @raise Parse_error *)
+(** Parse one atom, optionally followed by a dot, then the end of the
+    input. @raise Parse_error *)

@@ -86,14 +86,12 @@ let adorn_rule program strategy card source head_binding registry =
 (* The cost-aware SIP needs cardinality estimates before any evaluation
    has happened: count the program's explicit facts. *)
 let fact_card program =
-  let counts = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      let p = Atom.pred a in
-      Hashtbl.replace counts p
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts p)))
-    (Program.facts program);
-  fun p -> Option.value ~default:0 (Hashtbl.find_opt counts p)
+  let counts =
+    List.fold_left
+      (fun m (p, atoms) -> Pred.Map.add p (List.length atoms) m)
+      Pred.Map.empty (Program.fact_groups program)
+  in
+  fun p -> Option.value ~default:0 (Pred.Map.find_opt p counts)
 
 let adorn ?(strategy = Sips.Ltr) ?card program query =
   let card =

@@ -521,7 +521,7 @@ let start config program =
       match saturate program with
       | Ok db -> Ok (db, [])
       | Error msg -> Error (Startup_failed msg))
-    | _ -> Ok (Database.of_facts (Program.facts program), [])
+    | _ -> Ok (Database.of_groups (Program.fact_groups program), [])
   in
   let t =
     { config;

@@ -31,10 +31,20 @@ let mem db pred tuple =
 
 let mem_atom db atom = mem db (Atom.pred atom) (Tuple.of_atom atom)
 
-let of_facts facts =
+let of_groups groups =
   let db = create () in
-  List.iter (fun a -> ignore (add_atom db a)) facts;
+  List.iter
+    (fun (pred, atoms) ->
+      let r =
+        Relation.create ~name:(Pred.name pred)
+          ~capacity:(List.length atoms) (Pred.arity pred)
+      in
+      Pred.Tbl.add db pred r;
+      List.iter (fun a -> ignore (Relation.insert r (Tuple.of_atom a))) atoms)
+    groups;
   db
+
+let of_facts facts = of_groups (Program.fact_groups (Program.make ~facts []))
 
 let preds db =
   Pred.Tbl.fold (fun p _ acc -> p :: acc) db []

@@ -6,8 +6,15 @@ type t
 
 val create : unit -> t
 
+val of_groups : (Pred.t * Atom.t list) list -> t
+(** Seed a database from ground atoms grouped by predicate, each
+    predicate in one group ({!Datalog_ast.Program.fact_groups}): one
+    relation per group, created in group order with room for the group's
+    facts and filled in list order, with no per-fact predicate lookup. *)
+
 val of_facts : Atom.t list -> t
-(** Seed a database from ground atoms. *)
+(** Seed a database from ground atoms: {!of_groups} over their groups.
+    @raise Invalid_argument on a non-ground atom. *)
 
 val rel : t -> Pred.t -> Relation.t
 (** The relation for a predicate, created empty on first access. *)

@@ -81,14 +81,23 @@ let empty = -1
 let tomb = -2
 let min_table = 16
 
-let create ?(name = "?") arity =
+(* The least power-of-two table capacity, at least [min_table], that
+   takes [n] inserts before the load test of [insert] rebuilds it. *)
+let table_capacity n =
+  let cap = ref min_table in
+  while !cap < 2 * (n + 1) do
+    cap := 2 * !cap
+  done;
+  !cap
+
+let create ?(name = "?") ?(capacity = 0) arity =
   { name;
     arity;
     rows =
-      { order = [||];
+      { order = (if capacity > 0 then Array.make capacity [||] else [||]);
         filled = 0;
         size = 0;
-        table = Array.make min_table empty;
+        table = Array.make (table_capacity capacity) empty;
         used = 0
       };
     lo = 0;

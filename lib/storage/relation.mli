@@ -20,8 +20,10 @@ open Datalog_ast
 
 type t
 
-val create : ?name:string -> int -> t
-(** [create arity] is an empty relation. [name] is used in error messages. *)
+val create : ?name:string -> ?capacity:int -> int -> t
+(** [create arity] is an empty relation. [name] is used in error messages.
+    [capacity] (default 0) reserves room for that many inserts, which
+    then neither grow the row store nor rebuild the membership table. *)
 
 val arity : t -> int
 

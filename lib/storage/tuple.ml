@@ -175,7 +175,17 @@ let hash (t : t) =
 
 let encode values = Array.map Code.of_value values
 let decode (t : t) = Array.map Code.to_value t
-let of_atom a = encode (Atom.to_tuple a)
+
+(* One pass from the atom's terms to codes, with no [Value.t array] in
+   between. *)
+let of_atom a =
+  Array.map
+    (function
+      | Term.Const v -> Code.of_value v
+      | Term.Var v ->
+        invalid_arg (Printf.sprintf "Tuple.of_atom: free variable %s" v))
+    (Atom.args a)
+
 let to_atom pred t = Atom.of_tuple pred (decode t)
 
 type pattern = {

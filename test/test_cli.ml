@@ -110,7 +110,18 @@ let test_wellfounded_flag () =
 
 let test_bad_query_reports_error () =
   let code, _ = run_cli [ "run"; sample "ancestor.dl"; "-q"; "anc(" ] in
-  check tbool "non-zero exit" true (code <> 0)
+  check tbool "non-zero exit" true (code <> 0);
+  (* nothing may follow a goal's dot, and a bad first character is a
+     parse error, not an uncaught exception *)
+  List.iter
+    (fun (goal, message) ->
+      let code, out = run_cli [ "run"; sample "ancestor.dl"; "-q"; goal ] in
+      check tint (goal ^ ": exit 1") 1 code;
+      check tbool (goal ^ ": message") true (contains ~sub:message out))
+    [ ("anc(ann, X). garbage ((",
+       "bad query at column 14: trailing input after atom: identifier garbage");
+      ("#", "bad query at column 1: unexpected character '#'")
+    ]
 
 (* an integer literal outside the int range is a parse error (exit 1)
    in a file and in a query, never an uncaught exception *)

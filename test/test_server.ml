@@ -118,6 +118,10 @@ let test_parse_roundtrip () =
       ({|{"op":"query"}|}, "goal");
       ({|{"op":"add","facts":"p(a)"}|}, "array");
       ({|{"op":"add","facts":["p(X,"]}|}, "cannot parse");
+      ({|{"op":"query","goal":"anc(ann, X). garbage (("}|}, "cannot parse");
+      ({|{"op":"query","goal":"anc(ann, X) q"}|}, "cannot parse");
+      ({|{"op":"add","facts":["p(a). p(b)."]}|}, "cannot parse");
+      ({|{"op":"query","goal":"#"}|}, "cannot parse");
       ({|[1,2]|}, "object")
     ];
   (* the id is recovered even when the request is malformed *)

@@ -277,6 +277,32 @@ let test_database_of_facts_atoms () =
   check tbool "atom not mem" false
     (Database.mem_atom db (Atom.app "e" [ Term.int 3; Term.int 2 ]))
 
+(* Each relation holds its tuples in insertion order, duplicates
+   dropped, and a relation sized for its facts still grows past them. *)
+let test_database_of_facts_order () =
+  let e a b = Atom.app "e" [ Term.int a; Term.int b ]
+  and n x = Atom.app "n" [ Term.sym x ] in
+  let db =
+    Database.of_facts [ e 1 2; n "x"; e 2 3; e 1 2; n "y"; e 3 1; n "x" ]
+  in
+  let rows p = Relation.to_list (Database.rel db p) in
+  let ep = Pred.make "e" 2 in
+  check tbool "e rows in insertion order" true
+    (List.equal Tuple.equal (rows ep)
+       (List.map Tuple.of_atom [ e 1 2; e 2 3; e 3 1 ]));
+  check tbool "n rows in insertion order" true
+    (List.equal Tuple.equal
+       (rows (Pred.make "n" 1))
+       (List.map Tuple.of_atom [ n "x"; n "y" ]));
+  for i = 10 to 200 do
+    ignore (Database.add db ep (tup [ i; i + 1 ]))
+  done;
+  check tint "grows past its facts" 194 (Database.cardinal db ep);
+  check tbool "finds an early row" true (Database.mem_atom db (e 2 3));
+  Alcotest.check_raises "a non-ground atom has no tuple"
+    (Invalid_argument "Tuple.of_atom: free variable X") (fun () ->
+      ignore (Tuple.of_atom (Atom.app "e" [ Term.int 1; Term.var "X" ])))
+
 let test_database_copy_independent () =
   let db = Database.create () in
   ignore (Database.add_atom db (Atom.app "p" [ Term.int 1 ]));
@@ -1008,6 +1034,8 @@ let suite =
         Alcotest.test_case "database since" `Quick test_database_since;
         Alcotest.test_case "database basics" `Quick test_database_basics;
         Alcotest.test_case "database of_facts" `Quick test_database_of_facts_atoms;
+        Alcotest.test_case "database of_facts order" `Quick
+          test_database_of_facts_order;
         Alcotest.test_case "database copy" `Quick test_database_copy_independent
       ] );
     ( "storage:properties",
