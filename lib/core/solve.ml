@@ -166,66 +166,6 @@ let rewrite options adorned =
   | Options.Alexander | Options.Naive | Options.Seminaive | Options.Tabled ->
     Alexander_templates.transform adorned
 
-(* A program made ready for many goals.  What every goal would otherwise
-   redo over the whole EDB — encoding its facts into a [Database] and,
-   during evaluation, building hash and sorted indexes on it — happens
-   once, into a base database each goal reads through
-   [Database.overlay].  The base is never written: goals add only their
-   own facts (IDB facts, seeds), and no rule head is an EDB predicate. *)
-type prepared = {
-  program : Program.t;
-  own : Program.t Lazy.t;
-      (* the rules plus the facts over IDB predicates — everything a
-         non-rewriting goal loads on top of [base].  Rule bodies are
-         reordered for left-to-right evaluation when they are not
-         already: [p(X) :- not r(X), q(X)] is range-restricted, but a
-         plan that tests [not r(X)] before [q(X)] binds [X] cannot run. *)
-  base : Database.t Lazy.t;  (* the facts over EDB predicates *)
-  split : split Lazy.t;
-}
-
-(* The magic-family view: IDB facts moved to fresh EDB predicates, so a
-   goal's rewritten program carries only its seeds. *)
-and split = {
-  s_program : Program.t;  (* [Preprocess.split_idb_facts program] *)
-  s_base : Database.t;
-      (* all of [s_program]'s facts: [base] itself when the split left the
-         program unchanged *)
-  s_card : Pred.t -> int;  (* the cost SIP's estimate, counted once *)
-}
-
-let prepare program =
-  let idb_groups, edb_groups =
-    List.partition
-      (fun (p, _) -> Program.is_idb program p)
-      (Program.fact_groups program)
-  in
-  (* in program order, not group by group: the order a goal seeds them *)
-  let idb_facts =
-    if idb_groups = [] then []
-    else
-      List.filter
-        (fun a -> Program.is_idb program (Atom.pred a))
-        (Program.facts program)
-  in
-  let base = lazy (Database.of_groups edb_groups) in
-  { program;
-    own =
-      lazy
-        (Preprocess.reorder_bodies
-           (Program.make ~facts:idb_facts (Program.rules program)));
-    base;
-    split =
-      lazy
-        (let s_program = Preprocess.split_idb_facts program in
-         { s_program;
-           s_base =
-             (if s_program == program then Lazy.force base
-              else Database.of_groups (Program.fact_groups s_program));
-           s_card = Adorn.fact_card s_program
-         })
-  }
-
 (* The database a goal evaluating [program] starts from: an overlay of
    [base], unless [program] writes one of base's predicates (a rewritten
    name clashing with a user's EDB predicate) — then a private copy, so
@@ -238,13 +178,84 @@ let goal_db base program =
   then Database.copy base
   else Database.overlay base
 
-(* The shared EDB plus the program's own IDB facts: the database of a
-   lookup, and the one a tabled goal exposes its tables in. *)
-let own_db prepared =
-  let own = Lazy.force prepared.own in
-  let db = goal_db (Lazy.force prepared.base) own in
-  List.iter (fun a -> ignore (Database.add_atom db a)) (Program.facts own);
+(* A rule set made ready for many goals over one base database.  What
+   every goal would otherwise redo over the whole EDB — encoding its facts
+   into a [Database] and, during evaluation, building hash and sorted
+   indexes on it — happens once, in the base each goal reads through
+   [Database.overlay].  The base is never written: goals add only their
+   own facts (IDB facts, seeds), and no rule head is a predicate goals see
+   in the base. *)
+type prepared = {
+  program : Program.t;
+  own : Program.t Lazy.t;
+      (* the rules plus the facts over IDB predicates — everything a
+         non-rewriting goal loads on top of [base].  Rule bodies are
+         reordered for left-to-right evaluation when they are not
+         already: [p(X) :- not r(X), q(X)] is range-restricted, but a
+         plan that tests [not r(X)] before [q(X)] binds [X] cannot run. *)
+  base : Database.t Lazy.t;
+      (* the given base's relations over predicates no rule derives *)
+  split : split Lazy.t;
+}
+
+(* The magic-family view: IDB facts moved to fresh EDB predicates, so a
+   goal's rewritten program carries only its seeds. *)
+and split = {
+  s_program : Program.t;
+  s_base : Database.t;  (* [base] plus the moved facts *)
+  s_card : Pred.t -> int;  (* the cost SIP's estimate *)
+}
+
+(* [program]'s facts over an overlay of [base]. *)
+let with_facts base program =
+  let db = goal_db base program in
+  List.iter (fun a -> ignore (Database.add_atom db a)) (Program.facts program);
   db
+
+(* The one constructor: [program]'s rules and IDB facts over [base], which
+   supplies every other predicate's facts and holds no IDB predicate. *)
+let prepare_lazy base program =
+  let is_idb = Program.is_idb program in
+  let idb_group (p, _) = is_idb p in
+  let groups = Program.fact_groups program in
+  let core =
+    if List.for_all idb_group groups then program
+    else
+      let facts =
+        (* in program order, not group by group: the order a goal seeds them *)
+        if List.exists idb_group groups then
+          List.filter (fun a -> is_idb (Atom.pred a)) (Program.facts program)
+        else []
+      in
+      Program.make ~facts (Program.rules program)
+  in
+  { program;
+    own = lazy (Preprocess.reorder_bodies core);
+    base;
+    split =
+      lazy
+        (let s_program = Preprocess.split_idb_facts core in
+         let s_base =
+           if s_program == core then Lazy.force base
+           else with_facts (Lazy.force base) s_program
+         in
+         { s_program; s_base; s_card = Database.cardinal s_base })
+  }
+
+let prepare_over ~base program =
+  prepare_lazy
+    (lazy (Database.overlay ~hide:(Program.is_idb program) base))
+    program
+
+let prepare program =
+  let edb (p, _) = not (Program.is_idb program p) in
+  let groups = List.filter edb (Program.fact_groups program) in
+  prepare_lazy (lazy (Database.of_groups groups)) program
+
+(* The base plus the program's own IDB facts: the database of a lookup,
+   and the one a tabled goal exposes its tables in. *)
+let own_db prepared =
+  with_facts (Lazy.force prepared.base) (Lazy.force prepared.own)
 
 (* A magic-family goal: adorn [representative] under the options' SIP,
    rewrite it, and evaluate the rewriting seeded once per goal of
@@ -313,18 +324,9 @@ let run_uncaught ~options ?resume_from prepared query =
         (Checkpoint.verify_context r ~strategy:strategy_name ~query:query_str)
   in
   let qpred = Atom.pred query in
-  if not (Pred.Set.mem qpred (Program.preds program)) then
-    (* unknown predicate: the query has no matching facts at all *)
-    Ok
-      (finish None
-         ( own_db prepared,
-           Counters.create (),
-           [],
-           [],
-           "lookup",
-           Limits.Complete ))
-  else if not (Program.is_idb program qpred) then
-    (* extensional query: a direct indexed lookup *)
+  if not (Program.is_idb program qpred) then
+    (* extensional query, or one over a predicate nothing mentions: a
+       direct indexed lookup *)
     let db = own_db prepared in
     let answers = matching_tuples db qpred query in
     Ok

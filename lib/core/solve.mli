@@ -82,17 +82,23 @@ val run :
     [Error (Evaluation _)]. *)
 
 type prepared
-(** A program made ready for many goals: its EDB facts are encoded into a
-    base database once — built lazily, on the first goal that needs it —
-    and every goal evaluates over a {!Database.overlay} of that base, so
-    the hash and sorted indexes one goal builds on EDB relations serve
-    the goals after it.  A goal adds only its own facts (the program's
-    IDB facts, a rewriting's seeds) to relations private to it; the base
-    is never written by an evaluation.  The magic-family strategies read
-    the {!Preprocess.split_idb_facts} form of the program, which shares
-    the same base when the program has no IDB facts. *)
+(** A rule set made ready for many goals over one base database: every
+    goal evaluates over a {!Database.overlay} of the base, so the hash and
+    sorted indexes one goal builds on its relations serve the goals after
+    it.  A goal adds only its own facts (the program's IDB facts, a
+    rewriting's seeds) to relations private to it; the base is never
+    written by an evaluation. *)
+
+val prepare_over : base:Database.t -> Program.t -> prepared
+(** [prepare_over ~base program] prepares [program]'s rules and its facts
+    over IDB predicates; [base] supplies every other predicate's facts
+    (the program's own are not read).  Goals do not see [base]'s
+    relations over IDB predicates, so a saturated database serves as it
+    stands.  [base] must not change while the result is in use. *)
 
 val prepare : Program.t -> prepared
+(** [prepare_over] a base of [program]'s EDB facts, built on the first
+    goal that needs it. *)
 
 val run_prepared :
   ?options:Options.t ->

@@ -148,13 +148,17 @@ let remove_facts cnt ?(limits = Limits.none) ?(profile = Profile.none)
     with_rollback limits db @@ fun () ->
     let guard = Limits.guard limits cnt in
     let before = Database.total_facts db in
-    (* Base facts of the program (and only the explicitly requested base
-       deletions) are protected from over-deletion: the DRed re-derivation
-       phase can only restore tuples that some rule derives. *)
+    (* The program's facts over derived predicates (less the explicitly
+       requested deletions) are protected from over-deletion: the DRed
+       re-derivation phase can only restore tuples that some rule
+       derives.  Over-deletion only marks rule heads, so the program's
+       other facts are never consulted. *)
     let protected = Database.create () in
     List.iter
-      (fun a -> ignore (Database.add_atom protected a))
-      (Program.facts program);
+      (fun (p, atoms) ->
+        if Program.is_idb program p then
+          List.iter (fun a -> ignore (Database.add_atom protected a)) atoms)
+      (Program.fact_groups program);
     List.iter (fun a -> ignore (Database.remove_atom protected a)) facts;
     (* Phase 1: over-delete.  Any head tuple one of whose derivations (in
        the PRE-deletion database) consumed a deleted tuple is marked. *)

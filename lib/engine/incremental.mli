@@ -61,5 +61,8 @@ val remove_facts :
     negation.  [limits], [plan] and [on_change] as in {!add_facts} (exhaustion
     rolls [db] back to its pre-call state and is reported as [Error]).
 
+    Only [program]'s rules and its facts over IDB predicates are read;
+    those facts are never over-deleted unless [facts] names them.
+
     Note: [db] is rebuilt in place (relations are replaced), so aliased
     references to its relations must be re-fetched afterwards. *)

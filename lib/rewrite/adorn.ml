@@ -84,11 +84,12 @@ let adorn_rule program strategy card source head_binding registry =
     List.rev !calls )
 
 (* The cost-aware SIP needs cardinality estimates before any evaluation
-   has happened: count the program's explicit facts. *)
+   has happened: count the program's distinct facts, as a relation would. *)
 let fact_card program =
   let counts =
     List.fold_left
-      (fun m (p, atoms) -> Pred.Map.add p (List.length atoms) m)
+      (fun m (p, atoms) ->
+        Pred.Map.add p (List.length (List.sort_uniq Atom.compare atoms)) m)
       Pred.Map.empty (Program.fact_groups program)
   in
   fun p -> Option.value ~default:0 (Pred.Map.find_opt p counts)

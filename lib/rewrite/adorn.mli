@@ -37,11 +37,6 @@ exception Unbound_negation of Atom.t
 val adorned_pred : Pred.t -> Binding.t -> Pred.t
 (** The (deterministic) adorned name, e.g. [anc__bf]. *)
 
-val fact_card : Program.t -> Pred.t -> int
-(** The program's explicit facts counted per predicate (duplicates
-    included) — the default cardinality estimate of {!adorn}.  Partially
-    applied, it counts once and answers from the table. *)
-
 val adorn :
   ?strategy:Datalog_analysis.Sips.strategy ->
   ?card:(Pred.t -> int) ->
@@ -50,8 +45,8 @@ val adorn :
   t
 (** [adorn program query] runs the transformation from the binding pattern
     the query's constants induce.  [card] supplies relation-cardinality
-    estimates to the {!Datalog_analysis.Sips.Cost} strategy (default:
-    [fact_card program]).  @raise Unbound_negation *)
+    estimates to the {!Datalog_analysis.Sips.Cost} strategy (default: the
+    program's distinct facts per predicate).  @raise Unbound_negation *)
 
 val rules_as_program : t -> Program.t
 (** The adorned rules as a plain program (queries over it must use the

@@ -66,11 +66,10 @@ type committed = { c_txn : int; c_op : string; c_count : int }
 
 type t = {
   config : config;
-  rules : Program.t;  (** rules only; facts live in the database *)
-  idb : Pred.Set.t;
-  seed_idb_facts : Atom.t list;
-      (** program facts on derived predicates: always protected from
-          DRed over-deletion, never reconstructible from the database *)
+  rules : Program.t;
+      (** the rules plus the program's facts over derived predicates: the
+          one source of those facts, which every engine goal seeds and
+          DRed never over-deletes.  Every other fact lives in [db]. *)
   graph : Datalog_analysis.Depgraph.t;
   positive : bool;
   db : Database.t;
@@ -151,10 +150,11 @@ let program_is_positive program =
 
 let mode_name positive = if positive then "saturated" else "base"
 
-let saturate program =
-  match Datalog_engine.Stratified.run program with
-  | Ok outcome -> Ok outcome.Datalog_engine.Stratified.db
-  | Error msg -> Error msg
+(* Saturate [db] in place under [rules] (rules plus IDB facts). *)
+let saturate rules db =
+  match Datalog_engine.Stratified.run ~db rules with
+  | Ok _ -> Ok db
+  | Error msg -> Error (Startup_failed msg)
 
 (* ------------------------------------------------------------------ *)
 (* Durability *)
@@ -268,20 +268,6 @@ let deps_closure t pred =
     Pred.Tbl.add t.deps_memo pred s;
     s
 
-(* The base facts as atoms: what an engine run (and DRed's protected
-   set) needs.  In saturated mode derived tuples must be excluded. *)
-let base_atoms t =
-  let include_pred p = (not t.positive) || not (Pred.Set.mem p t.idb) in
-  let base =
-    List.concat_map
-      (fun p ->
-        if include_pred p then
-          List.map (Tuple.to_atom p) (Database.tuples t.db p)
-        else [])
-      (Database.preds t.db)
-  in
-  if t.positive then t.seed_idb_facts @ base else base
-
 let limits_of t budgets ~now ~deadline =
   let dflt = t.config.default_budgets in
   let pick get = match get budgets with Some v -> Some v | None -> get dflt in
@@ -328,12 +314,13 @@ let run_query t ~now ~deadline env goal engine =
         ~reason:None ~txn:t.txn ~wall_s:(wall ())
     end
     else begin
-      let program =
-        Program.make ~facts:(base_atoms t) (Program.rules t.rules)
-      in
+      (* the engine over the live database, prepared for this request
+         only: the next mutation may replace its relations *)
       let limits = limits_of t env.Protocol.budgets ~now ~deadline in
       let options = { t.config.options with O.limits } in
-      match S.run ~options program goal with
+      match
+        S.run_prepared ~options (S.prepare_over ~base:t.db t.rules) goal
+      with
       | Error e -> Protocol.error ~id (Alexander.Errors.message e)
       | Ok report ->
         let complete = not (S.incomplete report) in
@@ -361,7 +348,7 @@ let validate_mutation t facts =
          Atom.pp a)
   | None -> (
     match
-      List.find_opt (fun a -> Pred.Set.mem (Atom.pred a) t.idb) facts
+      List.find_opt (fun a -> Program.is_idb t.rules (Atom.pred a)) facts
     with
     | Some a ->
       Error
@@ -376,10 +363,7 @@ let apply_mutation t ~limits ~on_change op facts =
     match op with
     | `Add -> Datalog_engine.Incremental.add_facts t.cnt ~limits ~on_change t.rules t.db facts
     | `Remove ->
-      let program =
-        Program.make ~facts:(base_atoms t) (Program.rules t.rules)
-      in
-      Datalog_engine.Incremental.remove_facts t.cnt ~limits ~on_change program
+      Datalog_engine.Incremental.remove_facts t.cnt ~limits ~on_change t.rules
         t.db facts
   end
   else begin
@@ -436,21 +420,14 @@ let load_log config path =
 (* The base image as this program's database: the right mode, or base
    facts a positive program saturates.  An image without a mode stamp
    is only taken as base facts. *)
-let database_of_base program positive path (meta, db) =
+let database_of_base rules positive path (meta, db) =
   match List.assoc_opt "mode" meta with
   | Some m when m = mode_name positive -> Ok db
   | (Some "base" | None) when not positive -> Ok db
-  | Some "base" -> (
+  | Some "base" ->
     (* the image predates the rules (or a mode change): the base facts
        are all there, so saturate them *)
-    let facts =
-      List.concat_map
-        (fun p -> List.map (Tuple.to_atom p) (Database.tuples db p))
-        (Database.preds db)
-    in
-    match saturate (Program.make ~facts (Program.rules program)) with
-    | Ok db -> Ok db
-    | Error msg -> Error (Startup_failed msg))
+    saturate rules db
   | m ->
     Error
       (Corrupt_state
@@ -505,7 +482,11 @@ let start config program =
       (Datalog_analysis.Safety.check_program program)
   in
   let positive = program_is_positive program in
-  let idb = Program.idb program in
+  let derived a = Program.is_idb program (Atom.pred a) in
+  let rules =
+    Program.make ~facts:(List.filter derived (Program.facts program))
+      (Program.rules program)
+  in
   let* log =
     match config.snapshot_path with
     | None -> Ok None
@@ -516,22 +497,15 @@ let start config program =
     | Some (path, { Wal.base = Some ((meta, _) as base); _ }) ->
       Result.map
         (fun db -> (db, meta))
-        (database_of_base program positive path base)
-    | _ when positive -> (
-      match saturate program with
-      | Ok db -> Ok (db, [])
-      | Error msg -> Error (Startup_failed msg))
-    | _ -> Ok (Database.of_groups (Program.fact_groups program), [])
+        (database_of_base rules positive path base)
+    | _ ->
+      let db = Database.of_groups (Program.fact_groups program) in
+      if positive then Result.map (fun db -> (db, [])) (saturate rules db)
+      else Ok (db, [])
   in
   let t =
     { config;
-      rules = Program.make (Program.rules program);
-      idb;
-      seed_idb_facts =
-        (if positive then
-           List.filter (fun a -> Pred.Set.mem (Atom.pred a) idb)
-             (Program.facts program)
-         else []);
+      rules;
       graph = Datalog_analysis.Depgraph.make program;
       positive;
       db;

@@ -14,7 +14,8 @@
     mid-propagation rolls the whole batch back), and queries are served
     by scanning the saturated relation.  A program with negation keeps
     only base facts and answers queries with a full engine run under the
-    request budget; exhaustion surfaces as a ["partial"] reply.
+    request budget; exhaustion surfaces as a ["partial"] reply.  Engine
+    runs read the live database in place ({!Alexander.Solve.prepare_over}).
 
     {2 Durability contract}
 

@@ -58,8 +58,14 @@ let total_facts db =
 
 (* [Hashtbl.copy] duplicates the bucket structure but not the values: the
    overlay starts with exactly the base's predicate entries, each bound to
-   the base's own relation. *)
-let overlay base : t = Pred.Tbl.copy base
+   the base's own relation, less the hidden ones. *)
+let overlay ?hide base : t =
+  let o = Pred.Tbl.copy base in
+  (match hide with
+  | None -> ()
+  | Some hide ->
+    Pred.Tbl.filter_map_inplace (fun p r -> if hide p then None else Some r) o);
+  o
 
 let copy db =
   let fresh = create () in

@@ -42,13 +42,14 @@ val total_facts : t -> int
 
 val copy : t -> t
 
-val overlay : t -> t
+val overlay : ?hide:(Pred.t -> bool) -> t -> t
 (** [overlay base] is a fresh predicate-to-relation table whose entries
     {e alias} [base]'s relations: every predicate [base] has shares its
     [Relation.t] (tuples and any hash or sorted indexes built on it),
     while a predicate first reached through the overlay ({!rel}, {!add})
     gets a relation private to the overlay.  Costs one table copy, not a
-    tuple copy.
+    tuple copy.  A predicate satisfying [hide] is left out: the overlay
+    neither sees nor writes [base]'s relation for it.
 
     Aliasing contract: writing a predicate the base already has writes
     the base.  An overlay is meant for evaluations that only {e read} the

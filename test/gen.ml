@@ -81,6 +81,31 @@ let positive_program_gen =
     in
     return (Program.make ~facts:(e_facts @ f_facts) (base @ rules)))
 
+(* Up to four facts over the IDB predicates p0..p2, none about half the
+   time: facts a rule head also derives, which evaluation seeds and DRed
+   must never over-delete. *)
+let idb_facts_gen =
+  G.(
+    let* n = frequency [ (1, return 0); (1, int_range 1 4) ] in
+    list_repeat n
+      (map3
+         (fun p a b -> Atom.app p [ Term.int a; Term.int b ])
+         (oneofl [ "p0"; "p1"; "p2" ])
+         (int_bound 5) (int_bound 5)))
+
+let with_idb_facts program_gen =
+  G.(
+    let* program = program_gen in
+    let* idb_facts = idb_facts_gen in
+    return
+      (Program.make
+         ~facts:(Program.facts program @ idb_facts)
+         (Program.rules program)))
+
+let arb_positive_program_idb_facts =
+  QCheck.make ~print:(Format.asprintf "%a" Program.pp)
+    (with_idb_facts positive_program_gen)
+
 let bound_query_gen =
   G.(
     let* pred = oneofl [ "p0"; "p1"; "p2" ] in

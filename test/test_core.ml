@@ -236,6 +236,31 @@ let test_sips_option_respected () =
   check tbool "same answers under both SIPs" true
     (ltr.S.answers = cost.S.answers)
 
+(* The rewriting [run] evaluates under the cost SIP is the one [adorn]
+   builds on the program itself: both count a relation's distinct
+   facts, here [e] (one fact, stated three times) below [f] (two). *)
+let test_cost_sip_counts_distinct_facts () =
+  let program =
+    prog "p(X, Y) :- e(X, Z), f(Z, Y). e(1, 2). e(1, 2). e(1, 2). f(2, 3). f(2, 4)."
+  in
+  let query = atom "p(X, Y)" in
+  let report =
+    S.run_exn
+      ~options:{ O.default with O.sips = Datalog_analysis.Sips.Cost }
+      program query
+  in
+  let adorned =
+    Datalog_rewrite.Adorn.adorn ~strategy:Datalog_analysis.Sips.Cost program
+      query
+  in
+  let rules rw = List.map (Format.asprintf "%a" Rule.pp) rw.Datalog_rewrite.Rewritten.rules in
+  check (Alcotest.list Alcotest.string) "run evaluates what adorn builds"
+    (rules (Datalog_rewrite.Alexander_templates.transform adorned))
+    (rules (Option.get report.S.rewritten));
+  check (Alcotest.list Alcotest.string) "smaller relation first"
+    [ "ans_p__ff(X, Y) :- call_p__ff, e(X, Z), f(Z, Y)." ]
+    (rules (Option.get report.S.rewritten))
+
 let test_zero_arity_program () =
   let program = prog "alarm :- smoke, not drill. smoke." in
   let report =
@@ -304,6 +329,8 @@ let suite =
         Alcotest.test_case "split idb facts" `Quick test_split_idb_facts_unit;
         Alcotest.test_case "reorder bodies" `Quick test_reorder_bodies_pass;
         Alcotest.test_case "sips option" `Quick test_sips_option_respected;
+        Alcotest.test_case "cost SIP counts distinct facts" `Quick
+          test_cost_sip_counts_distinct_facts;
         Alcotest.test_case "zero arity" `Quick test_zero_arity_program;
         Alcotest.test_case "counters" `Quick test_counters_populated
       ] );

@@ -143,6 +143,35 @@ let prop_incremental_remove_equals_recompute =
         in
         db_facts db = db_facts full)
 
+(* [remove_facts] reads only the rules and the facts over derived
+   predicates: handing it just those gives the same count and the same
+   database as the whole program. *)
+let prop_remove_reads_rules_and_idb_facts =
+  QCheck.Test.make ~name:"DRed with rules + IDB facts = with whole program"
+    ~count:40
+    (QCheck.pair Gen.arb_positive_program_idb_facts
+       (QCheck.make QCheck.Gen.(list_size (int_range 1 3) (int_bound 100))))
+    (fun (program, picks) ->
+      let facts = Program.facts program in
+      let victims =
+        List.map (fun i -> List.nth facts (i mod List.length facts)) picks
+      in
+      let core =
+        Program.make
+          ~facts:
+            (List.filter
+               (fun a -> Program.is_idb program (Atom.pred a))
+               facts)
+          (Program.rules program)
+      in
+      let removed p =
+        let db = saturate program in
+        match I.remove_facts (cnt ()) p db victims with
+        | Ok n -> (n, db_facts db)
+        | Error msg -> QCheck.Test.fail_report msg
+      in
+      removed program = removed core)
+
 let suite =
   [ ( "incremental",
       [ Alcotest.test_case "add extends closure" `Quick test_add_extends_closure;
@@ -155,6 +184,7 @@ let suite =
     ( "incremental:properties",
       List.map QCheck_alcotest.to_alcotest
         [ prop_incremental_add_equals_recompute;
-          prop_incremental_remove_equals_recompute
+          prop_incremental_remove_equals_recompute;
+          prop_remove_reads_rules_and_idb_facts
         ] )
   ]

@@ -199,14 +199,32 @@ let goal_options strategy goals =
       })
     goals
 
+(* The program saturated: a base that also holds every derived tuple, as
+   the server's database does. *)
+let saturated program =
+  match Datalog_engine.Stratified.run program with
+  | Ok o -> o.Datalog_engine.Stratified.db
+  | Error msg -> Alcotest.fail msg
+
+(* The rules and the facts over derived predicates: what a prepared
+   program reads besides its base. *)
+let rules_and_idb_facts program =
+  Program.make
+    ~facts:
+      (List.filter
+         (fun a -> Program.is_idb program (Atom.pred a))
+         (Program.facts program))
+    (Program.rules program)
+
+(* Both constructors: [S.prepare], and [S.prepare_over] a saturated base
+   whose derived relations the goals must not see. *)
 let prop_prepared_equals_fresh =
   QCheck.Test.make ~name:"one prepared batch = fresh run per goal" ~count:25
     arb_prepared_case (fun (program, goals) ->
       List.for_all
         (fun strategy ->
           let options = goal_options strategy goals in
-          let prepared = S.prepare program in
-          let batch =
+          let batch prepared =
             List.map2
               (fun options goal ->
                 observable (S.run_prepared ~options prepared goal))
@@ -217,8 +235,51 @@ let prop_prepared_equals_fresh =
               (fun options goal -> observable (S.run ~options program goal))
               options goals
           in
-          batch = fresh)
+          batch (S.prepare program) = fresh
+          && batch
+               (S.prepare_over ~base:(saturated program)
+                  (rules_and_idb_facts program))
+             = fresh)
         all_strategies)
+
+(* A goal prepared over a database reads the base's relations in place
+   and never writes them: its report's EDB relation is the base's own,
+   the base keeps its predicates and cardinalities, and a derived
+   relation in the base — here a saturated [anc] with one stale tuple —
+   is invisible to the goal. *)
+let test_prepared_over_database () =
+  let program = W.ancestor_chain 12 in
+  let edge = Pred.make "edge" 2 and anc = Pred.make "anc" 2 in
+  let base = saturated program in
+  ignore (Db.add_atom base (atom "anc(100, 200)"));
+  let shape () = List.map (fun p -> (p, Db.cardinal base p)) (Db.preds base) in
+  let before = shape () in
+  let prepared = S.prepare_over ~base (rules_and_idb_facts program) in
+  List.iter
+    (fun strategy ->
+      let name = O.strategy_name strategy in
+      List.iter
+        (fun g ->
+          let goal = atom g in
+          let options = { O.default with O.strategy } in
+          match
+            ( S.run_prepared ~options prepared goal,
+              S.run ~options program goal )
+          with
+          | Ok r, Ok fresh ->
+            let shared p =
+              match (Db.find r.S.db p, Db.find base p) with
+              | Some a, Some b -> a == b
+              | _ -> false
+            in
+            check tbool (name ^ ": " ^ g ^ " answers") true
+              (r.S.answers = fresh.S.answers);
+            check tbool (name ^ ": EDB relation aliased") true (shared edge);
+            check tbool (name ^ ": base anc not visible") false (shared anc);
+            check tbool (name ^ ": base unchanged") true (shape () = before)
+          | Error e, _ | _, Error e -> Alcotest.fail (Alexander.Errors.message e))
+        [ "anc(5, X)"; "anc(100, X)"; "anc(X, Y)"; "edge(X, 3)" ])
+    all_strategies
 
 (* A whole batch, budget exhaustion included, leaves the first goal's
    database as it was: its EDB relations — shared with the prepared
@@ -271,7 +332,9 @@ let suite =
         Alcotest.test_case "mixed bindings" `Quick test_mixed_binding_patterns;
         Alcotest.test_case "multiple predicates" `Quick test_multiple_predicates;
         Alcotest.test_case "empty batch" `Quick test_empty_batch;
-        Alcotest.test_case "prepared base unchanged" `Quick test_base_unchanged
+        Alcotest.test_case "prepared base unchanged" `Quick test_base_unchanged;
+        Alcotest.test_case "prepared over a database" `Quick
+          test_prepared_over_database
       ] );
     ( "multiquery:properties",
       List.map QCheck_alcotest.to_alcotest

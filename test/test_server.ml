@@ -869,7 +869,7 @@ let print_batches =
 
 let prop_mutations_match_recompute =
   QCheck.Test.make ~name:"saturated mutations = recomputation" ~count:40
-    (QCheck.pair Gen.arb_positive_program
+    (QCheck.pair Gen.arb_positive_program_idb_facts
        (QCheck.make ~print:print_batches batches_gen))
     (fun (program, batches) ->
       let t = sup_exn program in
@@ -901,6 +901,81 @@ let prop_mutations_match_recompute =
           || QCheck.Test.fail_reportf "after %s: database differs"
                (print_batches [ (add, facts) ]))
         batches)
+
+(* Every reply equals [Solve.run] over the rules plus the base facts as
+   they stand after each batch: engine off and on, in both modes.  The
+   negation programs always carry [p2(X, Y) :- f(X, Y), not p1(X, Y)], so
+   the server keeps them in base mode. *)
+let replies_gen =
+  let open QCheck.Gen in
+  let negation =
+    map
+      (fun p ->
+        Program.make ~facts:(Program.facts p)
+          (Program.rules p @ [ rule "p2(X, Y) :- f(X, Y), not p1(X, Y)." ]))
+      (Gen.with_idb_facts Gen.stratified_program_gen)
+  in
+  triple
+    (oneof [ Gen.with_idb_facts Gen.positive_program_gen; negation ])
+    (list_size (int_range 1 3) Gen.bound_query_gen)
+    batches_gen
+
+let prop_replies_match_solve =
+  QCheck.Test.make ~name:"server replies = Solve.run" ~count:40
+    (QCheck.make
+       ~print:(fun (p, goals, batches) ->
+         Format.asprintf "%a@.goals: %a@.%s" Program.pp p
+           (Format.pp_print_list ~pp_sep:Format.pp_print_space Atom.pp)
+           goals (print_batches batches))
+       replies_gen)
+    (fun (program, goals, batches) ->
+      let t = sup_exn program in
+      let goals =
+        goals @ List.map atom [ "p0(X, Y)"; "p1(X, Y)"; "p2(X, Y)"; "e(X, Y)" ]
+      in
+      let base = ref (Program.facts program) in
+      let render goal tuples =
+        List.map
+          (fun tuple ->
+            let buf = Buffer.create 16 in
+            Tuple.add_atom buf (Atom.pred goal) tuple;
+            Buffer.contents buf)
+          tuples
+      in
+      let replies_match label =
+        let current = Program.make ~facts:!base (Program.rules program) in
+        List.for_all
+          (fun goal ->
+            let expected =
+              match Alexander.Solve.run current goal with
+              | Ok r -> render goal r.Alexander.Solve.answers
+              | Error e -> QCheck.Test.fail_report (Alexander.Errors.message e)
+            in
+            List.for_all
+              (fun engine ->
+                let reply = handle t (env (P.Query { goal; engine })) in
+                (status reply = "ok" && answers reply = expected)
+                || QCheck.Test.fail_reportf "%s, %a (engine %b): %s" label
+                     Atom.pp goal engine (Json.to_line reply))
+              [ false; true ])
+          goals
+      in
+      replies_match "at start"
+      && List.for_all
+           (fun (add, facts) ->
+             let request = if add then P.Add facts else P.Remove facts in
+             let reply = handle t (env request) in
+             if status reply <> "ok" then
+               QCheck.Test.fail_reportf "refused: %s" (Json.to_line reply);
+             base :=
+               if add then facts @ !base
+               else
+                 List.filter
+                   (fun a -> not (List.exists (Atom.equal a) facts))
+                   !base;
+             replies_match
+               (Format.asprintf "after %s" (print_batches [ (add, facts) ])))
+           batches)
 
 let suite =
   [ ( "server",
@@ -944,6 +1019,7 @@ let suite =
         Alcotest.test_case "e2e startup exit codes" `Quick
           test_e2e_startup_exit_codes;
         Alcotest.test_case "e2e overload" `Quick test_e2e_overload_pipelined;
-        QCheck_alcotest.to_alcotest prop_mutations_match_recompute
+        QCheck_alcotest.to_alcotest prop_mutations_match_recompute;
+        QCheck_alcotest.to_alcotest prop_replies_match_solve
       ] )
   ]
